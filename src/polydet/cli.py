@@ -142,23 +142,6 @@ def cmd_det(args, cfg):
     )
 
 
-def _fd_logdet_derivative(p, f, cfg, cache):
-    """Richardson central difference of the determinant pipeline along f."""
-    from .geometry import move_polygon
-
-    lam_max, zcfg = cfg.pipeline_zeta(p)
-
-    def logdet_at(t):
-        pt = move_polygon(p, f, t)
-        spec, _ = _spectrum_cached(pt, lam_max, cfg, cache)
-        return zeta_logdet(spec, heat_coefficients(pt), zcfg).value
-
-    t = cfg.fd_step
-    d1 = (logdet_at(t) - logdet_at(-t)) / (2 * t)
-    d2 = (logdet_at(t / 2) - logdet_at(-t / 2)) / t
-    return (4 * d2 - d1) / 3
-
-
 def cmd_var(args, cfg):
     timer = Timer()
     p = _load_polygon(args.polygon)
@@ -184,7 +167,9 @@ def cmd_var(args, cfg):
                 payload["formula"]["contour_route"] = contour_shift_integral(m, f, cfg.var)
         timer.mark("formula")
     if args.route in ("fd", "both"):
-        payload["fd"] = _fd_logdet_derivative(p, f, cfg, _cache_dir(args))
+        lam_max, zcfg = cfg.pipeline_zeta(p)
+        payload["fd"] = validation.fd_logdet_derivative(p, f, lam_max, zcfg,
+                                                        t=cfg.fd_step, cfg=cfg.eig)
         timer.mark("fd")
     if args.route == "both":
         payload["discrepancy"] = abs(payload["formula"]["total"] - payload["fd"])

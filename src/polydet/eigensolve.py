@@ -138,7 +138,8 @@ def _rect_polygon(a, b):
 class _BesselTable:
     """Piecewise-Chebyshev surrogate for J_nu(u) on [0, u_max] for a fixed
     family of orders.  Cuts the cost of a basis-matrix assembly from one jv
-    call per (point, order) to a handful of small matrix products.
+    call per (point, order) to one Clenshaw recurrence over all points, each
+    point reading the coefficients of its own panel.
 
     J_nu(u) = u^nu H(u) with H analytic and even, so the panel containing
     u = 0 stores Chebyshev data for H and multiplies the branch factor u^nu
@@ -151,7 +152,9 @@ class _BesselTable:
         self.edges = np.linspace(0.0, u_max * 1.02, n_panels + 1)
         self.degree = degree
         xc = np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
-        coef = np.empty((n_panels, len(self.nus), degree + 1))
+        # (panel, Chebyshev degree, order): a Clenshaw step reads one
+        # contiguous row of orders per point
+        coef = np.empty((n_panels, degree + 1, len(self.nus)))
         V = np.polynomial.chebyshev.chebvander(xc, degree)
         Vinv = np.linalg.inv(V)
         for pnl in range(n_panels):
@@ -161,7 +164,7 @@ class _BesselTable:
                 vals = self._h_series(u)
             else:
                 vals = jv(self.nus[None, :], u[:, None])
-            coef[pnl] = (Vinv @ vals).T
+            coef[pnl] = Vinv @ vals
         self.coef = coef
 
     def _h_series(self, u):
@@ -183,19 +186,20 @@ class _BesselTable:
         """J_nu(u) for all orders; returns (len(u), len(nus))."""
         u = np.asarray(u, dtype=float)
         idx = np.clip(np.searchsorted(self.edges, u) - 1, 0, len(self.edges) - 2)
-        out = np.empty((len(u), len(self.nus)))
-        for pnl in np.unique(idx):
-            sel = idx == pnl
-            a, b = self.edges[pnl], self.edges[pnl + 1]
-            t = (2.0 * u[sel] - (a + b)) / (b - a)
-            T = np.polynomial.chebyshev.chebvander(t, self.degree)
-            vals = T @ self.coef[pnl].T
-            if pnl == 0:
-                usel = u[sel]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    branch = np.exp(self.nus[None, :] * np.log(usel[:, None]))
-                vals = np.where(usel[:, None] > 0, vals * branch, 0.0)
-            out[sel] = vals
+        a, b = self.edges[idx], self.edges[idx + 1]
+        t = ((2.0 * u - (a + b)) / (b - a))[:, None]
+        c = self.coef[idx]
+        # Clenshaw: b_k = c_k + 2 t b_{k+1} - b_{k+2}, J = c_0 + t b_1 - b_2
+        b1, b2 = c[:, self.degree], 0.0
+        for k in range(self.degree - 1, 0, -1):
+            b1, b2 = c[:, k] + 2.0 * t * b1 - b2, b1
+        out = c[:, 0] + t * b1 - b2
+        first = np.flatnonzero(idx == 0)
+        if len(first):
+            uf = u[first][:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                branch = np.exp(self.nus[None, :] * np.log(uf))
+            out[first] = np.where(uf > 0, out[first] * branch, 0.0)
         return out
 
 
@@ -203,18 +207,16 @@ class _CornerBasis:
     """Union of Fourier-Bessel fans J_{k pi/alpha}(sqrt(lam) r) sin(k pi theta/alpha),
     one fan per corner, with theta measured from the corner's outgoing side."""
 
-    def __init__(self, p, orders, u_max=None):
+    def __init__(self, p, orders, u_max):
         self.p = p
         self.orders = orders
         self.vertices = p.vertex_array()
         self.tau = np.array([p.side_tangent(j) for j in range(p.n)])
         self.alphas = np.asarray(p.angles)
-        self.tables = None
-        if u_max is not None:
-            self.tables = [
-                _BesselTable(np.arange(1, orders[i] + 1) * np.pi / self.alphas[i], u_max)
-                for i in range(p.n)
-            ]
+        self.tables = [
+            _BesselTable(np.arange(1, orders[i] + 1) * np.pi / self.alphas[i], u_max)
+            for i in range(p.n)
+        ]
 
     def _local(self, pts):
         """Polar coordinates of pts about every corner; returns (r, theta)."""
@@ -226,19 +228,29 @@ class _CornerBasis:
         th = np.where(th < -1e-9, th + 2 * np.pi, th)
         return r, th
 
-    def matrix(self, lam, pts, local=None):
-        r, th = self._local(pts) if local is None else local
-        rt = np.sqrt(lam)
-        cols = []
+    def sines(self, th):
+        """Angular factors sin(k nu theta), one (points, orders) block per
+        corner; they do not depend on lambda."""
+        blocks = []
         for i in range(self.p.n):
             nu = np.pi / self.alphas[i]
             ks = np.arange(1, self.orders[i] + 1)
-            if self.tables is not None:
-                J = self.tables[i].evaluate(rt * r[i])
-            else:
-                J = jv(ks[None, :] * nu, rt * r[i][:, None])
-            cols.append(J * np.sin(ks[None, :] * nu * th[i][:, None]))
-        return np.concatenate(cols, axis=1)
+            blocks.append(np.sin(ks[None, :] * nu * th[i][:, None]))
+        return blocks
+
+    def matrix(self, lam, pts, local=None, sines=None):
+        """Basis values at pts, one column per (corner, order).  ``local`` and
+        ``sines`` are the cached _local(pts) and sines(theta), if any."""
+        r, th = self._local(pts) if local is None else local
+        sines = self.sines(th) if sines is None else sines
+        rt = np.sqrt(lam)
+        out = np.empty((r.shape[1], sum(self.orders)))
+        col = 0
+        for i in range(self.p.n):
+            J = self.tables[i].evaluate(rt * r[i])
+            np.multiply(J, sines[i], out=out[:, col:col + self.orders[i]])
+            col += self.orders[i]
+        return out
 
     def gradient(self, lam, pts):
         """du/dx and du/dy for every basis column at pts."""
@@ -326,23 +338,37 @@ class MPSSolver:
         self.m_b = len(self.bpts)
         self._diam = diam
         self._local_pts = self.basis._local(self.pts)
+        self._sines = self.basis.sines(self._local_pts[1])
         self._lam_lo = 0.95 * self.faber_krahn_bound()
         self._dips = {}         # located eigenvalue -> (V slope, next sigma)
         self._probed = set()    # located eigenvalues already probed for a sibling
 
     # -- subspace angles ----------------------------------------------------
-    def sigmas(self, lam, count=2):
-        A = self.basis.matrix(lam, self.pts, local=self._local_pts)
+    def _boundary_svd(self, lam, vectors=False):
+        """SVD of the boundary rows of the orthonormalized basis at lam.
+
+        The columns are normalized, orthonormalized by pivoted QR and
+        truncated at the numerical rank (cfg.rtol).  Returns the singular
+        values in ascending order, and with ``vectors`` also
+        (Vh, R, piv, cutoff, norms, good), which map right singular vectors
+        back to basis coefficients.
+        """
+        A = self.basis.matrix(lam, self.pts, local=self._local_pts, sines=self._sines)
         norms = np.linalg.norm(A, axis=0)
         good = norms > 1e-280
         if not np.any(good):
             raise BasisIllConditioned("basis matrix vanished", condition_number=np.inf)
         A = A[:, good] / norms[good]
-        Q, R, _ = la.qr(A, mode="economic", pivoting=True)
+        Q, R, piv = la.qr(A, mode="economic", pivoting=True)
         r = np.abs(np.diag(R))
         cutoff = int((r > r[0] * self.cfg.rtol).sum())
-        s = la.svd(Q[: self.m_b, :cutoff], compute_uv=False)
-        return s[::-1][:count]
+        if not vectors:
+            return la.svd(Q[: self.m_b, :cutoff], compute_uv=False)[::-1]
+        _, s, Vh = la.svd(Q[: self.m_b, :cutoff])
+        return s[::-1], (Vh, R, piv, cutoff, norms, good)
+
+    def sigmas(self, lam, count=2):
+        return self._boundary_svd(lam)[:count]
 
     def sigma(self, lam):
         return float(self.sigmas(lam, count=1)[0])
@@ -361,24 +387,17 @@ class MPSSolver:
     def _nullspace_coeffs(self, lam, mult_tol=None):
         """Coefficient vectors of the (near-)null space at an eigenvalue."""
         mult_tol = mult_tol or self.cfg.mult_tol
-        A = self.basis.matrix(lam, self.pts, local=self._local_pts)
-        norms = np.linalg.norm(A, axis=0)
-        good = norms > 1e-280
-        A = A[:, good] / norms[good]
-        Q, R, piv = la.qr(A, mode="economic", pivoting=True)
-        r = np.abs(np.diag(R))
-        cutoff = int((r > r[0] * self.cfg.rtol).sum())
-        _, s, Vh = la.svd(Q[: self.m_b, :cutoff])
+        s, (Vh, R, piv, cutoff, norms, good) = self._boundary_svd(lam, vectors=True)
         mult = int((s < mult_tol).sum())
         if mult == 0:
             raise DegenerateEigenvalue(
-                f"lambda={lam:.8e} is not an eigenvalue to tolerance (sigma={s[-1]:.2e})")
+                f"lambda={lam:.8e} is not an eigenvalue to tolerance (sigma={s[0]:.2e})")
         y = la.solve_triangular(R[:cutoff, :cutoff], Vh[-mult:].T)
-        C = np.zeros((A.shape[1], mult))
+        C = np.zeros((int(good.sum()), mult))
         C[piv[:cutoff]] = y
         full = np.zeros((len(norms), mult))
         full[good] = C / norms[good][:, None]
-        return full, s[::-1]
+        return full, s
 
     # -- sweep --------------------------------------------------------------
     def mean_gap(self):

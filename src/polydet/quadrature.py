@@ -1,4 +1,4 @@
-"""Shared quadrature helpers: cached Gauss rules and graded panel layouts."""
+"""Shared quadrature helpers: cached Gauss rules."""
 
 from functools import lru_cache
 
@@ -26,34 +26,3 @@ def gl_nodes(a, b, n):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x, half * w
-
-
-def graded_panels(length, first, ratio=2.0):
-    """Panel breakpoints 0 = t0 < t1 < ... <= length, growing geometrically.
-
-    The first panel has size ``first``; sizes multiply by ``ratio`` until the
-    interval is exhausted.  Returns an increasing array ending exactly at
-    ``length``.
-    """
-    if first >= length:
-        return np.array([0.0, length])
-    pts = [0.0, first]
-    h = first
-    while pts[-1] < length:
-        h *= ratio
-        nxt = pts[-1] + h
-        if nxt >= length - 0.25 * h:
-            pts.append(length)
-            break
-        pts.append(nxt)
-    return np.asarray(pts)
-
-
-def gl_panel_nodes(breaks_a, breaks_b, n):
-    """GL nodes/weights for a chain of panels between complex breakpoints."""
-    zs, ws = [], []
-    for a, b in zip(breaks_a, breaks_b):
-        z, w = gl_nodes(a, b, n)
-        zs.append(z)
-        ws.append(w)
-    return np.concatenate(zs), np.concatenate(ws)

@@ -524,14 +524,6 @@ def vertex_expansion(m, i, order, radius=None):
 # side utilities shared with the variational formula
 # ---------------------------------------------------------------------------
 
-def side_prevertex_interval(m, j):
-    """Prevertex interval (z_j, z_{j+1}) for side j; side n-1 is the one
-    through infinity and has no finite interval."""
-    if j == m.n - 1:
-        raise ValidationFailure("the last side maps through infinity")
-    return m.prevertices[j], m.prevertices[j + 1]
-
-
 def map_on_side(m, j, z_nodes):
     """Images x(z) for sorted nodes inside side j's prevertex interval.
 

@@ -269,12 +269,12 @@ def _describe_defects(defects):
                      f"(0-based), predicted lambda {lam:.6f}" for t, i, lam in defects)
 
 
-def fd_logdet_derivative(p, f, lam_max, tau0, t=4e-3):
+def fd_logdet_derivative(p, f, lam_max, zcfg, t=4e-3, cfg=None):
     """Richardson central difference of the determinant pipeline along f,
-    with defect-checked spectra."""
-    zcfg = ZetaConfig(tau0=tau0, tail_tol=1.0)
+    with defect-checked spectra.  ``zcfg`` sets the zeta completion and
+    ``cfg`` the eigensolver of every moved polygon."""
     ts = (t, -t, t / 2, -t / 2)
-    specs = _aligned_spectra(p, f, ts, lam_max)
+    specs = _aligned_spectra(p, f, ts, lam_max, cfg)
 
     def ld(tt):
         pt = move_polygon(p, f, tt)
@@ -299,7 +299,7 @@ def check_corner_term_activation():
     f = field_from_vertex_velocities(p, vel)
     m = solve_parameter_problem(p)
     dv = main_formula(p, m, f)
-    fd = fd_logdet_derivative(p, f, lam_max=1500.0, tau0=0.018)
+    fd = fd_logdet_derivative(p, f, 1500.0, ZetaConfig(tau0=0.018, tail_tol=1.0))
     rel = abs(dv.total - fd) / abs(fd)
     return [_record("7 corner-term activation (triangle family)", rel, 1e-2,
                     f"formula {dv.total:.7f} fd {fd:.7f} "

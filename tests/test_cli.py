@@ -132,6 +132,20 @@ class TestVarCommand:
         rep = json.loads(out)
         assert abs(rep["payload"]["formula"]["total"]) < 1e-8
 
+    def test_fd_route_reports_a_missed_eigenvalue(self, square_file, dilation_file,
+                                                  monkeypatch, capsys):
+        # the fd route goes through the aligned, defect-checked spectra
+        from polydet import validation
+        from polydet.errors import MissedEigenvalue
+
+        def misaligned(*args, **kwargs):
+            raise MissedEigenvalue("t = -5.000e-03 lacks eigenvalue index 7")
+
+        monkeypatch.setattr(validation, "_aligned_spectra", misaligned)
+        code = main(["var", square_file, dilation_file, "--route", "fd"])
+        assert code == 3
+        assert "MissedEigenvalue" in capsys.readouterr().err
+
     def test_csv_format(self, square_file, dilation_file, tmp_path, capsys):
         out_file = tmp_path / "report.csv"
         code, _ = run_cli(["--format", "csv", "--out", str(out_file),

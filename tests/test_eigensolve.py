@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import jv
 
 from polydet.errors import DegenerateEigenvalue, ValidationFailure
 from polydet.eigensolve import (
@@ -88,6 +90,48 @@ class TestMPS:
 
     def test_polygon_hash_stable(self, unit_square_p):
         assert polygon_hash(unit_square_p) == polygon_hash(build_polygon([0, 1, 1 + 1j, 1j]))
+
+
+class TestBesselTable:
+    """The gathered Clenshaw evaluation of the piecewise-Chebyshev tables
+    against scipy's jv: every panel, its edges and u = 0, for the integer
+    orders of the square and the fractional orders of a generic triangle."""
+
+    @pytest.mark.parametrize("verts, lam_max, integer", [
+        ([0, 1, 1 + 1j, 1j], 350.0, True),
+        ([0, 1, 0.3 + 0.8j], 1100.0, False),
+    ])
+    def test_matches_jv_on_every_panel(self, verts, lam_max, integer):
+        solver = MPSSolver(build_polygon(verts), lam_max)
+        for table in solver.basis.tables:
+            assert np.allclose(table.nus, np.round(table.nus), rtol=0, atol=1e-12) == integer
+            e = table.edges
+            u = (e[:-1, None] + np.diff(e)[:, None] * np.linspace(0, 1, 9)[None, :]).ravel()
+            u = np.concatenate([[0.0, 1e-3], u])
+            got = table.evaluate(u)
+            assert np.all(got[0] == 0.0)
+            assert np.max(np.abs(got - jv(table.nus[None, :], u[:, None]))) < 1e-13
+
+    def test_cached_sines_equal_uncached_matrix(self):
+        solver = MPSSolver(build_polygon([0, 1, 0.3 + 0.8j]), 600.0)
+        for lam in (40.0, 321.5, 600.0):
+            cached = solver.basis.matrix(lam, solver.pts, local=solver._local_pts,
+                                         sines=solver._sines)
+            plain = solver.basis.matrix(lam, solver.pts)
+            assert np.max(np.abs(cached - plain)) <= 1e-15
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(0.15, 0.85), y=st.floats(0.45, 1.0), c=st.floats(0.5, 2.0))
+def test_scaling_law(x, y, c):
+    # lambda_k(cP) = lambda_k(P) / c^2, with the cutoff scaled alike
+    p = build_polygon([0, 1, complex(x, y)])
+    lam_max = 150.0 / p.area
+    small = dirichlet_eigenvalues(p, lam_max).eigenvalue_array()
+    scaled = dirichlet_eigenvalues(build_polygon([0, c, c * complex(x, y)]),
+                                   lam_max / c**2).eigenvalue_array()
+    assert len(scaled) == len(small) >= 5
+    assert np.max(np.abs(scaled * c**2 - small) / small) < 1e-9
 
 
 class TestCloseEigenvalues:
