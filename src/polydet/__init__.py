@@ -6,8 +6,6 @@ from .geometry import (
     DeformationField,
     build_polygon,
     field_from_vertex_velocities,
-    area_variation,
-    perimeter_variation,
     complexified_normal,
     move_polygon,
 )
@@ -17,8 +15,6 @@ __all__ = [
     "DeformationField",
     "build_polygon",
     "field_from_vertex_velocities",
-    "area_variation",
-    "perimeter_variation",
     "complexified_normal",
     "move_polygon",
 ]

@@ -6,6 +6,7 @@ config reproduce the payload bit-identically.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import validation
 from .config import RunConfig, Report, Timer, config_from_file
-from .eigensolve import EigConfig, dirichlet_eigenvalues, polygon_hash
+from .eigensolve import dirichlet_eigenvalues, polygon_hash
 from .errors import NumericalFailure, ValidationFailure
 from .geometry import field_from_json_dict, polygon_from_json_dict
 from .scmap import SCMap, solve_parameter_problem
@@ -227,9 +228,10 @@ def build_parser():
     ap.add_argument("--out", help="write the report to this file")
     ap.add_argument("--format", choices=["json", "csv"], default="json")
     ap.add_argument("--cache-dir", help="cache directory (env POLYDET_CACHE)")
-    ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized collocation points")
+    ap.add_argument("--threads", type=int,
+                    help="grid-sweep workers (overrides eig.threads)")
+    ap.add_argument("--seed", type=int,
+                    help="seed for randomized collocation points (overrides eig.seed)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("scmap", help="solve the Schwarz-Christoffel parameter problem")
@@ -253,8 +255,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_file(args.cfg) if args.cfg else RunConfig()
-        if args.seed is not None or args.threads != 1:
-            cfg = _with_overrides(cfg, args.seed, args.threads)
+        given = {k: v for k, v in (("seed", args.seed), ("threads", args.threads))
+                 if v is not None}
+        if given:
+            cfg = dataclasses.replace(cfg, eig=dataclasses.replace(cfg.eig, **given))
         if args.command == "validate":
             report, code = cmd_validate(args, cfg)
             _emit(report, args)
@@ -273,20 +277,6 @@ def main(argv=None):
     except Exception as e:  # noqa: BLE001 - internal assertion surface
         print(f"internal error ({type(e).__name__}): {e}", file=sys.stderr)
         return 4
-
-
-def _with_overrides(cfg, seed, threads):
-    d = cfg.to_dict()
-    eig_kwargs = dict(d["eig"])
-    if seed is not None:
-        eig_kwargs["seed"] = seed
-    eig_kwargs["threads"] = threads
-    return RunConfig(sc=cfg.sc, eig=EigConfig(**eig_kwargs), zeta=cfg.zeta,
-                     var=cfg.var, lambda_max=cfg.lambda_max,
-                     lambda_max_factor=cfg.lambda_max_factor,
-                     fd_step=cfg.fd_step, cache_dir=cfg.cache_dir,
-                     out_format=cfg.out_format, threads=threads,
-                     seed=seed if seed is not None else cfg.seed)
 
 
 if __name__ == "__main__":

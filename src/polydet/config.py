@@ -22,10 +22,6 @@ class RunConfig:
     lambda_max: float = None      # None: 10 * Weyl lambda_1 estimate * margin
     lambda_max_factor: float = 28.0   # auto lambda_max = factor / tau0-scale
     fd_step: float = 5e-3
-    cache_dir: str = None
-    out_format: str = "json"
-    threads: int = 1
-    seed: int = 1234
 
     def __post_init__(self):
         for name, cfg in (("sc", self.sc), ("eig", self.eig),
@@ -34,8 +30,6 @@ class RunConfig:
                 v = getattr(cfg, f.name)
                 if isinstance(v, float) and f.name.endswith(("tol", "frac")) and v <= 0:
                     raise ValidationFailure(f"{name}.{f.name} must be positive")
-        if self.out_format not in ("json", "csv"):
-            raise ValidationFailure(f"unknown output format {self.out_format!r}")
 
     def to_dict(self):
         return {
@@ -46,9 +40,6 @@ class RunConfig:
             "lambda_max": self.lambda_max,
             "lambda_max_factor": self.lambda_max_factor,
             "fd_step": self.fd_step,
-            "out_format": self.out_format,
-            "threads": self.threads,
-            "seed": self.seed,
         }
 
     def hash(self):
@@ -83,13 +74,24 @@ def config_from_file(path):
     """RunConfig from a JSON file of (nested) overrides."""
     with open(path) as fh:
         raw = json.load(fh)
-    kwargs = {}
+    _check_keys(RunConfig, raw, "")
     for section, cls in (("sc", SCConfig), ("eig", EigConfig),
                          ("zeta", ZetaConfig), ("var", VarConfig)):
         if section in raw:
-            kwargs[section] = cls(**raw.pop(section))
-    kwargs.update(raw)
-    return RunConfig(**kwargs)
+            _check_keys(cls, raw[section], f"{section}.")
+            raw[section] = cls(**raw[section])
+    return RunConfig(**raw)
+
+
+def _check_keys(cls, raw, prefix):
+    """Raise ValidationFailure unless raw is a JSON object whose keys all
+    name fields of the dataclass cls."""
+    if not isinstance(raw, dict):
+        where = prefix.rstrip(".") or "file"
+        raise ValidationFailure(f"config {where} must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValidationFailure(f"unknown config key {prefix}{unknown[0]}")
 
 
 @dataclass

@@ -416,13 +416,8 @@ class MPSSolver:
         step = self.mean_gap() / cfg.grid_per_gap
         grid = np.arange(lam_lo, self.lambda_max + step, step)
         vals = np.array(self._sigma_batch(grid))
-
         eigs, errs = [], []
-        for k in range(1, len(grid) - 1):
-            if vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1] and vals[k] < 0.5:
-                self._admit(*self._refine_checked(
-                    grid[k - 1], grid[k], grid[k + 1],
-                    vals[k - 1], vals[k], vals[k + 1]), eigs, errs)
+        self._scan(grid, vals, eigs, errs)
 
         # low grid values not explained by a located dip can hide one between
         # samples (clusters tighter than the grid); bisect such intervals
@@ -694,28 +689,31 @@ class MPSSolver:
             a, fa, c, fc = c, fc, a, fa
         return self._admit(*self._refine_checked(a, b, c, fa, fb, fc), eigs, errs)
 
-    def _scan(self, lo, hi, n, eigs, errs, pad=0.0):
-        """Refine the local minima of sigma over n samples of [lo + pad,
-        hi - pad] after dividing out the V-shapes of the eigenvalues located
-        within one window width, so a dip next to a located eigenvalue is not
-        shadowed by its slope.  A refinement that lands on a located
+    def _scan(self, xs, vals, eigs, errs):
+        """Refine the local minima of the sigma values ``vals`` sampled at the
+        sorted points ``xs`` that fall below cfg.dip_threshold.
+
+        The V-shapes of the eigenvalues located within one scan width of the
+        samples are divided out first, so a dip next to a located eigenvalue
+        is not shadowed by its slope.  A refinement that lands on a located
         eigenvalue probes that eigenvalue for a sibling instead.  Returns the
         copies added.
         """
+        lo, hi = xs[0], xs[-1]
         width = hi - lo
-        fine = np.linspace(lo + pad, hi - pad, n)
-        fvals = np.array([self.sigma(l) for l in fine])
-        defl = np.ones_like(fvals)
+        # each factor is scaled by the width so a full-range scan past many
+        # located eigenvalues neither overflows nor underflows
+        defl = np.ones_like(vals)
         for e in eigs:
             if lo - width < e < hi + width:
-                defl *= np.maximum(np.abs(fine - e), 1e-3 * width)
-        dvals = fvals / defl
+                defl *= np.maximum(np.abs(xs - e), 1e-3 * width) / width
+        dvals = vals / defl
         added = 0
-        for k in range(1, n - 1):
+        for k in range(1, len(xs) - 1):
             if dvals[k] <= dvals[k - 1] and dvals[k] <= dvals[k + 1] \
-                    and fvals[k] < self.cfg.dip_threshold:
+                    and vals[k] < self.cfg.dip_threshold:
                 lam, err, slope = self._refine_checked(
-                    fine[k - 1], fine[k], fine[k + 1], fvals[k - 1], fvals[k], fvals[k + 1])
+                    xs[k - 1], xs[k], xs[k + 1], vals[k - 1], vals[k], vals[k + 1])
                 n_new = self._admit(lam, err, slope, eigs, errs)
                 if n_new == 0:
                     twins = [e for e, r in zip(eigs, errs)
@@ -736,7 +734,8 @@ class MPSSolver:
         for lam in sorted(set(e for e in eigs if lo <= e <= hi)):
             if lam not in self._probed:
                 self._probe_sibling(lam, found, errs)
-        self._scan(lo, hi, n, found, errs)
+        xs = np.linspace(lo, hi, n)
+        self._scan(xs, np.array([self.sigma(x) for x in xs]), found, errs)
         return list(zip(found[len(eigs):], errs[len(eigs):]))
 
     def _audit_gaps(self, lam_lo, eigs, errs, max_rounds=2):
@@ -768,8 +767,9 @@ class MPSSolver:
                     if edge in self._dips and edge not in self._probed \
                             and self._dips[edge][1] / self._dips[edge][0] < 0.08 * (b - a):
                         found_new = self._probe_sibling(edge, eigs, errs) > 0 or found_new
-                found_new = self._scan(a, b, 26, eigs, errs, pad=0.003 * (b - a)) > 0 \
-                    or found_new
+                xs = np.linspace(a + 0.003 * (b - a), b - 0.003 * (b - a), 26)
+                found_new = self._scan(xs, np.array([self.sigma(x) for x in xs]),
+                                       eigs, errs) > 0 or found_new
             if not found_new:
                 break
         return eigs, errs
@@ -778,15 +778,10 @@ class MPSSolver:
         """Second pass on a 4x finer grid over the full sweep range."""
         step = (grid[1] - grid[0]) / 4
         fine = np.arange(grid[0], self.lambda_max + step, step)
-        vals = np.array(self._sigma_batch(fine))
-        out_e, out_r = list(eigs), list(errs)
-        for k in range(1, len(fine) - 1):
-            if vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1] and vals[k] < 0.5:
-                self._admit(*self._refine_checked(fine[k - 1], fine[k], fine[k + 1],
-                                                  vals[k - 1], vals[k], vals[k + 1]),
-                            out_e, out_r)
-        order = np.argsort(out_e)
-        return np.asarray(out_e)[order], np.asarray(out_r)[order]
+        eigs, errs = list(eigs), list(errs)
+        self._scan(fine, np.array(self._sigma_batch(fine)), eigs, errs)
+        order = np.argsort(eigs)
+        return np.asarray(eigs)[order], np.asarray(errs)[order]
 
     # -- eigenfunction data ---------------------------------------------------
     def eigenfunction(self, lam):

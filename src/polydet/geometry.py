@@ -207,24 +207,6 @@ def field_from_vertex_velocities(p, v):
     )
 
 
-def area_variation(p, f):
-    """Integral of (A.nu) over the boundary, evaluated exactly per side."""
-    total = 0.0
-    for (c0, c1), L in zip(f.side_normal_velocity, p.side_lengths):
-        total += c0 * L + 0.5 * c1 * L**2
-    return float(total)
-
-
-def perimeter_variation(p, f):
-    """Sum of the side-length rates dL_j/dt from the vertex velocities."""
-    v = f.velocity_array()
-    total = 0.0
-    for j in range(p.n):
-        tau = p.side_tangent(j)
-        total += (np.conj(tau) * (v[(j + 1) % p.n] - v[j])).real
-    return float(total)
-
-
 def complexified_normal(p, side_index, s):
     """Outward normal of side ``side_index`` as a complex number, -1j*tangent.
 

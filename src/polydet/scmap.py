@@ -102,13 +102,7 @@ def _log_uhp(w):
 
 def sc_derivative(m, z):
     """x'(z) = C * prod (z - z_k)^{gamma_k}, valid on the closed half-plane."""
-    z = np.asarray(z, dtype=complex)
-    zk = m.prevertex_array()
-    g = np.asarray(m.exponents)
-    s = np.zeros(z.shape, dtype=complex)
-    for k in range(m.n):
-        s = s + g[k] * _log_uhp(z - zk[k])
-    return m.prefactor * np.exp(s)
+    return m.prefactor * _unnormalized_derivative(m.prevertex_array(), m.exponents, z)
 
 
 def _unnormalized_derivative(zk, g, z):
@@ -280,7 +274,7 @@ def solve_parameter_problem(p, cfg=None):
     )
 
     # verify mapped vertices against the target polygon
-    xk = _mapped_vertices(m)
+    xk = _mapped_vertices(m, cfg.quad_order)
     err = np.max(np.abs(xk - verts)) / max(1.0, float(np.max(np.abs(verts))))
     if err > cfg.quad_tol * 100:
         raise NoConvergence(f"mapped vertices off by {err:.3e}", residual=err)
@@ -291,14 +285,14 @@ def solve_parameter_problem(p, cfg=None):
     return m
 
 
-def _mapped_vertices(m):
+def _mapped_vertices(m, order=24):
     zk = m.prevertex_array()
     g = np.asarray(m.exponents)
     xs = [m.base_point]
     for k in range(m.n - 1):
         mid = 0.5 * (zk[k] + zk[k + 1])
-        seg = (integrate_sc_segment(zk, g, zk[k], mid, sing_index=k, order=24)
-               - integrate_sc_segment(zk, g, zk[k + 1], mid, sing_index=k + 1, order=24))
+        seg = (integrate_sc_segment(zk, g, zk[k], mid, sing_index=k, order=order)
+               - integrate_sc_segment(zk, g, zk[k + 1], mid, sing_index=k + 1, order=order))
         xs.append(xs[-1] + m.prefactor * seg)
     return np.asarray(xs)
 

@@ -63,6 +63,8 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 def _random_convex(rng, n_min=3, n_max=8):
+    """Random strictly convex polygon with n_min..n_max vertices, O(1) size,
+    with comfortably non-degenerate angles and sides."""
     while True:
         n = rng.integers(n_min, n_max + 1)
         th = np.sort(rng.uniform(0, 2 * np.pi, n))
@@ -81,6 +83,8 @@ def _random_convex(rng, n_min=3, n_max=8):
 
 
 def _side_shift(p, j, speed=1.0):
+    """Outward parallel shift of side j; its endpoints slide along the
+    adjacent sides, so every angle is kept."""
     n = p.n
     vel = [0j] * n
     nu = p.side_normal(j)
@@ -414,12 +418,13 @@ def check_mps_rectangle(n_eigs=30):
 
 
 SUITES = {
-    "geometry": [check_geometry_invariants, check_rigid_and_linear],
+    "geometry": [check_geometry_invariants],
     "scmap": [check_scmap_invariants],
     "eigs": [check_mps_rectangle, check_hadamard_eigenvalue],
     "det": [check_rectangle_oracle],
     "var": [check_corner_constant, check_main_vs_rectangle_derivative,
-            check_scaling_law, check_two_routes, check_corner_term_activation],
+            check_scaling_law, check_two_routes, check_corner_term_activation,
+            check_rigid_and_linear],
     "wz": [check_disk_law, check_wz_alvarez],
 }
 SUITES["all"] = (SUITES["geometry"] + SUITES["scmap"] + SUITES["eigs"]

@@ -242,19 +242,11 @@ def corner_term(p, delta_angles, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 def _local_regular_factor_left(m, i, w):
-    """x'(z_i - w) w^{1 - alpha_i/pi}, analytic near w = 0 (approach from the left)."""
-    zk = m.prevertex_array()
-    g = np.asarray(m.exponents)
-    w = np.asarray(w, dtype=complex)
-    s = 1j * np.pi * g[i]    # (z - z_i)^g = e^{i pi g} w^g for z = z_i - w
-    for k in range(m.n):
-        if k == i:
-            continue
-        if zk[k] < zk[i]:
-            s = s + g[k] * np.log(zk[i] - zk[k] - w)
-        else:
-            s = s + g[k] * np.log(zk[k] - zk[i] + w) + 1j * np.pi * g[k]
-    return m.prefactor * np.exp(s)
+    """x'(z_i - w) w^{1 - alpha_i/pi}, analytic near w = 0 (approach from the
+    left): the mirror image of the right factor, since
+    (z - z_i)^{g_i} = e^{i pi g_i} w^{g_i} for z = z_i - w."""
+    return np.exp(1j * np.pi * m.exponents[i]) * _local_regular_factor(
+        m, i, -np.asarray(w, dtype=complex))
 
 
 class _NearVertex:
@@ -436,30 +428,41 @@ def _integrand_dz(m, j, z, s_vals, c0, c1, nu_hat):
     return -sxz * (c0 + c1 * s_vals) * nu_hat / xp
 
 
-def _far_part_finite_side(m, j, zl, zr, c0, c1, nu_hat, x_left_anchor, cfg):
-    """Integral over [zl, zr] inside side j's prevertex interval, with the
-    arclength tracked cumulatively from the anchor at zl."""
-    breaks = _graded_breaks(zl, zr, 0.5 * (zl - m.prevertices[j]),
-                            0.5 * (m.prevertices[j + 1] - zr))
+def _far_part(m, j, breaks, z_of, jac, c0, c1, nu_hat, x_anchor, cfg):
+    """Integral of the dz integrand of side j over the parameter panels
+    ``breaks``, with z = z_of(t) and dz = jac(t) dt.
+
+    The arclength from vertex j is tracked by integrating x' cumulatively
+    along the ordered nodes, starting from the image x_anchor of breaks[0].
+    """
     xg, wg = leggauss(cfg.gl_order)
-    xq, wq_ = leggauss(12)
-    verts = m.polygon.vertex_array()
-    x_run = x_left_anchor
-    z_prev = zl
+    xq, wq = leggauss(12)
+    vertex = m.polygon.vertices[j]
+    x_run = x_anchor
+    t_prev = breaks[0]
     total = 0.0 + 0.0j
     for a, b in zip(breaks[:-1], breaks[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        zn = mid + half * xg
-        # cumulative map values along the ordered nodes
-        xs = np.empty(len(zn), dtype=complex)
-        for idx, z_node in enumerate(zn):
-            mm, hh = 0.5 * (z_prev + z_node), 0.5 * (z_node - z_prev)
-            xs[idx] = x_run + hh * np.sum(wq_ * sc_derivative(m, mm + hh * xq))
+        tn = mid + half * xg
+        xs = np.empty(len(tn), dtype=complex)
+        for idx, t_node in enumerate(tn):
+            mm, hh = 0.5 * (t_prev + t_node), 0.5 * (t_node - t_prev)
+            tq = mm + hh * xq
+            xs[idx] = x_run + hh * np.sum(wq * (sc_derivative(m, z_of(tq)) * jac(tq)))
             x_run = xs[idx]
-            z_prev = z_node
-        s_vals = np.abs(xs - verts[j])
-        total += half * np.sum(wg * _integrand_dz(m, j, zn, s_vals, c0, c1, nu_hat))
+            t_prev = t_node
+        s_vals = np.abs(xs - vertex)
+        gz = _integrand_dz(m, j, z_of(tn), s_vals, c0, c1, nu_hat)
+        total += half * np.sum(wg * gz * jac(tn))
     return total
+
+
+def _far_part_finite_side(m, j, zl, zr, c0, c1, nu_hat, x_left_anchor, cfg):
+    """Far part over [zl, zr] inside side j's prevertex interval."""
+    breaks = _graded_breaks(zl, zr, 0.5 * (zl - m.prevertices[j]),
+                            0.5 * (m.prevertices[j + 1] - zr))
+    return _far_part(m, j, breaks, lambda t: t, lambda t: 1.0,
+                     c0, c1, nu_hat, x_left_anchor, cfg)
 
 
 def _far_part_infinite_side(m, zl_w, zr_w, c0, c1, nu_hat, x_anchor_right, cfg):
@@ -469,32 +472,11 @@ def _far_part_infinite_side(m, zl_w, zr_w, c0, c1, nu_hat, x_anchor_right, cfg):
     right) and the end vertex (z_0 = -1, from the left).  The traversal runs
     t from 1/(1+zl_w) down to -1/(1+zr_w); dz = -dt/t^2.
     """
-    n = m.n
-    verts = m.polygon.vertex_array()
     t_hi = 1.0 / (1.0 + zl_w)
     t_lo = -1.0 / (1.0 + zr_w)
     breaks = _graded_breaks(t_lo, t_hi, 0.3 * zr_w, 0.3 * zl_w)[::-1]  # t decreasing
-    xg, wg = leggauss(cfg.gl_order)
-    xq, wq_ = leggauss(12)
-    x_run = x_anchor_right
-    t_prev = t_hi
-    total = 0.0 + 0.0j
-    for a, b in zip(breaks[:-1], breaks[1:]):   # a > b, t decreasing
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        tn = mid + half * xg                    # decreasing order via negative half
-        xs = np.empty(len(tn), dtype=complex)
-        for idx, t_node in enumerate(tn):
-            mm, hh = 0.5 * (t_prev + t_node), 0.5 * (t_node - t_prev)
-            tq = mm + hh * xq
-            dxdt = sc_derivative(m, 1.0 / tq) * (-1.0 / tq**2)
-            xs[idx] = x_run + hh * np.sum(wq_ * dxdt)
-            x_run = xs[idx]
-            t_prev = t_node
-        s_vals = np.abs(xs - verts[n - 1])
-        zn = 1.0 / tn
-        gz = _integrand_dz(m, n - 1, zn, s_vals, c0, c1, nu_hat)
-        total += half * np.sum(wg * gz * (-1.0 / tn**2))
-    return total
+    return _far_part(m, m.n - 1, breaks, lambda t: 1.0 / t, lambda t: -1.0 / t**2,
+                     c0, c1, nu_hat, x_anchor_right, cfg)
 
 
 def hadamard_boundary_integral(m, f, cfg=None):

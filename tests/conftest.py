@@ -2,34 +2,11 @@ import numpy as np
 import pytest
 
 from polydet.geometry import build_polygon, field_from_vertex_velocities
-
-
-def random_convex_polygon(rng, n_min=3, n_max=8):
-    """Random convex polygon with n_min..n_max vertices, O(1) size.
-
-    Sorted random angles plus mild radius jitter, retried until the result is
-    strictly convex with comfortably non-degenerate angles and sides.
-    """
-    while True:
-        n = rng.integers(n_min, n_max + 1)
-        th = np.sort(rng.uniform(0, 2 * np.pi, n))
-        if np.min(np.diff(np.concatenate([th, [th[0] + 2 * np.pi]]))) < 0.3:
-            continue
-        r = rng.uniform(0.75, 1.25, n)
-        v = r * np.exp(1j * th)
-        try:
-            p = build_polygon(v)
-        except Exception:
-            continue
-        if min(p.angles) < 0.35 or max(p.angles) > np.pi - 0.25:
-            continue
-        if min(p.side_lengths) < 0.3:
-            continue
-        return p
-
-
-def dilation_field(p):
-    return field_from_vertex_velocities(p, list(p.vertices))
+from polydet.validation import (  # noqa: F401  (re-exported to the test modules)
+    _dilation as dilation_field,
+    _random_convex as random_convex_polygon,
+    _side_shift as side_shift_field,
+)
 
 
 def translation_field(p, c=1.0 + 0.5j):
@@ -38,22 +15,6 @@ def translation_field(p, c=1.0 + 0.5j):
 
 def rotation_field(p):
     return field_from_vertex_velocities(p, [1j * v for v in p.vertices])
-
-
-def side_shift_field(p, j, speed=1.0):
-    """Outward parallel shift of side j at the given speed.
-
-    The two endpoints slide along the adjacent sides so that all sides stay
-    straight and all angles are preserved.
-    """
-    n = p.n
-    vel = [0j] * n
-    nu = p.side_normal(j)
-    for vtx, other in ((j, (j - 1) % n), ((j + 1) % n, (j + 1) % n)):
-        tau_o = p.side_tangent(other)
-        # velocity along the other side's direction with unit normal component
-        vel[vtx] = speed * tau_o / (np.conj(nu) * tau_o).real
-    return field_from_vertex_velocities(p, vel)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import pytest
 
 from polydet.cli import main
 from polydet.config import RunConfig, config_from_file
+from polydet.eigensolve import EigConfig
 from polydet.errors import ValidationFailure
 from polydet.zetadet import rectangle_logdet_exact
 
@@ -39,16 +40,33 @@ def run_cli(args, capsys):
 class TestRunConfig:
     def test_hash_stable(self):
         assert RunConfig().hash() == RunConfig().hash()
-        assert RunConfig().hash() != RunConfig(seed=7).hash()
+        assert RunConfig().hash() != RunConfig(eig=EigConfig(seed=7)).hash()
 
     def test_from_file(self, det_cfg_file):
         cfg = config_from_file(det_cfg_file)
         assert cfg.zeta.tau0 == 0.06
         assert cfg.lambda_max == 420.0
 
-    def test_rejects_bad_format(self):
-        with pytest.raises(ValidationFailure):
-            RunConfig(out_format="yaml")
+    @pytest.mark.parametrize("raw, key", [({"lambda_mx": 100}, "lambda_mx"),
+                                          ({"eig": {"sead": 3}}, "eig.sead"),
+                                          ({"threads": 2}, "threads")])
+    def test_unknown_key_exits_2(self, raw, key, square_file, tmp_path, capsys):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(raw))
+        assert main(["--cfg", str(f), "scmap", square_file]) == 2
+        assert f"unknown config key {key}" in capsys.readouterr().err
+
+    def test_seed_and_threads_override_eig(self, square_file, tmp_path, capsys):
+        code, out = run_cli(["--seed", "7", "--threads", "2", "scmap", square_file], capsys)
+        assert code == 0
+        expected = RunConfig(eig=EigConfig(seed=7, threads=2)).hash()
+        assert json.loads(out)["config_hash"] == expected != RunConfig().hash()
+        # an override applies only when given: eig.threads from the file stays
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"eig": {"threads": 2}}))
+        code, out = run_cli(["--cfg", str(f), "--seed", "7", "scmap", square_file], capsys)
+        assert code == 0
+        assert json.loads(out)["config_hash"] == expected
 
     def test_lambda_max_guard(self):
         from polydet.geometry import build_polygon

@@ -245,6 +245,21 @@ class TestWeylCheck:
         full = rectangle_spectrum(1, 1, 800.0).eigenvalue_array()
         assert weyl_count_check(unit_square_p, full, 800.0)["ok"]
 
+    def test_rescan_restores_removed_eigenvalues(self, unit_square_p):
+        # a simple eigenvalue (8 pi^2) and both members of the pair at
+        # 10 pi^2 are removed from the exact spectrum below 450
+        exact = rectangle_spectrum(1, 1, 450.0).eigenvalue_array()
+        removed = np.nonzero(np.isclose(exact, 8 * np.pi**2)
+                             | np.isclose(exact, 10 * np.pi**2))[0]
+        assert len(removed) == 3
+        kept = np.delete(exact, removed)
+        solver = MPSSolver(unit_square_p, 450.0)
+        step = solver.mean_gap() / solver.cfg.grid_per_gap
+        grid = np.arange(solver._lam_lo, 450.0 + step, step)
+        eigs, _ = solver._rescan(grid, list(kept), [1e-10] * len(kept))
+        assert len(eigs) == len(exact)
+        assert np.max(np.abs(eigs - exact) / exact) < 1e-8
+
 
 def test_alignment_failure_names_the_defect(monkeypatch):
     # stretched 1.3 x 1 rectangles have exact, simple low spectra; the

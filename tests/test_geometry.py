@@ -3,12 +3,10 @@ import pytest
 
 from polydet.errors import ClockwiseInput, DegenerateVertex, NonConvex, ValidationFailure
 from polydet.geometry import (
-    area_variation,
     build_polygon,
     complexified_normal,
     field_from_vertex_velocities,
     move_polygon,
-    perimeter_variation,
 )
 from conftest import (
     dilation_field,
@@ -120,7 +118,7 @@ class TestDeformationField:
 class TestVariations:
     def test_area_variation_square_shift(self, unit_square):
         f = side_shift_field(unit_square, 0)
-        assert area_variation(unit_square, f) == pytest.approx(1.0, abs=1e-13)
+        assert f.delta_area == pytest.approx(1.0, abs=1e-13)
 
     def test_area_variation_affine_integral(self, unit_square):
         # (A.nu)(s) = s on the bottom side only: integral L^2/2
@@ -135,17 +133,17 @@ class TestVariations:
         for _ in range(5):
             p = random_convex_polygon(rng)
             for f in (translation_field(p), rotation_field(p)):
-                assert area_variation(p, f) == pytest.approx(0, abs=1e-12)
-                assert perimeter_variation(p, f) == pytest.approx(0, abs=1e-12)
+                assert f.delta_area == pytest.approx(0, abs=1e-12)
+                assert f.delta_perimeter == pytest.approx(0, abs=1e-12)
 
     def test_perimeter_variation_square_shift(self, unit_square):
         f = side_shift_field(unit_square, 0)
-        assert perimeter_variation(unit_square, f) == pytest.approx(2.0, abs=1e-13)
+        assert f.delta_perimeter == pytest.approx(2.0, abs=1e-13)
 
     def test_dilation_perimeter(self, rng):
         p = random_convex_polygon(rng)
         f = dilation_field(p)
-        assert perimeter_variation(p, f) == pytest.approx(p.perimeter, rel=1e-12)
+        assert f.delta_perimeter == pytest.approx(p.perimeter, rel=1e-12)
 
     def test_area_variation_matches_finite_difference(self, rng):
         t = 1e-3
@@ -154,7 +152,7 @@ class TestVariations:
             vel = rng.normal(size=p.n) + 1j * rng.normal(size=p.n)
             f = field_from_vertex_velocities(p, vel)
             fd = (move_polygon(p, f, t).area - move_polygon(p, f, -t).area) / (2 * t)
-            assert area_variation(p, f) == pytest.approx(fd, abs=1e-5)
+            assert f.delta_area == pytest.approx(fd, abs=1e-5)
 
     def test_delta_angles_match_finite_difference(self, rng):
         t = 1e-4
@@ -173,7 +171,7 @@ class TestVariations:
         vel = rng.normal(size=p.n) + 1j * rng.normal(size=p.n)
         f = field_from_vertex_velocities(p, vel)
         fd = (move_polygon(p, f, t).perimeter - move_polygon(p, f, -t).perimeter) / (2 * t)
-        assert perimeter_variation(p, f) == pytest.approx(fd, abs=1e-6)
+        assert f.delta_perimeter == pytest.approx(fd, abs=1e-6)
 
 
 class TestComplexifiedNormal:

@@ -60,6 +60,22 @@ class TestParameterProblem:
         assert sides[0] / sides[1] == pytest.approx(2.0, rel=1e-10)
         assert sides[2] / sides[1] == pytest.approx(2.0, rel=1e-10)
 
+    def test_vertex_check_uses_quad_order(self, monkeypatch):
+        from polydet import scmap
+
+        orders = []
+        real = scmap.integrate_sc_segment
+
+        def spy(*args, order=24, **kwargs):
+            orders.append(order)
+            return real(*args, order=order, **kwargs)
+
+        monkeypatch.setattr(scmap, "integrate_sc_segment", spy)
+        # the interior anchor is evaluated by map_forward at its own order
+        monkeypatch.setattr(scmap, "map_forward", lambda m, z: 0j)
+        solve_parameter_problem(build_polygon([0, 1, 1 + 1j, 1j]), SCConfig(quad_order=16))
+        assert orders and set(orders) == {16}
+
     def test_exponent_range(self, square_map):
         for e in square_map.exponents:
             assert -1 < e < 0

@@ -8,10 +8,17 @@ from polydet.errors import (
     ValidationFailure,
 )
 from polydet.geometry import build_polygon, field_from_vertex_velocities
-from polydet.scmap import SCConfig, solve_parameter_problem, sc_derivative, schwarzian_xz
+from polydet.scmap import (
+    SCConfig,
+    _local_regular_factor,
+    solve_parameter_problem,
+    sc_derivative,
+    schwarzian_xz,
+)
 from polydet.varform import (
     VarConfig,
     _aitken_limit,
+    _local_regular_factor_left,
     _NearVertex,
     _near_contributions,
     _far_part_finite_side,
@@ -156,6 +163,23 @@ def test_main_formula_matches_spectral_reference(verts, vel, ref):
     f = field_from_vertex_velocities(p, vel)
     dv = main_formula(p, solve_parameter_problem(p), f)
     assert abs(dv.total - ref) < 5e-5
+
+
+def test_regular_factors_match_the_derivative(rng):
+    # F(w) = x'(z_i + w) w^{1 - a_i/pi} from the right, x'(z_i - w) w^{1 - a_i/pi}
+    # from the left, on the real axis next to the prevertex and off it
+    p = random_convex_polygon(rng, n_min=5, n_max=6)
+    m = solve_parameter_problem(p)
+    for i in range(p.n):
+        r = 0.3 * m.gap(i) * np.array([0.05, 0.4, 0.4, 1.0])
+        w = r * np.exp(1j * np.array([0.0, 0.0, 1.1, 2.5]))
+        power = w ** (1 - p.angles[i] / np.pi)
+        zi = m.prevertices[i]
+        right = sc_derivative(m, zi + w) * power
+        assert np.allclose(_local_regular_factor(m, i, w), right, rtol=1e-12, atol=0)
+        left = sc_derivative(m, zi - w.conj()) * w.conj() ** (1 - p.angles[i] / np.pi)
+        assert np.allclose(_local_regular_factor_left(m, i, w.conj()), left,
+                           rtol=1e-12, atol=0)
 
 
 class TestHadamardBoundaryIntegral:
