@@ -10,13 +10,14 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from . import validation
 from .config import RunConfig, Report, Timer, config_from_file
-from .eigensolve import dirichlet_eigenvalues, polygon_hash
+from .eigensolve import Spectrum, dirichlet_eigenvalues, polygon_hash
 from .errors import NumericalFailure, ValidationFailure
 from .geometry import field_from_json_dict, polygon_from_json_dict
 from .scmap import SCMap, solve_parameter_problem
@@ -70,34 +71,60 @@ def _solve_map_cached(p, cfg, cache):
     if cache:
         d = m.to_json_dict()
         d["residual"] = m.residual
-        (Path(cache) / key).write_text(json.dumps(d))
+        _write_replacing(Path(cache) / key, json.dumps(d))
     return m, False
 
 
-def _spectrum_cached(p, lam_max, cfg, cache):
-    from .eigensolve import Spectrum, weyl_count_check
+def _write_replacing(path, text):
+    """Write text to a temporary file beside path and rename it into place,
+    so a reader finds either the old file or the whole new one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
+
+def _load_spectrum(csv_f, side_f, p):
+    """The cached spectrum, or None unless both files exist, the CSV is
+    complete (ends in a newline, two fields a row) and its row count and
+    polygon hash match the sidecar."""
+    if not (csv_f.exists() and side_f.exists()):
+        return None
+    side = json.loads(side_f.read_text())
+    text = csv_f.read_text()
+    rows = [line.split(",") for line in text.splitlines()[1:] if line]
+    if (not text.endswith("\n") or any(len(r) != 2 for r in rows)
+            or side.get("n_eigs") != len(rows)
+            or side.get("polygon_hash") != polygon_hash(p)):
+        return None
+    return Spectrum(eigenvalues=tuple(float(r[0]) for r in rows),
+                    errors=tuple(float(r[1]) for r in rows),
+                    lambda_max=side["lambda_max"],
+                    count_check=side["count_check"],
+                    polygon_hash=side["polygon_hash"],
+                    meta=side.get("meta", {}))
+
+
+def _spectrum_cached(p, lam_max, cfg, cache):
     key = f"spectrum_{polygon_hash(p)}_{cfg.hash()}"
     if cache:
         csv_f = Path(cache) / (key + ".csv")
         side_f = Path(cache) / (key + ".json")
-        if csv_f.exists() and side_f.exists():
-            side = json.loads(side_f.read_text())
-            rows = [line.split(",") for line in csv_f.read_text().splitlines()[1:] if line]
-            eigs = tuple(float(r[0]) for r in rows)
-            errs = tuple(float(r[1]) for r in rows)
-            return Spectrum(eigenvalues=eigs, errors=errs,
-                            lambda_max=side["lambda_max"],
-                            count_check=side["count_check"],
-                            polygon_hash=side["polygon_hash"],
-                            meta=side.get("meta", {})), True
+        spec = _load_spectrum(csv_f, side_f, p)
+        if spec is not None:
+            return spec, True
     spec = dirichlet_eigenvalues(p, lam_max, cfg.eig)
     if cache:
         lines = ["lambda,error_estimate"]
         lines += [f"{l!r},{e!r}" for l, e in zip(spec.eigenvalues, spec.errors)]
-        (Path(cache) / (key + ".csv")).write_text("\n".join(lines) + "\n")
-        (Path(cache) / (key + ".json")).write_text(json.dumps({
+        _write_replacing(csv_f, "\n".join(lines) + "\n")
+        _write_replacing(side_f, json.dumps({
             "polygon_hash": spec.polygon_hash,
+            "n_eigs": len(spec.eigenvalues),
             "lambda_max": spec.lambda_max,
             "count_check": spec.count_check,
             "meta": spec.meta,

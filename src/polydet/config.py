@@ -74,24 +74,47 @@ def config_from_file(path):
     """RunConfig from a JSON file of (nested) overrides."""
     with open(path) as fh:
         raw = json.load(fh)
-    _check_keys(RunConfig, raw, "")
+    raw = _checked(RunConfig, raw, "")
     for section, cls in (("sc", SCConfig), ("eig", EigConfig),
                          ("zeta", ZetaConfig), ("var", VarConfig)):
         if section in raw:
-            _check_keys(cls, raw[section], f"{section}.")
-            raw[section] = cls(**raw[section])
+            raw[section] = cls(**_checked(cls, raw[section], f"{section}."))
     return RunConfig(**raw)
 
 
-def _check_keys(cls, raw, prefix):
-    """Raise ValidationFailure unless raw is a JSON object whose keys all
-    name fields of the dataclass cls."""
+# JSON value types accepted for each scalar field type (bool is not a number)
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+               bool: (bool, "true or false")}
+
+
+def _checked(cls, raw, prefix):
+    """raw with integers in float fields made floats, so 28 and 28.0 give
+    one config hash.
+
+    Raises ValidationFailure unless raw is a JSON object whose keys all name
+    fields of the dataclass cls and whose values fit the field types (null
+    only where the default is None).
+    """
     if not isinstance(raw, dict):
         where = prefix.rstrip(".") or "file"
         raise ValidationFailure(f"config {where} must be a JSON object")
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValidationFailure(f"unknown config key {prefix}{unknown[0]}")
+    out = dict(raw)
+    for f in dataclasses.fields(cls):
+        if f.name not in raw or f.type not in _JSON_TYPES:
+            continue
+        v = raw[f.name]
+        types, what = _JSON_TYPES[f.type]
+        if v is None and f.default is None:
+            continue
+        if isinstance(v, bool) is not (f.type is bool) or not isinstance(v, types):
+            raise ValidationFailure(
+                f"config key {prefix}{f.name} must be {what}, not {json.dumps(v)}")
+        if f.type is float:
+            out[f.name] = float(v)
+    return out
 
 
 @dataclass

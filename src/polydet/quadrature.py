@@ -26,3 +26,12 @@ def gl_nodes(a, b, n):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+def panel_nodes(breaks, n):
+    """Gauss-Legendre nodes on every panel [breaks[k], breaks[k+1]], as a
+    (panels, n) array, and the half-width of each panel."""
+    breaks = np.asarray(breaks)
+    a, b = breaks[:-1], breaks[1:]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * leggauss(n)[0], half

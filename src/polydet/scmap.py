@@ -32,7 +32,7 @@ from .errors import (
     VertexQuery,
 )
 from .geometry import Polygon
-from .quadrature import gl_nodes, jacgauss, leggauss
+from .quadrature import jacgauss, leggauss, panel_nodes
 
 
 @dataclass(frozen=True)
@@ -157,22 +157,26 @@ def integrate_sc_segment(zk, g, a, b, sing_index=None, order=24, prefactor=1.0):
     g = np.asarray(g, dtype=float)
     panels, u = _panel_breaks(a, b, zk, sing_index)
     total = 0.0 + 0.0j
-    for (t0, t1) in panels:
+    if sing_index is not None:
+        # the first panel touches a = z_k
+        (t0, t1), panels = panels[0], panels[1:]
         h = t1 - t0
-        if t0 == 0.0 and sing_index is not None:
-            gamma = g[sing_index]
-            x, w = jacgauss(order, 0.0, gamma)
-            t = 0.5 * h * (1.0 + x)
-            zeta = a + u * t
-            others = np.concatenate([zk[:sing_index], zk[sing_index + 1:]])
-            gothers = np.concatenate([g[:sing_index], g[sing_index + 1:]])
-            val = _unnormalized_derivative(others, gothers, zeta)
-            scale = np.exp((gamma + 1) * (np.log(0.5 * h) + _log_uhp(np.array(u))[()]))
-            total += scale * np.sum(w * val)
-        else:
-            z0, z1 = a + u * t0, a + u * t1
-            zeta, w = gl_nodes(z0, z1, order)
-            total += np.sum(w * _unnormalized_derivative(zk, g, zeta))
+        gamma = g[sing_index]
+        x, w = jacgauss(order, 0.0, gamma)
+        t = 0.5 * h * (1.0 + x)
+        zeta = a + u * t
+        others = np.concatenate([zk[:sing_index], zk[sing_index + 1:]])
+        gothers = np.concatenate([g[:sing_index], g[sing_index + 1:]])
+        val = _unnormalized_derivative(others, gothers, zeta)
+        scale = np.exp((gamma + 1) * (np.log(0.5 * h) + _log_uhp(np.array(u))[()]))
+        total += scale * np.sum(w * val)
+    if panels:
+        # the panels are contiguous: each ends where the next one starts
+        ends = np.append([t0 for t0, _ in panels], panels[-1][1])
+        zeta, half = panel_nodes(a + u * ends, order)
+        w = leggauss(order)[1]
+        for s in np.sum(half[:, None] * w * _unnormalized_derivative(zk, g, zeta), axis=-1):
+            total += s
     return prefactor * total
 
 
@@ -518,6 +522,20 @@ def vertex_expansion(m, i, order, radius=None):
 # side utilities shared with the variational formula
 # ---------------------------------------------------------------------------
 
+def cumulative_images(m, t_nodes, t_start, x_start, z_of=lambda t: t, jac=lambda t: 1.0):
+    """Images x(z_of(t)) at the ordered nodes t_nodes, with x_start the image
+    at t_start and dz = jac(t) dt.
+
+    The increment from each node to the next is a 12-point Gauss-Legendre
+    rule, evaluated for all nodes in one call; the increments are summed in
+    order, so each image is the running sum of the ones before it.
+    """
+    tq, half = panel_nodes(np.concatenate([[t_start], t_nodes]), 12)
+    wq = leggauss(12)[1]
+    inc = half * np.sum(wq * (sc_derivative(m, z_of(tq)) * jac(tq)), axis=-1)
+    return np.cumsum(np.concatenate([[x_start], inc]))[1:]
+
+
 def map_on_side(m, j, z_nodes):
     """Images x(z) for sorted nodes inside side j's prevertex interval.
 
@@ -525,15 +543,7 @@ def map_on_side(m, j, z_nodes):
     at the left vertex by a Gauss-Jacobi segment.
     """
     zk = m.prevertex_array()
-    g = np.asarray(m.exponents)
     z_nodes = np.asarray(z_nodes, dtype=float)
-    xs = np.empty(len(z_nodes), dtype=complex)
-    xs[0] = _vertex_images(m)[j] + m.prefactor * integrate_sc_segment(
-        zk, g, zk[j], z_nodes[0], sing_index=j, order=24)
-    xq, wq = leggauss(12)
-    for idx in range(1, len(z_nodes)):
-        a, b = z_nodes[idx - 1], z_nodes[idx]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        zeta = mid + half * xq
-        xs[idx] = xs[idx - 1] + m.prefactor * half * np.sum(wq * _unnormalized_derivative(zk, g, zeta))
-    return xs
+    x0 = _vertex_images(m)[j] + m.prefactor * integrate_sc_segment(
+        zk, np.asarray(m.exponents), zk[j], z_nodes[0], sing_index=j, order=24)
+    return np.concatenate([[x0], cumulative_images(m, z_nodes[1:], z_nodes[0], x0)])

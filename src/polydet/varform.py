@@ -110,10 +110,11 @@ from .errors import (
 from scipy.special import psi
 from scipy.special import zeta as hurwitz_zeta
 
-from .quadrature import gl_nodes, jacgauss, leggauss
+from .quadrature import gl_nodes, jacgauss, leggauss, panel_nodes
 from .scmap import (
     _local_regular_factor,
     _vertex_images,
+    cumulative_images,
     sc_derivative,
     schwarzian_xz,
 )
@@ -307,11 +308,8 @@ class _NearVertex:
         """
         w = np.atleast_1d(np.asarray(w, dtype=float))
         x, wt = self._rho_rule
-        out = np.empty(len(w))
-        for idx, wq in enumerate(w):
-            u = 0.5 * wq * (1.0 + x)
-            out[idx] = self.apio * 2.0 ** (-self.apio) * np.sum(wt * self.regular_factor(u))
-        return out
+        u = 0.5 * w[..., None] * (1.0 + x)
+        return self.apio * 2.0 ** (-self.apio) * np.sum(wt * self.regular_factor(u), axis=-1)
 
     def h0(self, w):
         return (self.schwarz_w2(w).real) / self.regular_factor(w)
@@ -320,10 +318,15 @@ class _NearVertex:
         return self.h0(w) * self.rho(w)
 
     def x_at(self, w):
-        """x(z_i +/- w) for real w > 0 (vector), from the local structure."""
+        """x(z_i +/- w) for real w > 0 (vector), from the local structure.
+
+        From the left x(z_i - w) = x_i - int_0^w x'(z_i - u) du, so the
+        integral is subtracted.
+        """
         w = np.atleast_1d(np.asarray(w, dtype=float))
         base = _vertex_images(self.m)[self.i]
-        return base + self.D * (np.pi / self.alpha) * w**self.apio * self.rho(w)
+        arc = self.D * (np.pi / self.alpha) * w**self.apio * self.rho(w)
+        return base + arc if self.from_right else base - arc
 
     def w_of_eps(self, eps):
         """w with arclength |x(w) - x_i| = eps (fixed point on rho)."""
@@ -365,15 +368,15 @@ def _near_contributions(near, nu_hat, c0_eff, c1_eff, delta, eps_pair, cfg):
         breaks = [w_eps]
         while breaks[-1] < delta:
             breaks.append(min(breaks[-1] * 2.0, delta))
-        xg, wg = leggauss(cfg.gl_order)
+        wn, half = panel_nodes(breaks, cfg.gl_order)
+        wg = leggauss(cfg.gl_order)[1]
+        h0 = near.h0(wn)
+        gvals = pref * (c0_eff * h0 * wn ** (-1.0 - apio))
+        if abs(c1_eff) > 0:
+            gvals = gvals + pref * c1_eff * near.C_abs * (h0 * near.rho(wn)) / wn
         total = 0.0 + 0.0j
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            wn = mid + half * xg
-            gvals = pref * (c0_eff * near.h0(wn) * wn ** (-1.0 - apio))
-            if abs(c1_eff) > 0:
-                gvals = gvals + pref * c1_eff * near.C_abs * near.h1(wn) / wn
-            total += half * np.sum(wg * gvals)
+        for h, row in zip(half, wg * gvals):
+            total += h * np.sum(row)
         growing = pref * c0_eff * m0 * (np.pi / near.alpha) * near.C_abs / eps
         if abs(c1_eff) > 0:
             growing = growing - pref * c1_eff * near.C_abs * m0 * (np.pi / near.alpha) * np.log(eps)
@@ -435,25 +438,14 @@ def _far_part(m, j, breaks, z_of, jac, c0, c1, nu_hat, x_anchor, cfg):
     The arclength from vertex j is tracked by integrating x' cumulatively
     along the ordered nodes, starting from the image x_anchor of breaks[0].
     """
-    xg, wg = leggauss(cfg.gl_order)
-    xq, wq = leggauss(12)
-    vertex = m.polygon.vertices[j]
-    x_run = x_anchor
-    t_prev = breaks[0]
+    tn, half = panel_nodes(breaks, cfg.gl_order)
+    wg = leggauss(cfg.gl_order)[1]
+    xs = cumulative_images(m, tn.ravel(), breaks[0], x_anchor, z_of, jac)
+    s_vals = np.abs(xs.reshape(tn.shape) - m.polygon.vertices[j])
+    gz = _integrand_dz(m, j, z_of(tn), s_vals, c0, c1, nu_hat)
     total = 0.0 + 0.0j
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        tn = mid + half * xg
-        xs = np.empty(len(tn), dtype=complex)
-        for idx, t_node in enumerate(tn):
-            mm, hh = 0.5 * (t_prev + t_node), 0.5 * (t_node - t_prev)
-            tq = mm + hh * xq
-            xs[idx] = x_run + hh * np.sum(wq * (sc_derivative(m, z_of(tq)) * jac(tq)))
-            x_run = xs[idx]
-            t_prev = t_node
-        s_vals = np.abs(xs - vertex)
-        gz = _integrand_dz(m, j, z_of(tn), s_vals, c0, c1, nu_hat)
-        total += half * np.sum(wg * gz * jac(tn))
+    for h, row in zip(half, wg * gz * jac(tn)):
+        total += h * np.sum(row)
     return total
 
 

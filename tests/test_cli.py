@@ -56,6 +56,27 @@ class TestRunConfig:
         assert main(["--cfg", str(f), "scmap", square_file]) == 2
         assert f"unknown config key {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"lambda_max": "abc"}, 'lambda_max must be a number, not "abc"'),
+        ({"var": {"gl_order": "20"}}, 'var.gl_order must be an integer, not "20"'),
+        ({"sc": {"quad_order": 24.0}}, "sc.quad_order must be an integer, not 24.0"),
+        ({"eig": {"seed": True}}, "eig.seed must be an integer, not true"),
+        ({"zeta": {"require_weyl": 1}}, "zeta.require_weyl must be true or false, not 1"),
+        ({"fd_step": None}, "fd_step must be a number, not null")])
+    def test_wrong_value_type_exits_2(self, raw, message, square_file, tmp_path, capsys):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(raw))
+        assert main(["--cfg", str(f), "det", square_file]) == 2
+        assert f"config key {message}" in capsys.readouterr().err
+
+    def test_null_defaults_and_integers_in_float_fields(self, tmp_path):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"lambda_max": None, "zeta": {"tau0": None},
+                                 "var": {"eps_frac": 1e-3}, "lambda_max_factor": 28}))
+        cfg = config_from_file(str(f))
+        assert cfg.lambda_max is None and cfg.zeta.tau0 is None
+        assert cfg.hash() == RunConfig().hash()
+
     def test_seed_and_threads_override_eig(self, square_file, tmp_path, capsys):
         code, out = run_cli(["--seed", "7", "--threads", "2", "scmap", square_file], capsys)
         assert code == 0
@@ -123,6 +144,35 @@ class TestDetCommand:
         assert json.dumps(rep["payload"], sort_keys=True) == \
             json.dumps(rep2["payload"], sort_keys=True)
         assert rep2["timings"]["eigensolve"] < 0.5
+
+    def test_truncated_cache_is_recomputed(self, square_file, det_cfg_file, tmp_path,
+                                           capsys):
+        from polydet.cli import _load_polygon, _load_spectrum
+        from polydet.geometry import build_polygon
+
+        cache = tmp_path / "cache"
+        args = ["--cfg", det_cfg_file, "--cache-dir", str(cache), "det", square_file]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        n_eigs = json.loads(out)["payload"]["n_eigs"]
+        (csv_f,) = cache.glob("spectrum_*.csv")
+        side_f = csv_f.with_suffix(".json")
+        text = csv_f.read_text()
+        csv_f.write_text("".join(text.splitlines(keepends=True)[:-3]))
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert not rep["diagnostics"]["cache_hit"]
+        assert rep["payload"]["n_eigs"] == n_eigs
+        assert csv_f.read_text() == text
+        assert not list(cache.glob("*.tmp"))
+        # a row cut in the middle, or another polygon's files, are not loaded
+        square = _load_polygon(square_file)
+        assert len(_load_spectrum(csv_f, side_f, square).eigenvalues) == n_eigs
+        csv_f.write_text(text[:-4])
+        assert _load_spectrum(csv_f, side_f, square) is None
+        csv_f.write_text(text)
+        assert _load_spectrum(csv_f, side_f, build_polygon([0, 1, 1 + 1.1j, 1.1j])) is None
 
     def test_tail_not_converged_exit_3(self, square_file, tmp_path, capsys):
         f = tmp_path / "badcfg.json"

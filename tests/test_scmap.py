@@ -22,8 +22,13 @@ from polydet.scmap import (
     schwarzian_zx_at_z,
     solve_parameter_problem,
     vertex_expansion,
+    _log_uhp,
     _mapped_vertices,
+    _panel_breaks,
+    _unnormalized_derivative,
+    integrate_sc_segment,
 )
+from polydet.quadrature import gl_nodes, jacgauss
 from conftest import random_convex_polygon
 
 
@@ -126,6 +131,40 @@ class TestMapForward:
         xs = map_on_side(rect_map, 0, nodes)
         for node, x in zip(nodes[::4], xs[::4]):
             assert abs(map_forward(rect_map, node) - x) < 1e-11
+
+
+def _segment_per_panel(zk, g, a, b, sing_index, order):
+    """integrate_sc_segment evaluated one panel at a time (the reference)."""
+    panels, u = _panel_breaks(a, b, zk, sing_index)
+    total = 0.0 + 0.0j
+    for (t0, t1) in panels:
+        h = t1 - t0
+        if t0 == 0.0 and sing_index is not None:
+            x, w = jacgauss(order, 0.0, g[sing_index])
+            zeta = a + u * (0.5 * h * (1.0 + x))
+            keep = np.arange(len(zk)) != sing_index
+            val = _unnormalized_derivative(zk[keep], g[keep], zeta)
+            scale = np.exp((g[sing_index] + 1) * (np.log(0.5 * h) + _log_uhp(np.array(u))[()]))
+            total += scale * np.sum(w * val)
+        else:
+            zeta, w = gl_nodes(a + u * t0, a + u * t1, order)
+            total += np.sum(w * _unnormalized_derivative(zk, g, zeta))
+    return total
+
+
+class TestSegmentQuadrature:
+    def test_batched_panels_equal_the_per_panel_sum(self, rng):
+        m = solve_parameter_problem(random_convex_polygon(rng, n_min=5, n_max=5))
+        zk, g = m.prevertex_array(), np.asarray(m.exponents)
+        for k in range(m.n - 1):
+            mid = 0.5 * (zk[k] + zk[k + 1])
+            for a, b, sing in ((zk[k], mid, k), (zk[k + 1], mid, k + 1),
+                               (zk[k], mid + 0.7j, k), (mid + 0.01j, zk[k + 1] + 0.02j, None),
+                               (zk[0] - 0.5, zk[-1] + 0.3 + 0.001j, None)):
+                got = integrate_sc_segment(zk, g, a, b, sing_index=sing, order=20)
+                assert got == _segment_per_panel(zk, g, a, b, sing, 20)
+        # the free segments along the axis need many panels
+        assert len(_panel_breaks(zk[0] - 0.5, zk[-1] + 0.3 + 0.001j, zk, None)[0]) > 20
 
 
 class TestMapInverse:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from polydet.errors import (
@@ -11,6 +12,7 @@ from polydet.geometry import build_polygon, field_from_vertex_velocities
 from polydet.scmap import (
     SCConfig,
     _local_regular_factor,
+    map_forward,
     solve_parameter_problem,
     sc_derivative,
     schwarzian_xz,
@@ -182,6 +184,28 @@ def test_regular_factors_match_the_derivative(rng):
                            rtol=1e-12, atol=0)
 
 
+def test_rho_on_panel_arrays_equals_pointwise(rng):
+    # the eps loop of _near_contributions evaluates rho on (panels x nodes)
+    p = random_convex_polygon(rng, n_min=5, n_max=5)
+    m = solve_parameter_problem(p)
+    for i, from_right in ((1, True), (3, False)):
+        near = _NearVertex(m, i, from_right, VarConfig())
+        w = 0.25 * m.gap(i) * rng.uniform(1e-6, 1.0, (3, 7))
+        assert np.array_equal(near.rho(w), [[near.rho(x)[0] for x in row] for row in w])
+
+
+def test_x_at_matches_map_forward(rng):
+    # right and left approaches, including both ends of the side through infinity
+    p = random_convex_polygon(rng, n_min=5, n_max=5)
+    m = solve_parameter_problem(p)
+    for i, from_right in ((1, True), (3, False), (4, True), (0, False)):
+        near = _NearVertex(m, i, from_right, VarConfig())
+        w = 0.25 * m.gap(i) * np.array([1e-4, 0.01, 0.3, 1.0])
+        z = m.prevertices[i] + (w if from_right else -w)
+        ref = np.array([map_forward(m, zz) for zz in z])
+        assert np.max(np.abs(near.x_at(w) - ref)) < 1e-11
+
+
 class TestHadamardBoundaryIntegral:
     def test_eps_extrapolation_matches_finite_part(self, square):
         p, m = square
@@ -335,6 +359,64 @@ class TestContourShift:
         f = field_from_vertex_velocities(p, [0, -0.5, 0.5, 0])
         with pytest.raises(ValidationFailure):
             contour_shift_integral(m, f)
+
+
+def _formula_total(verts, vel):
+    p = build_polygon(list(verts))
+    f = field_from_vertex_velocities(p, list(vel))
+    return main_formula(p, solve_parameter_problem(p), f).total
+
+
+def _random_polygon_and_velocities(seed):
+    rng = np.random.default_rng(seed)
+    p = random_convex_polygon(rng, n_min=3, n_max=6)
+    return p, rng.normal(size=p.n) + 1j * rng.normal(size=p.n)
+
+
+def _close(a, b, tol=1e-8):
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+class TestExactIdentities:
+    """Identities main_formula must satisfy on every polygon and field.
+
+    They hold to about 1e-11 on most draws.  The tolerance is 1e-8 because
+    {x,z} loses digits to cancellation near z = infinity: on the scaling
+    draw seed = 4108, c = 1.5 a Gauss node of the side through infinity sits
+    at t = 1/z = -1.4e-5, and the identity is off by 1.1e-9.
+    """
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), shift=st.integers(1, 5))
+    def test_cyclic_relabeling(self, seed, shift):
+        # relabeling sends another side through the SC path through infinity
+        p, vel = _random_polygon_and_velocities(seed)
+        v = p.vertex_array()
+        k = 1 + shift % (p.n - 1)
+        assert _close(_formula_total(np.roll(v, -k), np.roll(vel, -k)),
+                      _formula_total(v, vel))
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reflection(self, seed):
+        # conjugation reverses the orientation, reversing the labels restores it
+        p, vel = _random_polygon_and_velocities(seed)
+        v = p.vertex_array()
+        assert _close(_formula_total(np.conj(v)[::-1], np.conj(vel)[::-1]),
+                      _formula_total(v, vel))
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(0.3, 3.0))
+    def test_scaling_covariance(self, seed, c):
+        # log det(cP) = log det(P) - 2 log c b1(P), so
+        # c dlogdet(cP)[V] = dlogdet(P)[V] - 2 log c db1[V]
+        p, vel = _random_polygon_and_velocities(seed)
+        a = np.asarray(p.angles)
+        da = np.asarray(field_from_vertex_velocities(p, list(vel)).delta_angles)
+        db1 = -np.sum((np.pi**2 / a**2 + 1) * da) / (24 * np.pi)
+        v = p.vertex_array()
+        assert _close(c * _formula_total(c * v, vel),
+                      _formula_total(v, vel) - 2 * np.log(c) * db1)
 
 
 def _map_ref(m, j, z):
