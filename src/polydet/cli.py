@@ -17,7 +17,8 @@ import numpy as np
 
 from . import validation
 from .config import RunConfig, Report, Timer, config_from_file
-from .eigensolve import Spectrum, dirichlet_eigenvalues, polygon_hash
+from .eigensolve import (EigConfig, Spectrum, dirichlet_eigenvalues, polygon_hash,
+                         weyl_count_check)
 from .errors import NumericalFailure, ValidationFailure
 from .geometry import field_from_json_dict, polygon_from_json_dict
 from .scmap import SCMap, solve_parameter_problem
@@ -88,10 +89,12 @@ def _write_replacing(path, text):
         raise
 
 
-def _load_spectrum(csv_f, side_f, p):
+def _load_spectrum(csv_f, side_f, p, c_w=EigConfig.weyl_cw):
     """The cached spectrum, or None unless both files exist, the CSV is
-    complete (ends in a newline, two fields a row) and its row count and
-    polygon hash match the sidecar."""
+    complete (ends in a newline, two fields a row), its row count and
+    polygon hash match the sidecar and its eigenvalues pass the Weyl count
+    check with band constant c_w (the sidecar's stored check is not
+    trusted)."""
     if not (csv_f.exists() and side_f.exists()):
         return None
     side = json.loads(side_f.read_text())
@@ -101,10 +104,14 @@ def _load_spectrum(csv_f, side_f, p):
             or side.get("n_eigs") != len(rows)
             or side.get("polygon_hash") != polygon_hash(p)):
         return None
-    return Spectrum(eigenvalues=tuple(float(r[0]) for r in rows),
+    eigs = [float(r[0]) for r in rows]
+    check = weyl_count_check(p, eigs, side["lambda_max"], c_w)
+    if not check["ok"]:
+        return None
+    return Spectrum(eigenvalues=tuple(eigs),
                     errors=tuple(float(r[1]) for r in rows),
                     lambda_max=side["lambda_max"],
-                    count_check=side["count_check"],
+                    count_check=check,
                     polygon_hash=side["polygon_hash"],
                     meta=side.get("meta", {}))
 
@@ -114,7 +121,7 @@ def _spectrum_cached(p, lam_max, cfg, cache):
     if cache:
         csv_f = Path(cache) / (key + ".csv")
         side_f = Path(cache) / (key + ".json")
-        spec = _load_spectrum(csv_f, side_f, p)
+        spec = _load_spectrum(csv_f, side_f, p, cfg.eig.weyl_cw)
         if spec is not None:
             return spec, True
     spec = dirichlet_eigenvalues(p, lam_max, cfg.eig)
@@ -165,7 +172,8 @@ def cmd_det(args, cfg):
         config_hash=cfg.hash(),
         payload=ld.to_json_dict(),
         diagnostics={"cache_hit": hit, "weyl": spec.count_check,
-                     "lambda_max": lam_max},
+                     "lambda_max": lam_max,
+                     "sigma_evals": spec.meta.get("sigma_evals", {})},
         timings=timer.marks,
     )
 

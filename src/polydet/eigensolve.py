@@ -2,20 +2,27 @@
 
 Two sources: the exact separable spectrum for rectangles, and a method of
 particular solutions (MPS) solver for general convex polygons.  The MPS
-variant is the subspace-angle one: corner-adapted Fourier-Bessel fans,
-boundary plus interior collocation, smallest singular value of the boundary
-block of the orthonormalized basis swept over lambda.
+variant is the subspace-angle one (Betcke and Trefethen, SIAM Review 47,
+2005): corner-adapted Fourier-Bessel fans, boundary plus interior
+collocation, smallest singular value sigma(lambda) of the boundary block of
+the orthonormalized basis swept over lambda.
+
+Each dip of the sweep is refined by fitting sigma^2 as a parabola in lambda
+(see MPSSolver._refine_checked).  The sigma evaluations of a sweep are
+counted per stage into Spectrum.meta["sigma_evals"].
 
 Counting is validated against the two-term Weyl law; a failed check raises
 MissedEigenvalue rather than silently returning a thinned spectrum.
 """
 
+import functools
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
-from scipy.special import jv, jvp
+from scipy.special import gammaln, jv, jvp
 
 from .errors import (
     BasisIllConditioned,
@@ -23,7 +30,7 @@ from .errors import (
     MissedEigenvalue,
     ValidationFailure,
 )
-from .geometry import Polygon
+from .geometry import build_polygon
 from .quadrature import leggauss
 
 
@@ -88,15 +95,12 @@ def weyl_count_check(p, eigs, lambda_max, c_w=3.0):
     Checked just below and above every eigenvalue and at the cutoff; the
     allowed band is +-(c_w + 3).
     """
-    eigs = np.sort(np.asarray(eigs))
-    devs = []
-    for k, lam in enumerate(eigs):
-        devs.append(k - weyl_two_term(p, lam))        # N(lam - 0)
-        devs.append(k + 1 - weyl_two_term(p, lam))    # N(lam + 0)
-    devs.append(len(eigs) - weyl_two_term(p, lambda_max))
-    devs = np.asarray(devs)
+    eigs = np.sort(np.asarray(eigs, dtype=float))
+    k, w = np.arange(len(eigs)), weyl_two_term(p, eigs)
+    # N(lam - 0) and N(lam + 0) at every eigenvalue, and N at the cutoff
+    devs = np.concatenate([k - w, k + 1 - w, [len(eigs) - weyl_two_term(p, lambda_max)]])
     band = c_w + 3.0
-    worst = float(np.max(np.abs(devs))) if len(devs) else 0.0
+    worst = float(np.max(np.abs(devs)))
     return {"max_abs_dev": worst, "band": band, "ok": bool(worst <= band)}
 
 
@@ -114,7 +118,7 @@ def rectangle_spectrum(a, b, lambda_max):
         for n in range(1, n_max + 1):
             lams.append((np.pi * m / a) ** 2 + (np.pi * n / b) ** 2)
     lams = np.sort(np.asarray(lams))
-    p = _rect_polygon(a, b)
+    p = build_polygon([0, a, a + 1j * b, 1j * b])
     return Spectrum(
         eigenvalues=tuple(float(x) for x in lams),
         errors=tuple(0.0 for _ in lams),
@@ -123,12 +127,6 @@ def rectangle_spectrum(a, b, lambda_max):
         polygon_hash=polygon_hash(p),
         meta={"source": "rectangle_exact", "a": a, "b": b},
     )
-
-
-def _rect_polygon(a, b):
-    from .geometry import build_polygon
-
-    return build_polygon([0, a, a + 1j * b, 1j * b])
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +167,6 @@ class _BesselTable:
 
     def _h_series(self, u):
         """H(u) = J_nu(u)/u^nu via the power series (stable for any nu)."""
-        from scipy.special import gammaln
-
         nus = self.nus
         out = np.zeros((len(u), len(nus)))
         u2 = (np.asarray(u) ** 2 / 4.0)[:, None]
@@ -231,12 +227,8 @@ class _CornerBasis:
     def sines(self, th):
         """Angular factors sin(k nu theta), one (points, orders) block per
         corner; they do not depend on lambda."""
-        blocks = []
-        for i in range(self.p.n):
-            nu = np.pi / self.alphas[i]
-            ks = np.arange(1, self.orders[i] + 1)
-            blocks.append(np.sin(ks[None, :] * nu * th[i][:, None]))
-        return blocks
+        return [np.sin(np.arange(1, n_i + 1)[None, :] * (np.pi / a_i) * th_i[:, None])
+                for n_i, a_i, th_i in zip(self.orders, self.alphas, th)]
 
     def matrix(self, lam, pts, local=None, sines=None):
         """Basis values at pts, one column per (corner, order).  ``local`` and
@@ -310,6 +302,27 @@ def _interior_points(p, count, seed):
     return c + u * (a - c) + w * (b - c)
 
 
+# stages of a sweep; a sigma evaluation is counted under the innermost one
+_STAGES = ("grid", "refine", "cover", "siblings", "audit", "rescan", "admit")
+_SIGMA_NOISE = 1e-14        # absolute noise of a computed sigma
+_MAX_REFINE_STEPS = 40
+
+
+def _stage(name):
+    """Count the sigma evaluations made inside the decorated method under
+    the stage ``name`` in MPSSolver.sigma_evals."""
+    def decorate(method):
+        @functools.wraps(method)
+        def run(self, *args, **kwargs):
+            outer, self._stage = self._stage, name
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                self._stage = outer
+        return run
+    return decorate
+
+
 class MPSSolver:
     """Sweepable MPS eigenproblem for a fixed polygon and lambda range."""
 
@@ -336,12 +349,15 @@ class MPSSolver:
         self.ipts = _interior_points(p, n_int, self.cfg.seed)
         self.pts = np.concatenate([self.bpts, self.ipts])
         self.m_b = len(self.bpts)
-        self._diam = diam
         self._local_pts = self.basis._local(self.pts)
         self._sines = self.basis.sines(self._local_pts[1])
+        # below the Faber-Krahn bound the basis degenerates numerically and
+        # produces spurious sigma ~ 0 plateaus; never sweep there
         self._lam_lo = 0.95 * self.faber_krahn_bound()
         self._dips = {}         # located eigenvalue -> (V slope, next sigma)
         self._probed = set()    # located eigenvalues already probed for a sibling
+        self._stage = "grid"
+        self.sigma_evals = dict.fromkeys(_STAGES, 0)
 
     # -- subspace angles ----------------------------------------------------
     def _boundary_svd(self, lam, vectors=False):
@@ -368,6 +384,7 @@ class MPSSolver:
         return s[::-1], (Vh, R, piv, cutoff, norms, good)
 
     def sigmas(self, lam, count=2):
+        self.sigma_evals[self._stage] += 1
         return self._boundary_svd(lam)[:count]
 
     def sigma(self, lam):
@@ -379,16 +396,14 @@ class MPSSolver:
         result deterministic)."""
         if self.cfg.threads <= 1:
             return [self.sigma(l) for l in lams]
-        from concurrent.futures import ThreadPoolExecutor
-
+        self.sigma_evals[self._stage] += len(lams)     # not counted by the workers
         with ThreadPoolExecutor(max_workers=self.cfg.threads) as pool:
-            return list(pool.map(self.sigma, lams))
+            return list(pool.map(lambda l: float(self._boundary_svd(l)[0]), lams))
 
-    def _nullspace_coeffs(self, lam, mult_tol=None):
+    def _nullspace_coeffs(self, lam):
         """Coefficient vectors of the (near-)null space at an eigenvalue."""
-        mult_tol = mult_tol or self.cfg.mult_tol
         s, (Vh, R, piv, cutoff, norms, good) = self._boundary_svd(lam, vectors=True)
-        mult = int((s < mult_tol).sum())
+        mult = int((s < self.cfg.mult_tol).sum())
         if mult == 0:
             raise DegenerateEigenvalue(
                 f"lambda={lam:.8e} is not an eigenvalue to tolerance (sigma={s[0]:.2e})")
@@ -407,14 +422,10 @@ class MPSSolver:
         """Rigorous lower bound on lambda_1: pi j_01^2 / area."""
         return np.pi * 5.783185962946785 / self.p.area
 
-    def solve(self, lam_min=None, progress=None):
+    def solve(self):
         cfg = self.cfg
-        # below the Faber-Krahn bound the basis degenerates numerically and
-        # produces spurious sigma ~ 0 plateaus; never sweep there
-        lam_lo = lam_min if lam_min is not None else 0.95 * self.faber_krahn_bound()
-        self._lam_lo = lam_lo
         step = self.mean_gap() / cfg.grid_per_gap
-        grid = np.arange(lam_lo, self.lambda_max + step, step)
+        grid = np.arange(self._lam_lo, self.lambda_max + step, step)
         vals = np.array(self._sigma_batch(grid))
         eigs, errs = [], []
         self._scan(grid, vals, eigs, errs)
@@ -426,12 +437,10 @@ class MPSSolver:
         eigs, errs = self._find_siblings(eigs, errs)
         # local Weyl audit: a deficit of ~1 between consecutive found
         # eigenvalues pinpoints a miss that the global band cannot see
-        eigs, errs = self._audit_gaps(lam_lo, eigs, errs)
+        eigs, errs = self._audit_gaps(self._lam_lo, eigs, errs)
 
-        eigs = np.asarray(eigs)
         order = np.argsort(eigs)
-        eigs = eigs[order]
-        errs = np.asarray(errs)[order]
+        eigs, errs = np.asarray(eigs)[order], np.asarray(errs)[order]
 
         check = weyl_count_check(self.p, eigs, self.lambda_max, cfg.weyl_cw)
         rescans = 0
@@ -451,131 +460,90 @@ class MPSSolver:
             polygon_hash=polygon_hash(self.p),
             meta={"source": "mps", "orders": list(self.orders),
                   "n_boundary": int(self.m_b), "n_interior": int(len(self.ipts)),
-                  "seed": int(self.cfg.seed)},
+                  "seed": int(self.cfg.seed), "sigma_evals": dict(self.sigma_evals)},
         )
 
-    def _refine(self, a, b, c, fa=None, fb=None, fc=None):
-        """Locate the dip inside (a, c) given sigma(b) below both ends.
-
-        Returns (lambda*, error estimate, slope of the V at the dip).  Away
-        from the bottom sigma(lam) ~ slope * |lam - lam*|, so a
-        symmetric-V fit through the bracket ends converges in a few
-        evaluations; the rounded bottom (sigma^2 = slope^2 (lam-lam*)^2 +
-        sigma_min^2) is finished by the two-sided line-intercept polish below.
-        """
-        fa = self.sigma(a) if fa is None else fa
-        fb = self.sigma(b) if fb is None else fb
-        fc = self.sigma(c) if fc is None else fc
-        a0, c0 = a, c
-        lam, f_lam = b, fb
-        prev_cand = None
-        slope = max((fa + fc) / (c - a), 1e-12)
-        flank_slope = slope
-        for _ in range(40):
-            slope = max((fa + fc) / (c - a), 1e-12)
-            if min(fa, fc) > 4 * f_lam:
-                flank_slope = slope
-            cand = 0.5 * (a + c) + 0.5 * (fa - fc) / slope
-            lo, hi = a + 0.02 * (c - a), c - 0.02 * (c - a)
-            cand = min(max(cand, lo), hi)
-            f_cand = self.sigma(cand)
-            if f_cand < f_lam:
-                if cand < lam:
-                    c, fc = lam, f_lam
-                else:
-                    a, fa = lam, f_lam
-                lam, f_lam = cand, f_cand
-            else:
-                if cand < lam:
-                    a, fa = cand, f_cand
-                else:
-                    c, fc = cand, f_cand
-            width = max(f_lam / slope, 1e-14 * max(abs(c), 1.0))
-            if prev_cand is not None and abs(cand - prev_cand) < 0.5 * width:
-                break
-            prev_cand = cand
-            if c - a < 16 * self.cfg.refine_xtol * max(abs(c), 1.0):
-                break
-        # a bracket inside the rounded bottom overstates the slope (its ends
-        # sit near sigma_min, not on the flanks); keep the last flank value
-        slope = min(slope, flank_slope)
-        # two-sided line-intercept polish: extrapolate each slope of the V to
-        # its zero crossing and average.  Robust to slightly different left
-        # and right slopes (degenerate pairs) and self-correcting when the
-        # sampling window misses the apex (all points on one line then).
-        # h is kept well above the current apex uncertainty so neither pair
-        # straddles the apex; a much smaller slope on one side flags a
-        # straddle and that side's intercept is discarded.
-        h = max(8 * f_lam / slope, 1e2 * self.cfg.refine_xtol * max(abs(lam), 1.0))
-        h = min(h, 0.2 * (c0 - a0), 0.9 * (lam - a0), 0.9 * (c0 - lam))
-        h_floor = 30 * self.cfg.refine_xtol * max(abs(lam), 1.0)
-        spread = np.inf
-        for _ in range(6):
-            if h <= 0 or lam - h <= a0 or lam + h >= c0:
-                break
-            fm, fm2 = self.sigma(lam - h), self.sigma(lam - 0.5 * h)
-            fp2, fp = self.sigma(lam + 0.5 * h), self.sigma(lam + h)
-            sl = (fm - fm2) / (0.5 * h)
-            sr = (fp - fp2) / (0.5 * h)
-            if sl <= 0 and sr <= 0:
-                h *= 0.3
-                continue
-            left = (lam - h) + fm / sl if sl > 0 else np.nan
-            right = (lam + h) - fp / sr if sr > 0 else np.nan
-            if sl > 0 and sr > 0 and min(sl, sr) > 0.6 * max(sl, sr):
-                new_lam = 0.5 * (left + right)
-                spread = abs(left - right)
-            elif sl > 0 and (sr <= 0 or sl >= sr):
-                new_lam, spread = left, abs(lam - left)
-            else:
-                new_lam, spread = right, abs(lam - right)
-            if not a0 < new_lam < c0:
-                break
-            lam = float(new_lam)
-            new_h = max(30 * spread, h_floor)
-            new_h = min(new_h, 0.5 * h)
-            if new_h < h_floor or new_h >= h:
-                break
-            h = new_h
-        f_min = self.sigma(lam)
-        err = max(self.cfg.refine_xtol * abs(lam), f_min / slope,
-                  0.1 * spread if np.isfinite(spread) else 0.0)
-        return float(lam), float(err), float(slope)
-
+    @_stage("refine")
     def _refine_checked(self, a, b, c, fa, fb, fc):
-        """_refine plus a golden-section fallback when the fast path lands on
-        a point that fails the multiplicity test (asymmetric valleys can
-        evict the dip from the fast path's shrinking bracket)."""
-        found = self._refine(a, b, c, fa, fb, fc)
-        if self.sigma(found[0]) < self.cfg.mult_tol or min(fa, fb, fc) > 0.05:
-            return found
-        return self._refine_golden(a, b, c, fa, fb, fc)
+        """Locate the dip of sigma inside (a, c), sampled at a < b < c.
 
-    def _refine_golden(self, a, b, c, fa, fb, fc):
-        """Plain golden-section descent, immune to bracket eviction."""
-        phi = 0.5 * (3 - np.sqrt(5.0))
-        if not (fb <= fa and fb <= fc):
-            b = 0.5 * (a + c)
-            fb = self.sigma(b)
-        for _ in range(60):
-            if c - a < 1e-7 * max(abs(c), 1.0):
-                break
-            if b - a > c - b:
-                x = b - phi * (b - a)
-                fx = self.sigma(x)
-                if fx < fb:
-                    c, fc, b, fb = b, fb, x, fx
-                else:
-                    a, fa = x, fx
+        Near a simple eigenvalue lam*, sigma^2 = s^2 (lam - lam*)^2 +
+        sigma_min^2 is a parabola in lam (Betcke and Trefethen, SIAM Review
+        47, 2005).  Each step fits it through the best sample and its two
+        bracketing neighbours and samples the vertex.  A golden bracket step
+        (_refine_golden) replaces that when the best sample is an end, the fit
+        is not convex, the vertex leaves the bracket or the last sample missed
+        the model by over 10 % of the best sigma^2.  A sample within 10 % of
+        its predicted sigma^2 (or the noise) confirms the model; the refiner
+        stops when the next vertex is within cfg.refine_xtol (relative) of a
+        confirmed sample, or within what the noise in sigma resolves.
+
+        Returns (lambda*, error estimate, V slope s, the four smallest
+        singular values there), or None when (a, c) holds no eigenvalue: a
+        confirmed minimum of at least 10 cfg.mult_tol, or one beyond an end.
+        """
+        xs, fs = [a, b, c], [fa, fb, fc]
+        sig = {}                # sampled point -> its smallest singular values
+        confirmed, slope = None, None   # last confirmed sample, s of its fit
+        agreed, lam = True, None
+        for _ in range(_MAX_REFINE_STEPS):
+            k = int(np.argmin(fs))
+            x_b, f_b = xs[k], fs[k]
+            j = min(max(k, 1), len(xs) - 2)         # middle of the fitted three
+            A, vertex, q_vertex = _parabola(xs[j - 1:j + 2], fs[j - 1:j + 2])
+            tol = self.cfg.refine_xtol * max(abs(x_b), 1.0)
+            if A > 0:           # sigma^2 noise hides the vertex within this
+                tol = max(tol, np.sqrt(2 * _SIGMA_NOISE * f_b / A))
+            if k in (0, len(xs) - 1):               # the best sample is an end
+                lo, hi = (x_b, xs[1]) if k == 0 else (xs[-2], x_b)
+                if hi - lo <= tol or (A > 0 and not lo < vertex < hi
+                                      and abs(vertex - x_b) < abs(vertex - xs[j])):
+                    return None                     # the minimum lies beyond
+                model = False
             else:
-                x = b + phi * (c - b)
-                fx = self.sigma(x)
-                if fx < fb:
-                    a, fa, b, fb = b, fb, x, fx
-                else:
-                    c, fc = x, fx
-        return self._refine(a, b, c, fa, fb, fc)
+                lo, hi = xs[k - 1], xs[k + 1]
+                if abs(vertex - x_b) <= tol and (x_b == confirmed or vertex == x_b):
+                    lam = vertex
+                    break
+                if hi - lo <= tol:
+                    break
+                model = agreed and A > 0 and lo < vertex < hi
+            x = vertex if model else self._refine_golden(lo, x_b, hi)
+            s_x = self.sigmas(x, count=4)
+            f_x = float(s_x[0])
+            sig[x] = s_x
+            agreed = True
+            if model:
+                # less the noise in sigma and the rounding of the fit
+                miss = abs(f_x * f_x - q_vertex) - _SIGMA_NOISE * (2 * f_x + _SIGMA_NOISE) \
+                    - 1e-15 * max(fs[j - 1:j + 2]) ** 2
+                agreed = miss <= 0.1 * f_b * f_b
+                if miss <= 0.1 * max(q_vertex, 0.0):
+                    if f_x >= 10 * self.cfg.mult_tol:
+                        return None
+                    confirmed, slope = x, float(np.sqrt(A))
+            i = int(np.searchsorted(xs, x))
+            xs.insert(i, x)
+            fs.insert(i, f_x)
+        k = int(np.argmin(fs))
+        if k in (0, len(xs) - 1):
+            return None
+        # the singular values of the best sample stand for those at the
+        # vertex, which lies within tol of it
+        s_b = sig[xs[k]] if xs[k] in sig else self.sigmas(xs[k], count=4)
+        lam = xs[k] if lam is None else lam
+        if slope is None:                   # the V through the bracket
+            slope = (fs[k - 1] + fs[k + 1]) / (xs[k + 1] - xs[k - 1])
+        err = max(self.cfg.refine_xtol * abs(lam), s_b[0] / slope)
+        return float(lam), float(err), float(slope), s_b
 
+    def _refine_golden(self, a, b, c):
+        """The bracket step: the golden-section point in the larger of the
+        intervals (a, b) and (b, c)."""
+        phi = 0.5 * (3 - np.sqrt(5.0))
+        return b - phi * (b - a) if b - a > c - b else b + phi * (c - b)
+
+    @_stage("cover")
     def _cover_low_intervals(self, grid, vals, eigs, errs):
         """Probe grid intervals with low sigma that carry no located dip.
 
@@ -602,22 +570,26 @@ class MPSSolver:
             fit = np.polyval(np.polyfit(xs, ys, 1), xs)
             if np.max(np.abs(ys - fit)) < 0.1 * (ys.max() - ys.min()) + 1e-4:
                 continue
-            self._admit(*self._refine_checked(grid[k], probes[j], grid[k + 1],
-                                              vals[k], v_probes[j], vals[k + 1]),
+            self._admit(self._refine_checked(grid[k], probes[j], grid[k + 1],
+                                             vals[k], v_probes[j], vals[k + 1]),
                         eigs, errs)
         return eigs, errs
 
-    def _admit(self, lam, err, slope, eigs, errs):
-        """Append a refined dip to (eigs, errs) once per multiplicity.
+    @_stage("admit")
+    def _admit(self, found, eigs, errs):
+        """Append a dip found by _refine_checked, with the singular values it
+        sampled there, to (eigs, errs) once per multiplicity.
 
-        A point outside [lam_lo, lambda_max], a point where no singular value
-        falls below cfg.mult_tol and a dip already located are rejected.
-        Records the V slope and the next singular value above the
+        None, a point outside [lam_lo, lambda_max], a point where no singular
+        value falls below cfg.mult_tol and a dip already located are
+        rejected.  Records the V slope and the next singular value above the
         multiplicity, which _find_siblings reads.  Returns the copies added.
         """
+        if found is None:
+            return 0
+        lam, err, slope, sig = found
         if not self._lam_lo <= lam <= self.lambda_max or _is_duplicate(lam, err, eigs, errs):
             return 0
-        sig = self.sigmas(lam, count=4)
         mult = int((sig < self.cfg.mult_tol).sum())
         if mult:
             self._dips[lam] = (slope, float(sig[mult]) if mult < len(sig) else np.inf)
@@ -625,6 +597,7 @@ class MPSSolver:
         errs.extend([err] * mult)
         return mult
 
+    @_stage("siblings")
     def _find_siblings(self, eigs, errs):
         """Probe every located dip whose next singular value is too small.
 
@@ -632,9 +605,9 @@ class MPSSolver:
         s2 * d, where d is the distance to the nearest other eigenvalue and
         s2 ~ slope is that eigenvalue's V slope (over the spectrum of the
         criterion-7 triangle at t = -2e-3 the ratio (sigma_next / slope) / d
-        stays in 0.4-0.9).  A ratio far
-        below that against the nearest *located* eigenvalue, at a distance
-        the grid cannot resolve, means a shadowed sibling.
+        stays in 0.4-0.9).  A ratio far below that against the nearest
+        *located* eigenvalue, at a distance the grid cannot resolve, means a
+        shadowed sibling.
         """
         eigs, errs = list(eigs), list(errs)
         step = self.mean_gap() / self.cfg.grid_per_gap
@@ -648,10 +621,11 @@ class MPSSolver:
                 dist = min((abs(e - lam) for e in eigs if e != lam), default=np.inf)
                 d_est = s_next / slope
                 if d_est < step and d_est < 0.3 * dist:
-                    pending = self._probe_sibling(lam, eigs, errs, slope) > 0 or pending
+                    pending = self._probe_sibling(lam, eigs, errs) > 0 or pending
         return eigs, errs
 
-    def _probe_sibling(self, lam, eigs, errs, slope=None):
+    @_stage("siblings")
+    def _probe_sibling(self, lam, eigs, errs):
         """Look for an unlocated eigenvalue next to the located one at lam.
 
         Near two close eigenvalues lam and lam2 the two smallest singular
@@ -665,11 +639,11 @@ class MPSSolver:
         self._probed.add(lam)
         step = self.mean_gap() / self.cfg.grid_per_gap
         k = sum(1 for e in eigs if e == lam)
-        s0 = self._dips[lam][1] if lam in self._dips else self.sigmas(lam, count=k + 1)[k]
-        slope = self._dips[lam][0] if slope is None and lam in self._dips else slope
-        if slope is None:
-            h = 0.01 * step
-            slope = self.sigma(lam + h) / h
+        if lam in self._dips:
+            slope, s0 = self._dips[lam]
+        else:
+            s0 = self.sigmas(lam, count=k + 1)[k]
+            slope = self.sigma(lam + 0.01 * step) / (0.01 * step)
         # delta small enough that lam's own V stays below the sibling's
         delta = min(0.02 * step, 0.25 * s0 / slope)
         lo = self.sigmas(lam - delta, count=k + 1)[k]
@@ -687,7 +661,7 @@ class MPSSolver:
             return 0
         if side < 0:
             a, fa, c, fc = c, fc, a, fa
-        return self._admit(*self._refine_checked(a, b, c, fa, fb, fc), eigs, errs)
+        return self._admit(self._refine_checked(a, b, c, fa, fb, fc), eigs, errs)
 
     def _scan(self, xs, vals, eigs, errs):
         """Refine the local minima of the sigma values ``vals`` sampled at the
@@ -695,9 +669,11 @@ class MPSSolver:
 
         The V-shapes of the eigenvalues located within one scan width of the
         samples are divided out first, so a dip next to a located eigenvalue
-        is not shadowed by its slope.  A refinement that lands on a located
-        eigenvalue probes that eigenvalue for a sibling instead.  Returns the
-        copies added.
+        is not shadowed by its slope.  Minima of the raw values are refined
+        by _refine_checked.  A minimum of the divided values only, where the
+        raw values slope down to a located eigenvalue, and a refinement that
+        lands on one, probe that eigenvalue for a sibling instead.  Returns
+        the copies added.
         """
         lo, hi = xs[0], xs[-1]
         width = hi - lo
@@ -710,17 +686,26 @@ class MPSSolver:
         dvals = vals / defl
         added = 0
         for k in range(1, len(xs) - 1):
-            if dvals[k] <= dvals[k - 1] and dvals[k] <= dvals[k + 1] \
-                    and vals[k] < self.cfg.dip_threshold:
-                lam, err, slope = self._refine_checked(
+            if not (dvals[k] <= dvals[k - 1] and dvals[k] <= dvals[k + 1]
+                    and vals[k] < self.cfg.dip_threshold):
+                continue
+            if vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1]:
+                found = self._refine_checked(
                     xs[k - 1], xs[k], xs[k + 1], vals[k - 1], vals[k], vals[k + 1])
-                n_new = self._admit(lam, err, slope, eigs, errs)
-                if n_new == 0:
+                n_new = self._admit(found, eigs, errs)
+                if n_new == 0 and found is not None:
+                    lam, err = found[:2]
                     twins = [e for e, r in zip(eigs, errs)
                              if e not in self._probed and _is_duplicate(lam, err, [e], [r])]
                     if twins:
                         n_new = self._probe_sibling(twins[0], eigs, errs)
-                added += n_new
+            else:
+                down = xs[k - 1] if vals[k - 1] < vals[k + 1] else xs[k + 1]
+                near = [e for e in eigs if e not in self._probed
+                        and abs(e - down) < xs[k + 1] - xs[k - 1]]
+                n_new = self._probe_sibling(min(near, key=lambda e: abs(e - down)),
+                                            eigs, errs) if near else 0
+            added += n_new
         return added
 
     def search_window(self, lo, hi, eigs, n=13):
@@ -738,6 +723,7 @@ class MPSSolver:
         self._scan(xs, np.array([self.sigma(x) for x in xs]), found, errs)
         return list(zip(found[len(eigs):], errs[len(eigs):]))
 
+    @_stage("audit")
     def _audit_gaps(self, lam_lo, eigs, errs, max_rounds=2):
         """Scan gaps whose local Weyl count falls short by about one.
 
@@ -774,6 +760,7 @@ class MPSSolver:
                 break
         return eigs, errs
 
+    @_stage("rescan")
     def _rescan(self, grid, eigs, errs):
         """Second pass on a 4x finer grid over the full sweep range."""
         step = (grid[1] - grid[0]) / 4
@@ -826,6 +813,19 @@ class MPSSolver:
             return ((pts - origin) * np.conj(nu)).real
 
         return self.normal_derivative_sq_integrals(lam, C, rellich_weight) / (2 * lam)
+
+
+def _parabola(x, f):
+    """(A, vertex, value) of the parabola A (lam - vertex)^2 + value through
+    three samples (x, f) of sigma^2 = f^2; vertex and value are nan unless
+    A > 0."""
+    (a, b, c), (qa, qb, qc) = x, np.square(f)
+    d0, d1 = (qb - qa) / (b - a), (qc - qb) / (c - b)
+    A = (d1 - d0) / (c - a)
+    B = d0 + A * (b - a)            # slope at b
+    if not A > 0:
+        return A, np.nan, np.nan
+    return A, b - 0.5 * B / A, qb - 0.25 * B * B / A
 
 
 def _is_duplicate(lam, err, eigs, errs):
@@ -895,10 +895,8 @@ def hadamard_eigenvalue_variation(p, f, j, cfg=None):
         raise DegenerateEigenvalue(f"lambda_{j} carries multiplicity {C.shape[1]}")
     norm_sq = solver.l2_norm_sq(lam, C)[0]
 
-    coeffs = f.side_normal_velocity
-
     def field_weight(jj, s):
-        c0, c1 = coeffs[jj]
+        c0, c1 = f.side_normal_velocity[jj]
         return c0 + c1 * s
 
     integral = solver.normal_derivative_sq_integrals(lam, C, field_weight)[0]

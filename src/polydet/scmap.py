@@ -417,6 +417,23 @@ def schwarzian_xz(m, z):
     return complex(out) if out.ndim == 0 else out
 
 
+def schwarzian_xz_inverted(m, t):
+    """Schwarzian {x, z} at z = 1/t, for the side through z = infinity.
+
+    z = 1/t is a Moebius map, so {x, z} = t^4 {x, t}.  The turning exponents
+    sum to 2, so dx/dt is a constant times prod_k (1 - z_k t)^(-gp_k) and
+    {x, t} = sum gp_k z_k^2/(1 - z_k t)^2 - (sum gp_k z_k/(1 - z_k t))^2/2.
+    Unlike the z form, whose two sums both approach 2/z^2 and cancel to
+    O(1/z^4), this keeps its digits as t -> 0.
+    """
+    t = np.asarray(t, dtype=complex)
+    zk = m.prevertex_array()
+    gp = -np.asarray(m.exponents)
+    w = zk / (1.0 - t[..., None] * zk)
+    out = t**4 * (np.sum(gp * w**2, axis=-1) - 0.5 * np.sum(gp * w, axis=-1) ** 2)
+    return complex(out) if out.ndim == 0 else out
+
+
 def schwarzian_zx(m, x, cfg=None):
     """Schwarzian {z, x} = -(dz/dx)^2 {x, z} evaluated at z = map_inverse(x)."""
     z = map_inverse(m, x, cfg)

@@ -117,6 +117,7 @@ from .scmap import (
     cumulative_images,
     sc_derivative,
     schwarzian_xz,
+    schwarzian_xz_inverted,
 )
 from .zetadet import EULER_GAMMA
 
@@ -423,17 +424,16 @@ def _graded_breaks(a, b, h0a, h0b, ratio=2.0):
     return np.unique(np.concatenate([left, [0.5 * (a + b)], right[::-1]]))
 
 
-def _integrand_dz(m, j, z, s_vals, c0, c1, nu_hat):
+def _integrand_dz(m, z, sxz, s_vals, c0, c1, nu_hat):
     """{z,x}(A.nu) nuhat dx collapsed to the dz integrand:
-    -{x,z}(z) (A.nu)(s) nuhat / x'(z)."""
-    sxz = schwarzian_xz(m, np.asarray(z, dtype=complex))
+    -{x,z}(z) (A.nu)(s) nuhat / x'(z), given sxz = {x,z}(z)."""
     xp = sc_derivative(m, np.asarray(z, dtype=complex))
     return -sxz * (c0 + c1 * s_vals) * nu_hat / xp
 
 
-def _far_part(m, j, breaks, z_of, jac, c0, c1, nu_hat, x_anchor, cfg):
+def _far_part(m, j, breaks, z_of, jac, sxz_of, c0, c1, nu_hat, x_anchor, cfg):
     """Integral of the dz integrand of side j over the parameter panels
-    ``breaks``, with z = z_of(t) and dz = jac(t) dt.
+    ``breaks``, with z = z_of(t), dz = jac(t) dt and {x,z} = sxz_of(t).
 
     The arclength from vertex j is tracked by integrating x' cumulatively
     along the ordered nodes, starting from the image x_anchor of breaks[0].
@@ -442,7 +442,7 @@ def _far_part(m, j, breaks, z_of, jac, c0, c1, nu_hat, x_anchor, cfg):
     wg = leggauss(cfg.gl_order)[1]
     xs = cumulative_images(m, tn.ravel(), breaks[0], x_anchor, z_of, jac)
     s_vals = np.abs(xs.reshape(tn.shape) - m.polygon.vertices[j])
-    gz = _integrand_dz(m, j, z_of(tn), s_vals, c0, c1, nu_hat)
+    gz = _integrand_dz(m, z_of(tn), sxz_of(tn), s_vals, c0, c1, nu_hat)
     total = 0.0 + 0.0j
     for h, row in zip(half, wg * gz * jac(tn)):
         total += h * np.sum(row)
@@ -454,7 +454,7 @@ def _far_part_finite_side(m, j, zl, zr, c0, c1, nu_hat, x_left_anchor, cfg):
     breaks = _graded_breaks(zl, zr, 0.5 * (zl - m.prevertices[j]),
                             0.5 * (m.prevertices[j + 1] - zr))
     return _far_part(m, j, breaks, lambda t: t, lambda t: 1.0,
-                     c0, c1, nu_hat, x_left_anchor, cfg)
+                     lambda t: schwarzian_xz(m, t), c0, c1, nu_hat, x_left_anchor, cfg)
 
 
 def _far_part_infinite_side(m, zl_w, zr_w, c0, c1, nu_hat, x_anchor_right, cfg):
@@ -462,13 +462,15 @@ def _far_part_infinite_side(m, zl_w, zr_w, c0, c1, nu_hat, x_anchor_right, cfg):
 
     zl_w, zr_w: near-zone radii at the start vertex (z_{n-1} = 1, from the
     right) and the end vertex (z_0 = -1, from the left).  The traversal runs
-    t from 1/(1+zl_w) down to -1/(1+zr_w); dz = -dt/t^2.
+    t from 1/(1+zl_w) down to -1/(1+zr_w); dz = -dt/t^2.  {x,z} is
+    evaluated in t, where it has no cancellation near z = infinity.
     """
     t_hi = 1.0 / (1.0 + zl_w)
     t_lo = -1.0 / (1.0 + zr_w)
     breaks = _graded_breaks(t_lo, t_hi, 0.3 * zr_w, 0.3 * zl_w)[::-1]  # t decreasing
     return _far_part(m, m.n - 1, breaks, lambda t: 1.0 / t, lambda t: -1.0 / t**2,
-                     c0, c1, nu_hat, x_anchor_right, cfg)
+                     lambda t: schwarzian_xz_inverted(m, t), c0, c1, nu_hat,
+                     x_anchor_right, cfg)
 
 
 def hadamard_boundary_integral(m, f, cfg=None):

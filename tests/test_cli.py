@@ -174,6 +174,29 @@ class TestDetCommand:
         csv_f.write_text(text)
         assert _load_spectrum(csv_f, side_f, build_polygon([0, 1, 1 + 1.1j, 1.1j])) is None
 
+    def test_cache_failing_the_weyl_check_is_recomputed(self, square_file, det_cfg_file,
+                                                         tmp_path, capsys):
+        # doubled eigenvalues keep the sidecar's row count and polygon hash,
+        # but their counting function is far off the Weyl law
+        cache = tmp_path / "cache"
+        args = ["--cfg", det_cfg_file, "--cache-dir", str(cache), "det", square_file]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        rep = json.loads(out)
+        counts = rep["diagnostics"]["sigma_evals"]
+        assert counts["grid"] > 0 and counts["refine"] > 0
+        (csv_f,) = cache.glob("spectrum_*.csv")
+        text = csv_f.read_text()
+        header, *rows = text.splitlines()
+        doubled = [f"{2 * float(lam)!r},{err}" for lam, err in (r.split(",") for r in rows)]
+        csv_f.write_text("\n".join([header, *doubled]) + "\n")
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        rep2 = json.loads(out)
+        assert not rep2["diagnostics"]["cache_hit"]
+        assert rep2["payload"] == rep["payload"]
+        assert csv_f.read_text() == text
+
     def test_tail_not_converged_exit_3(self, square_file, tmp_path, capsys):
         f = tmp_path / "badcfg.json"
         f.write_text(json.dumps({"zeta": {"tau0": 0.004, "tail_tol": 1e-9},

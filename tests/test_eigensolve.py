@@ -167,6 +167,81 @@ class TestCloseEigenvalues:
         assert new[0][0] == pytest.approx(sibling, rel=1e-8)
 
 
+class _SyntheticSigma(MPSSolver):
+    """An MPSSolver whose smallest singular value is the given curve of
+    lambda (the next three stay far from zero), for testing the refiner."""
+
+    def __init__(self, curve):
+        self.cfg = EigConfig()
+        self._stage = "grid"
+        self.curve = curve
+        self.evals = []
+        self.golden_at = []     # evaluations made before each bracket step
+
+    def sigmas(self, lam, count=2):
+        self.evals.append(lam)
+        return np.array([self.curve(lam), 0.5, 0.6, 0.7])[:count]
+
+    def _refine_golden(self, a, b, c):
+        self.golden_at.append(len(self.evals))
+        return super()._refine_golden(a, b, c)
+
+    def refine(self, a, b, c):
+        return self._refine_checked(a, b, c, *(self.curve(x) for x in (a, b, c)))
+
+
+class TestRefiner:
+    """_refine_checked on synthetic sigma curves about LAM, bracketed like a
+    grid triple (best sample in the middle) unless stated otherwise."""
+
+    LAM = 123.456789
+
+    def test_hyperbola_converges_in_few_evaluations(self):
+        s = _SyntheticSigma(lambda x: np.hypot(0.03 * (x - self.LAM), 1e-8))
+        lam, err, slope, sig = s.refine(self.LAM - 3.1, self.LAM + 0.7, self.LAM + 4.2)
+        assert abs(lam - self.LAM) <= 1e-11 * self.LAM
+        assert len(s.evals) <= 8
+        assert slope == pytest.approx(0.03, rel=1e-6)
+        assert sig[0] < 1e-7
+        assert err == pytest.approx(1e-8 / 0.03, rel=1e-6)   # sigma_min / s
+
+    def test_v_without_a_dip_returns_none(self):
+        s = _SyntheticSigma(lambda x: np.hypot(0.03 * (x - self.LAM), 0.1))
+        assert s.refine(self.LAM - 3.1, self.LAM + 0.7, self.LAM + 4.2) is None
+        assert len(s.evals) <= 5
+
+    @pytest.mark.parametrize("left, right", [(0.01, 0.04), (0.04, 0.01)])
+    def test_asymmetric_valley_converges(self, left, right):
+        def curve(x):
+            return np.hypot(np.where(x < self.LAM, left, right) * (x - self.LAM), 1e-8)
+
+        lam, err, _, _ = _SyntheticSigma(curve).refine(
+            self.LAM - 3.1, self.LAM + 0.7, self.LAM + 4.2)
+        assert abs(lam - self.LAM) <= min(err, 1e-8 * self.LAM)
+
+    def test_best_sample_at_an_end_takes_the_bracket_step(self):
+        s = _SyntheticSigma(lambda x: np.hypot(0.03 * (x - self.LAM), 1e-8))
+        a, b, c = self.LAM - 0.2, self.LAM + 2.0, self.LAM + 4.0
+        assert s.curve(a) < s.curve(b) < s.curve(c)
+        lam = s.refine(a, b, c)[0]
+        assert s.golden_at[0] == 0
+        assert abs(lam - self.LAM) <= 1e-11 * self.LAM
+
+
+def test_square_sweep_evaluation_budget():
+    # sigma evaluations per stage; the sweep made 1226 before sigma^2 was
+    # refined as a parabola
+    spec = dirichlet_eigenvalues(build_polygon([0, 1, 1 + 1j, 1j]), 350.0)
+    counts = spec.meta["sigma_evals"]
+    assert set(counts) == {"grid", "refine", "cover", "siblings", "audit", "rescan", "admit"}
+    assert sum(counts.values()) <= 900
+    exact = np.sort([np.pi**2 * (m * m + n * n) for m in range(1, 7) for n in range(1, 7)
+                     if np.pi**2 * (m * m + n * n) < 350.0])
+    got = spec.eigenvalue_array()
+    assert len(exact) == len(got) == 22
+    assert np.max(np.abs(got - exact) / exact) < 1e-10
+
+
 def test_right_isosceles_closed_form():
     # pi^2 (m^2 + n^2), m > n >= 1; 17 lie below 600 and the next is 602.05
     exact = np.sort([np.pi**2 * (m * m + n * n) for m in range(2, 9) for n in range(1, m)

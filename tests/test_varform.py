@@ -373,17 +373,17 @@ def _random_polygon_and_velocities(seed):
     return p, rng.normal(size=p.n) + 1j * rng.normal(size=p.n)
 
 
-def _close(a, b, tol=1e-8):
+def _close(a, b, tol=1e-9):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 class TestExactIdentities:
     """Identities main_formula must satisfy on every polygon and field.
 
-    They hold to about 1e-11 on most draws.  The tolerance is 1e-8 because
-    {x,z} loses digits to cancellation near z = infinity: on the scaling
-    draw seed = 4108, c = 1.5 a Gauss node of the side through infinity sits
-    at t = 1/z = -1.4e-5, and the identity is off by 1.1e-9.
+    They hold to about 1e-11 on most draws.  The side through z = infinity
+    evaluates {x,z} in t = 1/z, where it has no cancellation; in the z form,
+    the scaling draw seed = 4108, c = 1.5 (a Gauss node at t = -1.4e-5) was
+    off by 1.1e-9.
     """
 
     @settings(max_examples=5, deadline=None, derandomize=True, database=None)
