@@ -17,8 +17,7 @@ import numpy as np
 
 from . import validation
 from .config import RunConfig, Report, Timer, config_from_file
-from .eigensolve import (EigConfig, Spectrum, dirichlet_eigenvalues, polygon_hash,
-                         weyl_count_check)
+from .eigensolve import Spectrum, dirichlet_eigenvalues, polygon_hash, weyl_count_check
 from .errors import NumericalFailure, ValidationFailure
 from .geometry import field_from_json_dict, polygon_from_json_dict
 from .scmap import SCMap, solve_parameter_problem
@@ -89,12 +88,11 @@ def _write_replacing(path, text):
         raise
 
 
-def _load_spectrum(csv_f, side_f, p, c_w=EigConfig.weyl_cw):
+def _load_spectrum(csv_f, side_f, p):
     """The cached spectrum, or None unless both files exist, the CSV is
     complete (ends in a newline, two fields a row), its row count and
     polygon hash match the sidecar and its eigenvalues pass the Weyl count
-    check with band constant c_w (the sidecar's stored check is not
-    trusted)."""
+    check (the sidecar's stored check is not trusted)."""
     if not (csv_f.exists() and side_f.exists()):
         return None
     side = json.loads(side_f.read_text())
@@ -105,7 +103,7 @@ def _load_spectrum(csv_f, side_f, p, c_w=EigConfig.weyl_cw):
             or side.get("polygon_hash") != polygon_hash(p)):
         return None
     eigs = [float(r[0]) for r in rows]
-    check = weyl_count_check(p, eigs, side["lambda_max"], c_w)
+    check = weyl_count_check(p, eigs, side["lambda_max"])
     if not check["ok"]:
         return None
     return Spectrum(eigenvalues=tuple(eigs),
@@ -121,7 +119,7 @@ def _spectrum_cached(p, lam_max, cfg, cache):
     if cache:
         csv_f = Path(cache) / (key + ".csv")
         side_f = Path(cache) / (key + ".json")
-        spec = _load_spectrum(csv_f, side_f, p, cfg.eig.weyl_cw)
+        spec = _load_spectrum(csv_f, side_f, p)
         if spec is not None:
             return spec, True
     spec = dirichlet_eigenvalues(p, lam_max, cfg.eig)
@@ -263,8 +261,6 @@ def build_parser():
     ap.add_argument("--out", help="write the report to this file")
     ap.add_argument("--format", choices=["json", "csv"], default="json")
     ap.add_argument("--cache-dir", help="cache directory (env POLYDET_CACHE)")
-    ap.add_argument("--threads", type=int,
-                    help="grid-sweep workers (overrides eig.threads)")
     ap.add_argument("--seed", type=int,
                     help="seed for randomized collocation points (overrides eig.seed)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -290,10 +286,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_file(args.cfg) if args.cfg else RunConfig()
-        given = {k: v for k, v in (("seed", args.seed), ("threads", args.threads))
-                 if v is not None}
-        if given:
-            cfg = dataclasses.replace(cfg, eig=dataclasses.replace(cfg.eig, **given))
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, eig=dataclasses.replace(cfg.eig, seed=args.seed))
         if args.command == "validate":
             report, code = cmd_validate(args, cfg)
             _emit(report, args)

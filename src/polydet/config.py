@@ -65,9 +65,7 @@ class RunConfig:
             raise ValidationFailure(
                 f"lambda_max {lam_max:.1f} below 10x the first-eigenvalue "
                 f"estimate {lam1_est:.1f}")
-        zcfg = ZetaConfig(tau0=tau0, tail_tol=self.zeta.tail_tol,
-                          require_weyl=self.zeta.require_weyl)
-        return lam_max, zcfg
+        return lam_max, dataclasses.replace(self.zeta, tau0=tau0)
 
 
 def config_from_file(path):
@@ -83,8 +81,7 @@ def config_from_file(path):
 
 
 # JSON value types accepted for each scalar field type (bool is not a number)
-_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
-               bool: (bool, "true or false")}
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer")}
 
 
 def _checked(cls, raw, prefix):
@@ -109,7 +106,7 @@ def _checked(cls, raw, prefix):
         types, what = _JSON_TYPES[f.type]
         if v is None and f.default is None:
             continue
-        if isinstance(v, bool) is not (f.type is bool) or not isinstance(v, types):
+        if isinstance(v, bool) or not isinstance(v, types):
             raise ValidationFailure(
                 f"config key {prefix}{f.name} must be {what}, not {json.dumps(v)}")
         if f.type is float:

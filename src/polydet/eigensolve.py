@@ -17,7 +17,6 @@ MissedEigenvalue rather than silently returning a thinned spectrum.
 
 import functools
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,24 +35,29 @@ from .quadrature import leggauss
 
 @dataclass(frozen=True)
 class EigConfig:
-    points_per_wavelength: float = 8.0
-    basis_safety: float = 1.3
-    basis_min: int = 14
-    basis_extra: int = 4            # added on top of the wavenumber estimate
-    interior_factor: float = 0.8
-    interior_min: int = 60
-    seed: int = 1234
-    grid_per_gap: float = 3.0       # sweep points per mean eigenvalue gap
-    refine_xtol: float = 1e-11      # relative bracket tolerance
-    mult_tol: float = 1e-3          # sigma threshold for multiplicity count
-    weyl_cw: float = 3.0            # alarm band is +-(C_W + 3)
-    gap_tol: float = 1e-6           # simplicity gap for Hadamard variations
-    rtol: float = 1e-12             # QR column drop tolerance (1e-14 makes the
-                                    # numerical rank jitter with lambda and
-                                    # puts noise on the sigma dips)
-    max_rescans: int = 2
-    dip_threshold: float = 0.35     # grid values below this may hide a dip
-    threads: int = 1                # parallel workers for the grid sweep
+    seed: int = 1234                # of the interior collocation points
+
+
+# basis and collocation sizes
+_POINTS_PER_WAVELENGTH = 8.0
+_BASIS_SAFETY = 1.3
+_BASIS_MIN = 14
+_BASIS_EXTRA = 4                # added on top of the wavenumber estimate
+_INTERIOR_FACTOR = 0.8
+_INTERIOR_MIN = 60
+# sweep, refinement and counting
+_GRID_PER_GAP = 3.0             # sweep points per mean eigenvalue gap
+_REFINE_XTOL = 1e-11            # relative bracket tolerance
+_MULT_TOL = 1e-3                # sigma threshold for multiplicity count
+_RTOL = 1e-12                   # QR column drop tolerance (1e-14 makes the
+                                # numerical rank jitter with lambda and
+                                # puts noise on the sigma dips)
+_GAP_TOL = 1e-6                 # simplicity gap for Hadamard variations
+_WEYL_CW = 3.0                  # alarm band is +-(C_W + 3)
+_MAX_RESCANS = 2
+_DIP_THRESHOLD = 0.35           # grid values below this may hide a dip
+_SIGMA_NOISE = 1e-14            # absolute noise of a computed sigma
+_MAX_REFINE_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -89,17 +93,17 @@ def weyl_two_term(p, lam):
     return (p.area * lam - p.perimeter * np.sqrt(np.maximum(lam, 0.0))) / (4 * np.pi)
 
 
-def weyl_count_check(p, eigs, lambda_max, c_w=3.0):
+def weyl_count_check(p, eigs, lambda_max):
     """Deviation of the counting function from the two-term Weyl law.
 
     Checked just below and above every eigenvalue and at the cutoff; the
-    allowed band is +-(c_w + 3).
+    allowed band is +-(C_W + 3), C_W = _WEYL_CW.
     """
     eigs = np.sort(np.asarray(eigs, dtype=float))
     k, w = np.arange(len(eigs)), weyl_two_term(p, eigs)
     # N(lam - 0) and N(lam + 0) at every eigenvalue, and N at the cutoff
     devs = np.concatenate([k - w, k + 1 - w, [len(eigs) - weyl_two_term(p, lambda_max)]])
-    band = c_w + 3.0
+    band = _WEYL_CW + 3.0
     worst = float(np.max(np.abs(devs)))
     return {"max_abs_dev": worst, "band": band, "ok": bool(worst <= band)}
 
@@ -303,9 +307,7 @@ def _interior_points(p, count, seed):
 
 
 # stages of a sweep; a sigma evaluation is counted under the innermost one
-_STAGES = ("grid", "refine", "cover", "siblings", "audit", "rescan", "admit")
-_SIGMA_NOISE = 1e-14        # absolute noise of a computed sigma
-_MAX_REFINE_STEPS = 40
+_STAGES = ("grid", "refine", "cover", "siblings", "audit", "rescan")
 
 
 def _stage(name):
@@ -336,16 +338,16 @@ class MPSSolver:
         for i in range(p.n):
             reach = max(abs(p.vertices[i] - q) for q in p.vertices)
             # the fan must reach angular wavenumber ~ sqrt(lam) * reach
-            n_i = int(np.ceil(self.cfg.basis_safety * p.angles[i] * rt * reach / np.pi))
-            orders.append(max(self.cfg.basis_min, n_i + self.cfg.basis_extra))
+            n_i = int(np.ceil(_BASIS_SAFETY * p.angles[i] * rt * reach / np.pi))
+            orders.append(max(_BASIS_MIN, n_i + _BASIS_EXTRA))
         self.orders = orders
         self.basis = _CornerBasis(p, orders, u_max=rt * diam)
         wavelength = 2 * np.pi / rt
-        n_side = [max(12, int(np.ceil(self.cfg.points_per_wavelength * L / wavelength)),
+        n_side = [max(12, int(np.ceil(_POINTS_PER_WAVELENGTH * L / wavelength)),
                       int(np.ceil(1.2 * max(orders))))
                   for L in p.side_lengths]
         self.bpts = _boundary_points(p, n_side)
-        n_int = max(self.cfg.interior_min, int(self.cfg.interior_factor * sum(orders)))
+        n_int = max(_INTERIOR_MIN, int(_INTERIOR_FACTOR * sum(orders)))
         self.ipts = _interior_points(p, n_int, self.cfg.seed)
         self.pts = np.concatenate([self.bpts, self.ipts])
         self.m_b = len(self.bpts)
@@ -354,6 +356,8 @@ class MPSSolver:
         # below the Faber-Krahn bound the basis degenerates numerically and
         # produces spurious sigma ~ 0 plateaus; never sweep there
         self._lam_lo = 0.95 * self.faber_krahn_bound()
+        # grid step: the mean eigenvalue gap 4 pi / area over _GRID_PER_GAP
+        self.step = 4 * np.pi / p.area / _GRID_PER_GAP
         self._dips = {}         # located eigenvalue -> (V slope, next sigma)
         self._probed = set()    # located eigenvalues already probed for a sibling
         self._stage = "grid"
@@ -364,7 +368,7 @@ class MPSSolver:
         """SVD of the boundary rows of the orthonormalized basis at lam.
 
         The columns are normalized, orthonormalized by pivoted QR and
-        truncated at the numerical rank (cfg.rtol).  Returns the singular
+        truncated at the numerical rank (_RTOL).  Returns the singular
         values in ascending order, and with ``vectors`` also
         (Vh, R, piv, cutoff, norms, good), which map right singular vectors
         back to basis coefficients.
@@ -377,7 +381,7 @@ class MPSSolver:
         A = A[:, good] / norms[good]
         Q, R, piv = la.qr(A, mode="economic", pivoting=True)
         r = np.abs(np.diag(R))
-        cutoff = int((r > r[0] * self.cfg.rtol).sum())
+        cutoff = int((r > r[0] * _RTOL).sum())
         if not vectors:
             return la.svd(Q[: self.m_b, :cutoff], compute_uv=False)[::-1]
         _, s, Vh = la.svd(Q[: self.m_b, :cutoff])
@@ -391,19 +395,13 @@ class MPSSolver:
         return float(self.sigmas(lam, count=1)[0])
 
     def _sigma_batch(self, lams):
-        """sigma over many lambdas, threaded when cfg.threads > 1 (LAPACK and
-        the Bessel ufuncs release the GIL; the order-preserving map keeps the
-        result deterministic)."""
-        if self.cfg.threads <= 1:
-            return [self.sigma(l) for l in lams]
-        self.sigma_evals[self._stage] += len(lams)     # not counted by the workers
-        with ThreadPoolExecutor(max_workers=self.cfg.threads) as pool:
-            return list(pool.map(lambda l: float(self._boundary_svd(l)[0]), lams))
+        """sigma at every lambda of a grid pass."""
+        return [self.sigma(l) for l in lams]
 
     def _nullspace_coeffs(self, lam):
         """Coefficient vectors of the (near-)null space at an eigenvalue."""
         s, (Vh, R, piv, cutoff, norms, good) = self._boundary_svd(lam, vectors=True)
-        mult = int((s < self.cfg.mult_tol).sum())
+        mult = int((s < _MULT_TOL).sum())
         if mult == 0:
             raise DegenerateEigenvalue(
                 f"lambda={lam:.8e} is not an eigenvalue to tolerance (sigma={s[0]:.2e})")
@@ -415,17 +413,12 @@ class MPSSolver:
         return full, s
 
     # -- sweep --------------------------------------------------------------
-    def mean_gap(self):
-        return 4 * np.pi / self.p.area
-
     def faber_krahn_bound(self):
         """Rigorous lower bound on lambda_1: pi j_01^2 / area."""
         return np.pi * 5.783185962946785 / self.p.area
 
     def solve(self):
-        cfg = self.cfg
-        step = self.mean_gap() / cfg.grid_per_gap
-        grid = np.arange(self._lam_lo, self.lambda_max + step, step)
+        grid = np.arange(self._lam_lo, self.lambda_max + self.step, self.step)
         vals = np.array(self._sigma_batch(grid))
         eigs, errs = [], []
         self._scan(grid, vals, eigs, errs)
@@ -437,17 +430,17 @@ class MPSSolver:
         eigs, errs = self._find_siblings(eigs, errs)
         # local Weyl audit: a deficit of ~1 between consecutive found
         # eigenvalues pinpoints a miss that the global band cannot see
-        eigs, errs = self._audit_gaps(self._lam_lo, eigs, errs)
+        eigs, errs = self._audit_gaps(eigs, errs)
 
         order = np.argsort(eigs)
         eigs, errs = np.asarray(eigs)[order], np.asarray(errs)[order]
 
-        check = weyl_count_check(self.p, eigs, self.lambda_max, cfg.weyl_cw)
+        check = weyl_count_check(self.p, eigs, self.lambda_max)
         rescans = 0
-        while not check["ok"] and rescans < cfg.max_rescans:
+        while not check["ok"] and rescans < _MAX_RESCANS:
             rescans += 1
             eigs, errs = self._rescan(grid, eigs, errs)
-            check = weyl_count_check(self.p, eigs, self.lambda_max, cfg.weyl_cw)
+            check = weyl_count_check(self.p, eigs, self.lambda_max)
         if not check["ok"]:
             raise MissedEigenvalue(
                 f"Weyl count deviates by {check['max_abs_dev']:.2f} (band {check['band']})")
@@ -475,12 +468,12 @@ class MPSSolver:
         is not convex, the vertex leaves the bracket or the last sample missed
         the model by over 10 % of the best sigma^2.  A sample within 10 % of
         its predicted sigma^2 (or the noise) confirms the model; the refiner
-        stops when the next vertex is within cfg.refine_xtol (relative) of a
+        stops when the next vertex is within _REFINE_XTOL (relative) of a
         confirmed sample, or within what the noise in sigma resolves.
 
         Returns (lambda*, error estimate, V slope s, the four smallest
         singular values there), or None when (a, c) holds no eigenvalue: a
-        confirmed minimum of at least 10 cfg.mult_tol, or one beyond an end.
+        confirmed minimum of at least 10 _MULT_TOL, or one beyond an end.
         """
         xs, fs = [a, b, c], [fa, fb, fc]
         sig = {}                # sampled point -> its smallest singular values
@@ -491,7 +484,7 @@ class MPSSolver:
             x_b, f_b = xs[k], fs[k]
             j = min(max(k, 1), len(xs) - 2)         # middle of the fitted three
             A, vertex, q_vertex = _parabola(xs[j - 1:j + 2], fs[j - 1:j + 2])
-            tol = self.cfg.refine_xtol * max(abs(x_b), 1.0)
+            tol = _REFINE_XTOL * max(abs(x_b), 1.0)
             if A > 0:           # sigma^2 noise hides the vertex within this
                 tol = max(tol, np.sqrt(2 * _SIGMA_NOISE * f_b / A))
             if k in (0, len(xs) - 1):               # the best sample is an end
@@ -519,7 +512,7 @@ class MPSSolver:
                     - 1e-15 * max(fs[j - 1:j + 2]) ** 2
                 agreed = miss <= 0.1 * f_b * f_b
                 if miss <= 0.1 * max(q_vertex, 0.0):
-                    if f_x >= 10 * self.cfg.mult_tol:
+                    if f_x >= 10 * _MULT_TOL:
                         return None
                     confirmed, slope = x, float(np.sqrt(A))
             i = int(np.searchsorted(xs, x))
@@ -534,7 +527,7 @@ class MPSSolver:
         lam = xs[k] if lam is None else lam
         if slope is None:                   # the V through the bracket
             slope = (fs[k - 1] + fs[k + 1]) / (xs[k + 1] - xs[k - 1])
-        err = max(self.cfg.refine_xtol * abs(lam), s_b[0] / slope)
+        err = max(_REFINE_XTOL * abs(lam), s_b[0] / slope)
         return float(lam), float(err), float(slope), s_b
 
     def _refine_golden(self, a, b, c):
@@ -551,17 +544,16 @@ class MPSSolver:
         the strict local-minimum pattern on the grid can miss when clusters
         are tighter than the grid.
         """
-        cfg = self.cfg
         eigs, errs = list(eigs), list(errs)
         for k in range(len(grid) - 1):
-            if min(vals[k], vals[k + 1]) >= cfg.dip_threshold:
+            if min(vals[k], vals[k + 1]) >= _DIP_THRESHOLD:
                 continue
             if any(grid[k] <= e <= grid[k + 1] for e in eigs):
                 continue
             probes = grid[k] + (grid[k + 1] - grid[k]) * np.array([0.25, 0.5, 0.75])
             v_probes = np.array([self.sigma(x) for x in probes])
             j = int(np.argmin(v_probes))
-            if min(v_probes[j], vals[k], vals[k + 1]) >= cfg.dip_threshold:
+            if min(v_probes[j], vals[k], vals[k + 1]) >= _DIP_THRESHOLD:
                 continue
             # an innocent interval (pure slope of some outside dip) is affine
             # in lambda; curvature in the five samples flags a hidden dip
@@ -575,13 +567,12 @@ class MPSSolver:
                         eigs, errs)
         return eigs, errs
 
-    @_stage("admit")
     def _admit(self, found, eigs, errs):
         """Append a dip found by _refine_checked, with the singular values it
         sampled there, to (eigs, errs) once per multiplicity.
 
         None, a point outside [lam_lo, lambda_max], a point where no singular
-        value falls below cfg.mult_tol and a dip already located are
+        value falls below _MULT_TOL and a dip already located are
         rejected.  Records the V slope and the next singular value above the
         multiplicity, which _find_siblings reads.  Returns the copies added.
         """
@@ -590,7 +581,7 @@ class MPSSolver:
         lam, err, slope, sig = found
         if not self._lam_lo <= lam <= self.lambda_max or _is_duplicate(lam, err, eigs, errs):
             return 0
-        mult = int((sig < self.cfg.mult_tol).sum())
+        mult = int((sig < _MULT_TOL).sum())
         if mult:
             self._dips[lam] = (slope, float(sig[mult]) if mult < len(sig) else np.inf)
         eigs.extend([lam] * mult)
@@ -610,7 +601,6 @@ class MPSSolver:
         shadowed sibling.
         """
         eigs, errs = list(eigs), list(errs)
-        step = self.mean_gap() / self.cfg.grid_per_gap
         pending = True
         while pending:
             pending = False
@@ -620,7 +610,7 @@ class MPSSolver:
                 slope, s_next = self._dips[lam]
                 dist = min((abs(e - lam) for e in eigs if e != lam), default=np.inf)
                 d_est = s_next / slope
-                if d_est < step and d_est < 0.3 * dist:
+                if d_est < self.step and d_est < 0.3 * dist:
                     pending = self._probe_sibling(lam, eigs, errs) > 0 or pending
         return eigs, errs
 
@@ -637,22 +627,21 @@ class MPSSolver:
         copies added.
         """
         self._probed.add(lam)
-        step = self.mean_gap() / self.cfg.grid_per_gap
         k = sum(1 for e in eigs if e == lam)
         if lam in self._dips:
             slope, s0 = self._dips[lam]
         else:
             s0 = self.sigmas(lam, count=k + 1)[k]
-            slope = self.sigma(lam + 0.01 * step) / (0.01 * step)
+            slope = self.sigma(lam + 0.01 * self.step) / (0.01 * self.step)
         # delta small enough that lam's own V stays below the sibling's
-        delta = min(0.02 * step, 0.25 * s0 / slope)
+        delta = min(0.02 * self.step, 0.25 * s0 / slope)
         lo = self.sigmas(lam - delta, count=k + 1)[k]
         hi = self.sigmas(lam + delta, count=k + 1)[k]
         s2 = abs(hi - lo) / (2 * delta)
         if s2 <= 0:
             return 0
         d = s0 / s2
-        if not delta < d < step:
+        if not delta < d < self.step:
             return 0
         side = 1.0 if hi < lo else -1.0
         a, b, c = (lam + side * 0.5 * d, lam + side * d, lam + side * 1.5 * d)
@@ -661,11 +650,15 @@ class MPSSolver:
             return 0
         if side < 0:
             a, fa, c, fc = c, fc, a, fa
-        return self._admit(self._refine_checked(a, b, c, fa, fb, fc), eigs, errs)
+        added = self._admit(self._refine_checked(a, b, c, fa, fb, fc), eigs, errs)
+        if added:
+            # probing the sibling would refine back onto lam
+            self._probed.add(eigs[-1])
+        return added
 
     def _scan(self, xs, vals, eigs, errs):
         """Refine the local minima of the sigma values ``vals`` sampled at the
-        sorted points ``xs`` that fall below cfg.dip_threshold.
+        sorted points ``xs`` that fall below _DIP_THRESHOLD.
 
         The V-shapes of the eigenvalues located within one scan width of the
         samples are divided out first, so a dip next to a located eigenvalue
@@ -687,7 +680,7 @@ class MPSSolver:
         added = 0
         for k in range(1, len(xs) - 1):
             if not (dvals[k] <= dvals[k - 1] and dvals[k] <= dvals[k + 1]
-                    and vals[k] < self.cfg.dip_threshold):
+                    and vals[k] < _DIP_THRESHOLD):
                 continue
             if vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1]:
                 found = self._refine_checked(
@@ -708,7 +701,7 @@ class MPSSolver:
             added += n_new
         return added
 
-    def search_window(self, lo, hi, eigs, n=13):
+    def search_window(self, lo, hi, eigs):
         """Eigenvalues in [lo, hi] missing from the list ``eigs``.
 
         Every eigenvalue of ``eigs`` inside the window is probed for a
@@ -719,12 +712,12 @@ class MPSSolver:
         for lam in sorted(set(e for e in eigs if lo <= e <= hi)):
             if lam not in self._probed:
                 self._probe_sibling(lam, found, errs)
-        xs = np.linspace(lo, hi, n)
+        xs = np.linspace(lo, hi, 13)
         self._scan(xs, np.array([self.sigma(x) for x in xs]), found, errs)
         return list(zip(found[len(eigs):], errs[len(eigs):]))
 
     @_stage("audit")
-    def _audit_gaps(self, lam_lo, eigs, errs, max_rounds=2):
+    def _audit_gaps(self, eigs, errs):
         """Scan gaps whose local Weyl count falls short by about one.
 
         The two-term Weyl count between consecutive located eigenvalues
@@ -737,9 +730,9 @@ class MPSSolver:
         by no three-point pattern.
         """
         eigs, errs = list(eigs), list(errs)
-        for _ in range(max_rounds):
+        for _ in range(2):
             e_sorted = sorted(eigs)
-            bounds = [lam_lo] + e_sorted + [self.lambda_max]
+            bounds = [self._lam_lo] + e_sorted + [self.lambda_max]
             found_new = False
             for a, b in zip(bounds[:-1], bounds[1:]):
                 if b - a < 1e-9 * self.lambda_max:
@@ -866,11 +859,10 @@ def hadamard_eigenvalue_variation(p, f, j, cfg=None):
     """First variation of the j-th (1-based) Dirichlet eigenvalue:
     -(boundary integral of (d_nu u_j)^2 (A.nu)) for an L2-normalized u_j.
 
-    Requires lambda_j simple within cfg.gap_tol; for clusters the caller
+    Requires lambda_j simple within _GAP_TOL; for clusters the caller
     should sum the variation over the cluster (DegenerateEigenvalue is
     raised here).
     """
-    cfg = cfg or EigConfig()
     # sweep a bit beyond the Weyl estimate for lambda_{j+1}
     lam_max = _weyl_kth(p, j + 2) * 1.25
     solver = MPSSolver(p, lam_max, cfg)
@@ -886,9 +878,9 @@ def hadamard_eigenvalue_variation(p, f, j, cfg=None):
         lam - eigs[j - 2] if j >= 2 else np.inf,
         eigs[j] - lam if j < len(eigs) else np.inf,
     )
-    if gap < cfg.gap_tol:
+    if gap < _GAP_TOL:
         raise DegenerateEigenvalue(
-            f"lambda_{j} = {lam:.6f} has neighbor gap {gap:.2e} < {cfg.gap_tol}; "
+            f"lambda_{j} = {lam:.6f} has neighbor gap {gap:.2e} < {_GAP_TOL}; "
             "sum the variation over the cluster instead")
     _, C = solver.eigenfunction(lam)
     if C.shape[1] != 1:

@@ -39,7 +39,6 @@ from .quadrature import jacgauss, leggauss, panel_nodes
 class SCConfig:
     quad_order: int = 24
     quad_tol: float = 1e-10
-    solver_tol: float = 1e-12
     solver_max_iter: int = 200
     newton_tol: float = 1e-12
     newton_max_iter: int = 40
@@ -180,16 +179,31 @@ def integrate_sc_segment(zk, g, a, b, sing_index=None, order=24, prefactor=1.0):
     return prefactor * total
 
 
+def _interval_integrals(zk, g, order):
+    """Integral of prod (zeta - z_k)^{g_k} over each finite prevertex
+    interval [z_k, z_{k+1}], split at the midpoint so each half is anchored
+    at its own endpoint singularity."""
+    out = np.empty(len(zk) - 1, dtype=complex)
+    for k in range(len(zk) - 1):
+        mid = 0.5 * (zk[k] + zk[k + 1])
+        out[k] = (integrate_sc_segment(zk, g, zk[k], mid, sing_index=k, order=order)
+                  - integrate_sc_segment(zk, g, zk[k + 1], mid, sing_index=k + 1, order=order))
+    return out
+
+
+def _vertex_chain(base, C, segs):
+    """Vertex images base, base + C segs[0], ...: running sums in order."""
+    xs = [base]
+    for seg in segs:
+        xs.append(xs[-1] + C * seg)
+    return np.asarray(xs)
+
+
 def _mapped_side_lengths(zk, g, order):
     """|integral of the SC derivative| over each finite prevertex interval."""
-    n = len(zk)
-    out = np.empty(n - 1)
-    for k in range(n - 1):
-        mid = 0.5 * (zk[k] + zk[k + 1])
-        left = integrate_sc_segment(zk, g, zk[k], mid, sing_index=k, order=order)
-        right = integrate_sc_segment(zk, g, zk[k + 1], mid, sing_index=k + 1, order=order)
-        out[k] = abs(left - right)
-    return out
+    segs = _interval_integrals(zk, g, order)
+    # abs() of each element; np.abs of a complex array rounds differently
+    return np.hypot(segs.real, segs.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +274,11 @@ def solve_parameter_problem(p, cfg=None):
     if gaps.min() < 1e-12:
         warnings.warn(f"prevertex gap {gaps.min():.3e} below 1e-12", CrowdingWarning)
 
-    # fix C and the base point from the first side, split so each half is
-    # anchored at its own endpoint singularity
-    mid = 0.5 * (zk[0] + zk[1])
-    side1 = (integrate_sc_segment(zk, g, zk[0], mid, sing_index=0, order=cfg.quad_order)
-             - integrate_sc_segment(zk, g, zk[1], mid, sing_index=1, order=cfg.quad_order))
+    # fix C and the base point from the first side, and verify the mapped
+    # vertices against the target polygon
+    segs = _interval_integrals(zk, g, cfg.quad_order)
     verts = p.vertex_array()
-    C = (verts[1] - verts[0]) / side1
+    C = (verts[1] - verts[0]) / segs[0]
 
     m = SCMap(
         prevertices=tuple(float(z) for z in zk),
@@ -276,9 +288,7 @@ def solve_parameter_problem(p, cfg=None):
         polygon=p,
         residual=resid,
     )
-
-    # verify mapped vertices against the target polygon
-    xk = _mapped_vertices(m, cfg.quad_order)
+    xk = _vertex_chain(m.base_point, m.prefactor, segs)
     err = np.max(np.abs(xk - verts)) / max(1.0, float(np.max(np.abs(verts))))
     if err > cfg.quad_tol * 100:
         raise NoConvergence(f"mapped vertices off by {err:.3e}", residual=err)
@@ -290,15 +300,8 @@ def solve_parameter_problem(p, cfg=None):
 
 
 def _mapped_vertices(m, order=24):
-    zk = m.prevertex_array()
-    g = np.asarray(m.exponents)
-    xs = [m.base_point]
-    for k in range(m.n - 1):
-        mid = 0.5 * (zk[k] + zk[k + 1])
-        seg = (integrate_sc_segment(zk, g, zk[k], mid, sing_index=k, order=order)
-               - integrate_sc_segment(zk, g, zk[k + 1], mid, sing_index=k + 1, order=order))
-        xs.append(xs[-1] + m.prefactor * seg)
-    return np.asarray(xs)
+    segs = _interval_integrals(m.prevertex_array(), np.asarray(m.exponents), order)
+    return _vertex_chain(m.base_point, m.prefactor, segs)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def check_corner_constant():
     return [_record("3 corner constant contour vs closed form", worst, 1e-8)]
 
 
-def check_rectangle_oracle(fast=False):
+def check_rectangle_oracle():
     """Criterion 4: MPS + zeta pipeline vs the exact rectangle formula."""
     recs = []
     cases = [((1.0, 1.0), 560.0, 0.05), ((2.0, 1.0), 520.0, 0.048)]

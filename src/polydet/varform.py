@@ -130,7 +130,6 @@ class VarConfig:
     match_frac: float = 0.25     # near-zone radius, fraction of the prevertex gap
     eps_frac: float = 1e-3       # Hadamard eps, fraction of the min side length
     arc_frac: float = 0.1        # contour-shift arc radius, fraction of the gap
-    arc_order: int = 64
     gl_order: int = 20
     fp_order: int = 48
     counterterm_tol: float = 1e-5
@@ -158,7 +157,7 @@ def corner_constant(beta):
     return (beta / (2 * np.pi) - 2 * np.pi / beta) / (6 * beta)
 
 
-def corner_constant_by_contour(beta, n_panel=40, order=20, x_cross=None):
+def corner_constant_by_contour(beta, order=20, x_cross=None):
     """Contour-integral evaluation of the cone-angle constant.
 
     Integrates cot(theta/2) / sin^2(pi theta / beta) along two contours that
@@ -587,7 +586,7 @@ def main_formula(p, m, f, cfg=None):
     )
 
 
-def contour_shift_integral(m, f, cfg=None, arc_frac=None):
+def contour_shift_integral(m, f, cfg=None):
     """Shift-route value of d(log det) for a pure parallel-shift field.
 
     The field must be constant on each active side ((A.nu) = c0, c1 = 0) and
@@ -597,7 +596,6 @@ def contour_shift_integral(m, f, cfg=None, arc_frac=None):
     the interior contour integral of {z,x} along that arc.
     """
     cfg = cfg or VarConfig()
-    arc_frac = arc_frac if arc_frac is not None else cfg.arc_frac
     p = m.polygon
     n = p.n
     zk = m.prevertex_array()
@@ -617,8 +615,8 @@ def contour_shift_integral(m, f, cfg=None, arc_frac=None):
         nu_hat = p.side_normal(j)
         tau = p.side_tangent(j)
         theta_s = np.angle(tau)
-        eps_s = arc_frac * min(m.gap(j), 1.0)
-        eps_e = arc_frac * min(m.gap(j + 1), 1.0)
+        eps_s = cfg.arc_frac * min(m.gap(j), 1.0)
+        eps_e = cfg.arc_frac * min(m.gap(j + 1), 1.0)
         interval = zk[j + 1] - zk[j]
         eps_s = min(eps_s, 0.3 * interval)
         eps_e = min(eps_e, 0.3 * interval)
@@ -645,14 +643,13 @@ def contour_shift_integral(m, f, cfg=None, arc_frac=None):
     return float(total)
 
 
-def _arc_integral(m, i, eps, order=None):
+def _arc_integral(m, i, eps):
     """int over the half-plane arc around prevertex i of {z,x} dx, traversed
     from angle pi to 0 (earlier boundary point to later)."""
     i = i % m.n
     if eps >= m.gap(i):
         raise ContourThroughVertex(f"arc radius {eps} reaches a neighboring prevertex")
-    order = order or 64
-    th, w = gl_nodes(np.pi, 0.0, order)
+    th, w = gl_nodes(np.pi, 0.0, 64)
     z = m.prevertices[i] + eps * np.exp(1j * th)
     integrand = -schwarzian_xz(m, z) / sc_derivative(m, z) * (1j * eps * np.exp(1j * th))
     return np.sum(w * integrand)

@@ -41,9 +41,8 @@ EULER_GAMMA = 0.57721566490153286061
 
 @dataclass(frozen=True)
 class ZetaConfig:
-    tau0: float = None          # default 0.1 / lambda_1
+    tau0: float = None          # None in a RunConfig: pipeline_zeta sets (2A/P)^2/14
     tail_tol: float = 1e-4      # TailNotConverged threshold on the doubling diagnostics
-    require_weyl: bool = True
 
 
 @dataclass(frozen=True)
@@ -116,22 +115,25 @@ def _logdet_value(eigs, h, tau0, lam_max, tail=True):
     return val
 
 
-def zeta_logdet(spectrum, h, cfg=None):
-    """log det from a truncated Spectrum plus heat-trace completion.
+def zeta_logdet(spectrum, h, cfg):
+    """log det from a truncated Spectrum plus heat-trace completion, split
+    at cfg.tau0 (which must be set).  A spectrum that failed its Weyl count
+    check is refused.
 
     Diagnostics: the value is recomputed with tau0 doubled and with the
     spectrum truncated at lambda_max/2 (tail model taking over earlier); the
     two shifts bound the scheme's sensitivity and their sum is the error
     estimate.
     """
-    cfg = cfg or ZetaConfig()
     eigs = spectrum.eigenvalue_array()
     if len(eigs) == 0:
         raise ValidationFailure("empty spectrum")
-    if cfg.require_weyl and not spectrum.count_check.get("ok", False):
+    if not spectrum.count_check.get("ok", False):
         raise ValidationFailure("spectrum failed its Weyl count check")
+    if cfg.tau0 is None:
+        raise ValidationFailure("tau0 is not set; RunConfig.pipeline_zeta chooses it")
     lam_max = spectrum.lambda_max
-    tau0 = cfg.tau0 if cfg.tau0 is not None else 0.1 / eigs[0]
+    tau0 = cfg.tau0
 
     value = _logdet_value(eigs, h, tau0, lam_max)
     v_tau2 = _logdet_value(eigs, h, 2 * tau0, lam_max)

@@ -1,13 +1,19 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polydet
 from polydet.cli import main
 from polydet.config import RunConfig, config_from_file
 from polydet.eigensolve import EigConfig
 from polydet.errors import ValidationFailure
-from polydet.zetadet import rectangle_logdet_exact
+from polydet.scmap import SCConfig
+from polydet.varform import VarConfig
+from polydet.zetadet import ZetaConfig, rectangle_logdet_exact
 
 
 @pytest.fixture
@@ -49,7 +55,12 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("raw, key", [({"lambda_mx": 100}, "lambda_mx"),
                                           ({"eig": {"sead": 3}}, "eig.sead"),
-                                          ({"threads": 2}, "threads")])
+                                          ({"threads": 2}, "threads"),
+                                          ({"eig": {"threads": 2}}, "eig.threads"),
+                                          ({"eig": {"dip_threshold": 0.3}},
+                                           "eig.dip_threshold"),
+                                          ({"zeta": {"require_weyl": True}},
+                                           "zeta.require_weyl")])
     def test_unknown_key_exits_2(self, raw, key, square_file, tmp_path, capsys):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(raw))
@@ -61,7 +72,6 @@ class TestRunConfig:
         ({"var": {"gl_order": "20"}}, 'var.gl_order must be an integer, not "20"'),
         ({"sc": {"quad_order": 24.0}}, "sc.quad_order must be an integer, not 24.0"),
         ({"eig": {"seed": True}}, "eig.seed must be an integer, not true"),
-        ({"zeta": {"require_weyl": 1}}, "zeta.require_weyl must be true or false, not 1"),
         ({"fd_step": None}, "fd_step must be a number, not null")])
     def test_wrong_value_type_exits_2(self, raw, message, square_file, tmp_path, capsys):
         f = tmp_path / "cfg.json"
@@ -77,17 +87,30 @@ class TestRunConfig:
         assert cfg.lambda_max is None and cfg.zeta.tau0 is None
         assert cfg.hash() == RunConfig().hash()
 
-    def test_seed_and_threads_override_eig(self, square_file, tmp_path, capsys):
-        code, out = run_cli(["--seed", "7", "--threads", "2", "scmap", square_file], capsys)
+    def test_seed_overrides_eig(self, square_file, tmp_path, capsys):
+        code, out = run_cli(["--seed", "7", "scmap", square_file], capsys)
         assert code == 0
-        expected = RunConfig(eig=EigConfig(seed=7, threads=2)).hash()
+        expected = RunConfig(eig=EigConfig(seed=7)).hash()
         assert json.loads(out)["config_hash"] == expected != RunConfig().hash()
-        # an override applies only when given: eig.threads from the file stays
+        # an override applies only when given: eig.seed from the file stays
         f = tmp_path / "cfg.json"
-        f.write_text(json.dumps({"eig": {"threads": 2}}))
+        f.write_text(json.dumps({"eig": {"seed": 3}}))
+        code, out = run_cli(["--cfg", str(f), "scmap", square_file], capsys)
+        assert code == 0
+        assert json.loads(out)["config_hash"] == RunConfig(eig=EigConfig(seed=3)).hash()
         code, out = run_cli(["--cfg", str(f), "--seed", "7", "scmap", square_file], capsys)
         assert code == 0
         assert json.loads(out)["config_hash"] == expected
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "scmap", square_file])
+        assert exc.value.code == 2
+
+    def test_every_config_field_is_read(self):
+        # a field that no code reads is a setting without effect
+        src = "".join(f.read_text() for f in Path(polydet.__file__).parent.glob("*.py"))
+        for cls in (RunConfig, SCConfig, EigConfig, ZetaConfig, VarConfig):
+            for f in dataclasses.fields(cls):
+                assert re.search(rf"\.{f.name}\b", src), f"{cls.__name__}.{f.name}"
 
     def test_lambda_max_guard(self):
         from polydet.geometry import build_polygon

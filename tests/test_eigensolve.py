@@ -233,7 +233,7 @@ def test_square_sweep_evaluation_budget():
     # refined as a parabola
     spec = dirichlet_eigenvalues(build_polygon([0, 1, 1 + 1j, 1j]), 350.0)
     counts = spec.meta["sigma_evals"]
-    assert set(counts) == {"grid", "refine", "cover", "siblings", "audit", "rescan", "admit"}
+    assert set(counts) == {"grid", "refine", "cover", "siblings", "audit", "rescan"}
     assert sum(counts.values()) <= 900
     exact = np.sort([np.pi**2 * (m * m + n * n) for m in range(1, 7) for n in range(1, 7)
                      if np.pi**2 * (m * m + n * n) < 350.0])
@@ -329,8 +329,7 @@ class TestWeylCheck:
         assert len(removed) == 3
         kept = np.delete(exact, removed)
         solver = MPSSolver(unit_square_p, 450.0)
-        step = solver.mean_gap() / solver.cfg.grid_per_gap
-        grid = np.arange(solver._lam_lo, 450.0 + step, step)
+        grid = np.arange(solver._lam_lo, 450.0 + solver.step, solver.step)
         eigs, _ = solver._rescan(grid, list(kept), [1e-10] * len(kept))
         assert len(eigs) == len(exact)
         assert np.max(np.abs(eigs - exact) / exact) < 1e-8

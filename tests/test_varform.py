@@ -333,8 +333,8 @@ class TestContourShift:
     def test_contour_independence(self, square):
         p, m = square
         f = side_shift_field(p, 1)
-        v1 = contour_shift_integral(m, f, arc_frac=0.1)
-        v2 = contour_shift_integral(m, f, arc_frac=0.05)
+        v1 = contour_shift_integral(m, f, VarConfig(arc_frac=0.1))
+        v2 = contour_shift_integral(m, f, VarConfig(arc_frac=0.05))
         assert abs(v1 - v2) < 1e-8
 
     def test_rect_top_side(self, rect21):

@@ -125,6 +125,12 @@ class TestZetaLogdet:
         with pytest.raises(ValidationFailure):
             zeta_logdet(bad, h, ZetaConfig(tau0=0.05))
 
+    def test_tau0_is_required(self):
+        # tau0 is chosen in one place, RunConfig.pipeline_zeta
+        h = heat_coefficients(build_polygon([0, 1, 1 + 1j, 1j]))
+        with pytest.raises(ValidationFailure, match="tau0"):
+            zeta_logdet(rectangle_spectrum(1, 1, 600.0), h, ZetaConfig())
+
     def test_report_payload(self):
         h = heat_coefficients(build_polygon([0, 1, 1 + 1j, 1j]))
         ld = zeta_logdet(rectangle_spectrum(1, 1, 600.0), h, ZetaConfig(tau0=0.05))
