@@ -171,7 +171,8 @@ def cmd_det(args, cfg):
         payload=ld.to_json_dict(),
         diagnostics={"cache_hit": hit, "weyl": spec.count_check,
                      "lambda_max": lam_max,
-                     "sigma_evals": spec.meta.get("sigma_evals", {})},
+                     "sigma_evals": spec.meta.get("sigma_evals", {}),
+                     "stage_s": spec.meta.get("stage_s", {})},
         timings=timer.marks,
     )
 

@@ -17,11 +17,12 @@ MissedEigenvalue rather than silently returning a thinned spectrum.
 
 import functools
 import hashlib
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
-from scipy.special import gammaln, jv, jvp
+from scipy.special import gammaln, jv
 
 from .errors import (
     BasisIllConditioned,
@@ -58,6 +59,7 @@ _MAX_RESCANS = 2
 _DIP_THRESHOLD = 0.35           # grid values below this may hide a dip
 _SIGMA_NOISE = 1e-14            # absolute noise of a computed sigma
 _MAX_REFINE_STEPS = 40
+_BLOCK_ENTRIES = 1 << 16        # basis entries a scan assembles at once
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,9 @@ def rectangle_spectrum(a, b, lambda_max):
 class _BesselTable:
     """Piecewise-Chebyshev surrogate for J_nu(u) on [0, u_max] for a fixed
     family of orders.  Cuts the cost of a basis-matrix assembly from one jv
-    call per (point, order) to one Clenshaw recurrence over all points, each
-    point reading the coefficients of its own panel.
+    call per (point, order) to one matrix product per panel: the Chebyshev
+    values T_k(t) of the panel's points times its (degree, order) block of
+    coefficients.
 
     J_nu(u) = u^nu H(u) with H analytic and even, so the panel containing
     u = 0 stores Chebyshev data for H and multiplies the branch factor u^nu
@@ -154,8 +157,7 @@ class _BesselTable:
         self.edges = np.linspace(0.0, u_max * 1.02, n_panels + 1)
         self.degree = degree
         xc = np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
-        # (panel, Chebyshev degree, order): a Clenshaw step reads one
-        # contiguous row of orders per point
+        # (panel, Chebyshev degree, order)
         coef = np.empty((n_panels, degree + 1, len(self.nus)))
         V = np.polynomial.chebyshev.chebvander(xc, degree)
         Vinv = np.linalg.inv(V)
@@ -182,25 +184,52 @@ class _BesselTable:
                 break
         return out
 
-    def evaluate(self, u):
-        """J_nu(u) for all orders; returns (len(u), len(nus))."""
+    @functools.cached_property
+    def _dcoef(self):
+        """Chebyshev coefficients of dJ/du on every panel (of dH/du on the
+        first), made on first use so that a sweep never pays for them."""
+        d = np.polynomial.chebyshev.chebder(self.coef, axis=1)
+        return d * (2.0 / np.diff(self.edges))[:, None, None]
+
+    def evaluate(self, u, derivative=False):
+        """J_nu(u) for all orders, (len(u), len(nus)); with ``derivative``
+        the pair (J_nu(u), J_nu'(u))."""
         u = np.asarray(u, dtype=float)
-        idx = np.clip(np.searchsorted(self.edges, u) - 1, 0, len(self.edges) - 2)
+        n_panels = len(self.edges) - 1
+        idx = np.clip(np.searchsorted(self.edges, u) - 1, 0, n_panels - 1)
+        # sorted by panel, the points of each panel are one run of rows
+        order = np.argsort(idx, kind="stable")
+        us, idx = u[order], idx[order]
+        starts = np.searchsorted(idx, np.arange(n_panels + 1))
         a, b = self.edges[idx], self.edges[idx + 1]
-        t = ((2.0 * u - (a + b)) / (b - a))[:, None]
-        c = self.coef[idx]
-        # Clenshaw: b_k = c_k + 2 t b_{k+1} - b_{k+2}, J = c_0 + t b_1 - b_2
-        b1, b2 = c[:, self.degree], 0.0
-        for k in range(self.degree - 1, 0, -1):
-            b1, b2 = c[:, k] + 2.0 * t * b1 - b2, b1
-        out = c[:, 0] + t * b1 - b2
-        first = np.flatnonzero(idx == 0)
-        if len(first):
-            uf = u[first][:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                branch = np.exp(self.nus[None, :] * np.log(uf))
-            out[first] = np.where(uf > 0, out[first] * branch, 0.0)
-        return out
+        t = (2.0 * us - (a + b)) / (b - a)
+        T = np.empty((self.degree + 1, len(u)))         # T_k(t), row k
+        T[0], T[1] = 1.0, t
+        t2 = 2.0 * t
+        for k in range(2, self.degree + 1):
+            np.multiply(t2, T[k - 1], out=T[k])
+            T[k] -= T[k - 2]
+        out = np.empty((len(u), len(self.nus)))
+        dout = np.empty_like(out) if derivative else None
+        for pnl in np.flatnonzero(np.diff(starts)):
+            s, e = starts[pnl], starts[pnl + 1]
+            np.dot(T[:, s:e].T, self.coef[pnl], out=out[s:e])
+            if derivative:
+                np.dot(T[:-1, s:e].T, self._dcoef[pnl], out=dout[s:e])
+        n0 = starts[1]
+        u0 = us[:n0, None]
+        if derivative:
+            # (u^nu H)' = u^(nu - 1) (nu H + u H')
+            dout[:n0] = np.power(u0, self.nus - 1.0) * (self.nus * out[:n0] + u0 * dout[:n0])
+        with np.errstate(divide="ignore"):
+            out[:n0] *= np.exp(self.nus * np.log(u0))
+        J = np.empty_like(out)
+        J[order] = out
+        if not derivative:
+            return J
+        dJ = np.empty_like(dout)
+        dJ[order] = dout
+        return J, dJ
 
 
 class _CornerBasis:
@@ -239,12 +268,19 @@ class _CornerBasis:
         ``sines`` are the cached _local(pts) and sines(theta), if any."""
         r, th = self._local(pts) if local is None else local
         sines = self.sines(th) if sines is None else sines
-        rt = np.sqrt(lam)
-        out = np.empty((r.shape[1], sum(self.orders)))
+        return self.matrices([lam], (r, th), sines)[0]
+
+    def matrices(self, lams, local, sines):
+        """matrix(lam, pts) for every lam, (len(lams), points, columns), from
+        one table evaluation per corner; ``local`` and ``sines`` as there."""
+        r = local[0]
+        rts = np.sqrt(np.asarray(lams, dtype=float))
+        out = np.empty((len(rts), r.shape[1], sum(self.orders)))
         col = 0
         for i in range(self.p.n):
-            J = self.tables[i].evaluate(rt * r[i])
-            np.multiply(J, sines[i], out=out[:, col:col + self.orders[i]])
+            J = self.tables[i].evaluate((rts[:, None] * r[i][None, :]).ravel())
+            np.multiply(J.reshape(len(rts), r.shape[1], -1), sines[i],
+                        out=out[:, :, col:col + self.orders[i]])
             col += self.orders[i]
         return out
 
@@ -257,8 +293,8 @@ class _CornerBasis:
             nu = np.pi / self.alphas[i]
             ks = np.arange(1, self.orders[i] + 1)
             ri = np.maximum(r[i][:, None], 1e-300)
-            J = jv(ks[None, :] * nu, rt * ri)
-            dJ = jvp(ks[None, :] * nu, rt * ri) * rt
+            J, dJ = self.tables[i].evaluate(rt * r[i], derivative=True)
+            dJ *= rt
             s = np.sin(ks[None, :] * nu * th[i][:, None])
             c = np.cos(ks[None, :] * nu * th[i][:, None])
             du_dr = dJ * s
@@ -312,15 +348,21 @@ _STAGES = ("grid", "refine", "cover", "siblings", "audit", "rescan")
 
 def _stage(name):
     """Count the sigma evaluations made inside the decorated method under
-    the stage ``name`` in MPSSolver.sigma_evals."""
+    the stage ``name`` in MPSSolver.sigma_evals, and add its wall time, less
+    that of the stages it calls, to MPSSolver.stage_s[name]."""
     def decorate(method):
         @functools.wraps(method)
         def run(self, *args, **kwargs):
             outer, self._stage = self._stage, name
+            outer_claimed, self._claimed = self._claimed, 0.0
+            t0 = time.perf_counter()
             try:
                 return method(self, *args, **kwargs)
             finally:
+                elapsed = time.perf_counter() - t0
+                self.stage_s[name] += elapsed - self._claimed
                 self._stage = outer
+                self._claimed = outer_claimed + elapsed
         return run
     return decorate
 
@@ -363,17 +405,29 @@ class MPSSolver:
         self._stage = "grid"
         self.sigma_evals = dict.fromkeys(_STAGES, 0)
 
+    # made on first use, so that a solver built without __init__ (the
+    # refiner's synthetic tests) still times its stages
+    _claimed = 0.0              # wall time of the stages run inside the current one
+
+    @functools.cached_property
+    def stage_s(self):
+        """Wall time per stage; a stage owns the time that no stage it
+        calls claims."""
+        return dict.fromkeys(_STAGES, 0.0)
+
     # -- subspace angles ----------------------------------------------------
-    def _boundary_svd(self, lam, vectors=False):
+    def _boundary_svd(self, lam, vectors=False, A=None):
         """SVD of the boundary rows of the orthonormalized basis at lam.
 
         The columns are normalized, orthonormalized by pivoted QR and
         truncated at the numerical rank (_RTOL).  Returns the singular
         values in ascending order, and with ``vectors`` also
         (Vh, R, piv, cutoff, norms, good), which map right singular vectors
-        back to basis coefficients.
+        back to basis coefficients.  ``A`` is the basis matrix at lam, if
+        already assembled.
         """
-        A = self.basis.matrix(lam, self.pts, local=self._local_pts, sines=self._sines)
+        if A is None:
+            A = self.basis.matrix(lam, self.pts, local=self._local_pts, sines=self._sines)
         norms = np.linalg.norm(A, axis=0)
         good = norms > 1e-280
         if not np.any(good):
@@ -387,16 +441,30 @@ class MPSSolver:
         _, s, Vh = la.svd(Q[: self.m_b, :cutoff])
         return s[::-1], (Vh, R, piv, cutoff, norms, good)
 
-    def sigmas(self, lam, count=2):
+    def sigmas(self, lam, count=2, A=None):
+        """The ``count`` smallest singular values at lam; ``A`` as in
+        _boundary_svd."""
         self.sigma_evals[self._stage] += 1
-        return self._boundary_svd(lam)[:count]
+        return self._boundary_svd(lam, A=A)[:count]
 
     def sigma(self, lam):
         return float(self.sigmas(lam, count=1)[0])
 
+    def _sigmas_at(self, lams, count=1):
+        """sigmas(lam, count) at every lam of a scan, (len(lams), count).
+        The basis matrices are assembled a block of lambdas at a time, a
+        block holding at most _BLOCK_ENTRIES entries (or one lambda)."""
+        size = max(1, _BLOCK_ENTRIES // (len(self.pts) * sum(self.orders)))
+        out = []
+        for s in range(0, len(lams), size):
+            block = lams[s:s + size]
+            mats = self.basis.matrices(block, self._local_pts, self._sines)
+            out.extend(self.sigmas(lam, count, A) for lam, A in zip(block, mats))
+        return np.array(out).reshape(len(lams), count)
+
     def _sigma_batch(self, lams):
         """sigma at every lambda of a grid pass."""
-        return [self.sigma(l) for l in lams]
+        return self._sigmas_at(lams)[:, 0]
 
     def _nullspace_coeffs(self, lam):
         """Coefficient vectors of the (near-)null space at an eigenvalue."""
@@ -418,8 +486,9 @@ class MPSSolver:
         return np.pi * 5.783185962946785 / self.p.area
 
     def solve(self):
+        t0, claimed = time.perf_counter(), self._claimed
         grid = np.arange(self._lam_lo, self.lambda_max + self.step, self.step)
-        vals = np.array(self._sigma_batch(grid))
+        vals = self._sigma_batch(grid)
         eigs, errs = [], []
         self._scan(grid, vals, eigs, errs)
 
@@ -445,6 +514,8 @@ class MPSSolver:
             raise MissedEigenvalue(
                 f"Weyl count deviates by {check['max_abs_dev']:.2f} (band {check['band']})")
 
+        # the grid owns the time no decorated stage claimed
+        self.stage_s["grid"] += time.perf_counter() - t0 - (self._claimed - claimed)
         return Spectrum(
             eigenvalues=tuple(float(x) for x in eigs),
             errors=tuple(float(e) for e in errs),
@@ -453,7 +524,8 @@ class MPSSolver:
             polygon_hash=polygon_hash(self.p),
             meta={"source": "mps", "orders": list(self.orders),
                   "n_boundary": int(self.m_b), "n_interior": int(len(self.ipts)),
-                  "seed": int(self.cfg.seed), "sigma_evals": dict(self.sigma_evals)},
+                  "seed": int(self.cfg.seed), "sigma_evals": dict(self.sigma_evals),
+                  "stage_s": dict(self.stage_s)},
         )
 
     @_stage("refine")
@@ -551,7 +623,7 @@ class MPSSolver:
             if any(grid[k] <= e <= grid[k + 1] for e in eigs):
                 continue
             probes = grid[k] + (grid[k + 1] - grid[k]) * np.array([0.25, 0.5, 0.75])
-            v_probes = np.array([self.sigma(x) for x in probes])
+            v_probes = self._sigmas_at(probes)[:, 0]
             j = int(np.argmin(v_probes))
             if min(v_probes[j], vals[k], vals[k + 1]) >= _DIP_THRESHOLD:
                 continue
@@ -635,8 +707,7 @@ class MPSSolver:
             slope = self.sigma(lam + 0.01 * self.step) / (0.01 * self.step)
         # delta small enough that lam's own V stays below the sibling's
         delta = min(0.02 * self.step, 0.25 * s0 / slope)
-        lo = self.sigmas(lam - delta, count=k + 1)[k]
-        hi = self.sigmas(lam + delta, count=k + 1)[k]
+        lo, hi = self._sigmas_at([lam - delta, lam + delta], count=k + 1)[:, k]
         s2 = abs(hi - lo) / (2 * delta)
         if s2 <= 0:
             return 0
@@ -645,7 +716,7 @@ class MPSSolver:
             return 0
         side = 1.0 if hi < lo else -1.0
         a, b, c = (lam + side * 0.5 * d, lam + side * d, lam + side * 1.5 * d)
-        fa, fb, fc = self.sigma(a), self.sigma(b), self.sigma(c)
+        fa, fb, fc = self._sigmas_at([a, b, c])[:, 0]
         if not (fb <= fa and fb <= fc):
             return 0
         if side < 0:
@@ -713,7 +784,7 @@ class MPSSolver:
             if lam not in self._probed:
                 self._probe_sibling(lam, found, errs)
         xs = np.linspace(lo, hi, 13)
-        self._scan(xs, np.array([self.sigma(x) for x in xs]), found, errs)
+        self._scan(xs, self._sigmas_at(xs)[:, 0], found, errs)
         return list(zip(found[len(eigs):], errs[len(eigs):]))
 
     @_stage("audit")
@@ -747,8 +818,8 @@ class MPSSolver:
                             and self._dips[edge][1] / self._dips[edge][0] < 0.08 * (b - a):
                         found_new = self._probe_sibling(edge, eigs, errs) > 0 or found_new
                 xs = np.linspace(a + 0.003 * (b - a), b - 0.003 * (b - a), 26)
-                found_new = self._scan(xs, np.array([self.sigma(x) for x in xs]),
-                                       eigs, errs) > 0 or found_new
+                found_new = self._scan(xs, self._sigmas_at(xs)[:, 0], eigs, errs) > 0 \
+                    or found_new
             if not found_new:
                 break
         return eigs, errs
@@ -759,7 +830,7 @@ class MPSSolver:
         step = (grid[1] - grid[0]) / 4
         fine = np.arange(grid[0], self.lambda_max + step, step)
         eigs, errs = list(eigs), list(errs)
-        self._scan(fine, np.array(self._sigma_batch(fine)), eigs, errs)
+        self._scan(fine, self._sigma_batch(fine), eigs, errs)
         order = np.argsort(eigs)
         return np.asarray(eigs)[order], np.asarray(errs)[order]
 
@@ -773,15 +844,16 @@ class MPSSolver:
 
         return func, C
 
-    def normal_derivative_sq_integrals(self, lam, C, weight_fn=None):
-        """Per-side graded-quadrature integrals of (d_nu u)^2 * weight.
+    def normal_derivative_sq_integrals(self, lam, C, weight_fns):
+        """Per-side graded-quadrature integrals of (d_nu u)^2 * weight, for
+        each weight of ``weight_fns`` from one gradient evaluation per side.
 
         weight_fn(j, s) gives the weight on side j at arclength s from the
-        side's start vertex; default weight 1.  Returns the sum over sides
-        for each eigenfunction column in C.
+        side's start vertex.  Returns (len(weight_fns), columns of C): the
+        sums over sides for each eigenfunction column in C.
         """
         p = self.p
-        total = np.zeros(C.shape[1])
+        total = np.zeros((len(weight_fns), C.shape[1]))
         for j in range(p.n):
             s_nodes, w_nodes = _graded_side_rule(p.side_lengths[j])
             a = p.vertices[j]
@@ -790,22 +862,27 @@ class MPSSolver:
             gx, gy = self.basis.gradient(lam, pts)
             nu = p.side_normal(j)
             dn = (gx @ C) * nu.real + (gy @ C) * nu.imag
-            w = w_nodes if weight_fn is None else w_nodes * weight_fn(j, s_nodes)
-            total += (dn**2 * w[:, None]).sum(axis=0)
+            for row, weight_fn in zip(total, weight_fns):
+                row += (dn**2 * (w_nodes * weight_fn(j, s_nodes))[:, None]).sum(axis=0)
         return total
 
-    def l2_norm_sq(self, lam, C, origin=None):
-        """L2 norms of the eigenfunction columns via the Rellich identity:
-        2 lam int u^2 = oint (x . nu) (d_nu u)^2 dl."""
+    def rellich_weight(self, origin=None):
+        """The weight x . nu of the Rellich identity
+        2 lam int u^2 = oint (x . nu) (d_nu u)^2 dl, x taken from ``origin``
+        (default the vertex centroid)."""
         p = self.p
         origin = origin if origin is not None else p.vertex_array().mean()
 
-        def rellich_weight(j, s):
+        def weight(j, s):
             pts = p.vertices[j] + p.side_tangent(j) * s
-            nu = p.side_normal(j)
-            return ((pts - origin) * np.conj(nu)).real
+            return ((pts - origin) * np.conj(p.side_normal(j))).real
 
-        return self.normal_derivative_sq_integrals(lam, C, rellich_weight) / (2 * lam)
+        return weight
+
+    def l2_norm_sq(self, lam, C, origin=None):
+        """L2 norms of the eigenfunction columns via the Rellich identity."""
+        return self.normal_derivative_sq_integrals(
+            lam, C, [self.rellich_weight(origin)])[0] / (2 * lam)
 
 
 def _parabola(x, f):
@@ -885,14 +962,14 @@ def hadamard_eigenvalue_variation(p, f, j, cfg=None):
     _, C = solver.eigenfunction(lam)
     if C.shape[1] != 1:
         raise DegenerateEigenvalue(f"lambda_{j} carries multiplicity {C.shape[1]}")
-    norm_sq = solver.l2_norm_sq(lam, C)[0]
 
     def field_weight(jj, s):
         c0, c1 = f.side_normal_velocity[jj]
         return c0 + c1 * s
 
-    integral = solver.normal_derivative_sq_integrals(lam, C, field_weight)[0]
-    return -float(integral / norm_sq)
+    rellich, integral = solver.normal_derivative_sq_integrals(
+        lam, C, [solver.rellich_weight(), field_weight])[:, 0]
+    return -float(integral / (rellich / (2 * lam)))
 
 
 def _weyl_kth(p, k):

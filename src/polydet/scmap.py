@@ -34,6 +34,8 @@ from .errors import (
 from .geometry import Polygon
 from .quadrature import jacgauss, leggauss, panel_nodes
 
+_VERTEX_ORDER = 24      # Gauss order of the cached vertex images (_vertex_images)
+
 
 @dataclass(frozen=True)
 class SCConfig:
@@ -292,6 +294,9 @@ def solve_parameter_problem(p, cfg=None):
     err = np.max(np.abs(xk - verts)) / max(1.0, float(np.max(np.abs(verts))))
     if err > cfg.quad_tol * 100:
         raise NoConvergence(f"mapped vertices off by {err:.3e}", residual=err)
+    if cfg.quad_order == _VERTEX_ORDER:
+        # the images _vertex_images would compute again
+        object.__setattr__(m, "_vimages", xk)
 
     anchor_z = 1j
     anchor_x = map_forward(m, anchor_z)
@@ -299,7 +304,7 @@ def solve_parameter_problem(p, cfg=None):
     return m
 
 
-def _mapped_vertices(m, order=24):
+def _mapped_vertices(m, order=_VERTEX_ORDER):
     segs = _interval_integrals(m.prevertex_array(), np.asarray(m.exponents), order)
     return _vertex_chain(m.base_point, m.prefactor, segs)
 

@@ -208,6 +208,8 @@ class TestDetCommand:
         rep = json.loads(out)
         counts = rep["diagnostics"]["sigma_evals"]
         assert counts["grid"] > 0 and counts["refine"] > 0
+        stage_s = rep["diagnostics"]["stage_s"]
+        assert set(stage_s) == set(counts) and min(stage_s.values()) >= 0
         (csv_f,) = cache.glob("spectrum_*.csv")
         text = csv_f.read_text()
         header, *rows = text.splitlines()

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import jv
+from scipy.special import jv, jvp
 
+from polydet import eigensolve
 from polydet.errors import DegenerateEigenvalue, ValidationFailure
 from polydet.eigensolve import (
     EigConfig,
@@ -112,6 +115,20 @@ class TestBesselTable:
             assert np.all(got[0] == 0.0)
             assert np.max(np.abs(got - jv(table.nus[None, :], u[:, None]))) < 1e-13
 
+    @pytest.mark.parametrize("verts, lam_max", [
+        ([0, 1, 1 + 1j, 1j], 350.0),
+        ([0, 1, 0.3 + 0.8j], 1100.0),
+    ])
+    def test_derivative_matches_jvp_on_every_panel(self, verts, lam_max):
+        solver = MPSSolver(build_polygon(verts), lam_max)
+        for table in solver.basis.tables:
+            e = table.edges
+            u = (e[:-1, None] + np.diff(e)[:, None] * np.linspace(0, 1, 9)[None, :]).ravel()
+            u = np.concatenate([[1e-3], u])
+            J, dJ = table.evaluate(u, derivative=True)
+            assert np.array_equal(J, table.evaluate(u))
+            assert np.max(np.abs(dJ - jvp(table.nus[None, :], u[:, None]))) < 1e-11
+
     def test_cached_sines_equal_uncached_matrix(self):
         solver = MPSSolver(build_polygon([0, 1, 0.3 + 0.8j]), 600.0)
         for lam in (40.0, 321.5, 600.0):
@@ -119,6 +136,84 @@ class TestBesselTable:
                                          sines=solver._sines)
             plain = solver.basis.matrix(lam, solver.pts)
             assert np.max(np.abs(cached - plain)) <= 1e-15
+
+
+class TestBatchedAssembly:
+    """Basis matrices assembled for several lambdas by one table evaluation
+    per corner, and the gradient taken from the same tables."""
+
+    @pytest.fixture(scope="class")
+    def solver(self):
+        return MPSSolver(build_polygon([0, 1, 0.3 + 0.8j]), 600.0)
+
+    @pytest.mark.parametrize("n", [3, 8, 26])
+    def test_batched_equals_one_at_a_time(self, solver, n):
+        lams = np.linspace(solver._lam_lo, 600.0, n)
+        block = solver.basis.matrices(lams, solver._local_pts, solver._sines)
+        assert block.shape == (n, len(solver.pts), sum(solver.orders))
+        for lam, A in zip(lams, block):
+            single = solver.basis.matrix(lam, solver.pts, local=solver._local_pts,
+                                         sines=solver._sines)
+            assert np.max(np.abs(A - single)) <= 1e-15
+
+    def test_gradient_is_the_derivative_of_the_matrix(self, solver, monkeypatch):
+        def no_direct_bessel(*args):
+            raise AssertionError("gradient called scipy's Bessel functions")
+
+        monkeypatch.setattr(eigensolve, "jv", no_direct_bessel)
+        # interior points, some of them on the tables' first panels; a step
+        # off a boundary point can cross the angular cut of a corner
+        v = solver.basis.vertices
+        near = (v[:, None] + (v.mean() - v)[:, None] * np.array([1e-3, 0.02])).ravel()
+        lam, h = 450.0, 1e-6
+        pts = np.concatenate([solver.ipts[::5], near])
+        gx, gy = solver.basis.gradient(lam, pts)
+        for g, step in ((gx, h), (gy, 1j * h)):
+            fd = (solver.basis.matrix(lam, pts + step)
+                  - solver.basis.matrix(lam, pts - step)) / (2 * h)
+            assert np.max(np.abs(fd - g)) <= 1e-7 * np.max(np.abs(g))
+
+
+def test_scans_assemble_within_the_entry_budget(monkeypatch):
+    # every batched scan stays within the entry budget, and its sigma
+    # evaluations count under the stage that made the scan
+    blocks, stages = [], []
+    matrices, sigmas_at = eigensolve._CornerBasis.matrices, MPSSolver._sigmas_at
+
+    def spy_matrices(self, lams, local, sines):
+        out = matrices(self, lams, local, sines)
+        blocks.append(out.shape)
+        return out
+
+    def spy_sigmas_at(self, lams, count=1):
+        before = dict(self.sigma_evals)
+        out = sigmas_at(self, lams, count)
+        moved = {k: self.sigma_evals[k] - before[k] for k in before}
+        assert moved == {k: len(lams) if k == self._stage else 0 for k in before}
+        stages.append(self._stage)
+        return out
+
+    monkeypatch.setattr(eigensolve._CornerBasis, "matrices", spy_matrices)
+    monkeypatch.setattr(MPSSolver, "_sigmas_at", spy_sigmas_at)
+    tri = build_polygon([0, 1, 0.3 + 0.8j])
+    moved = move_polygon(tri, field_from_vertex_velocities(tri, [0, 0, 1]), -2e-3)
+    solver = MPSSolver(moved, 1100.0)
+    spec = solver.solve()
+    grid = np.arange(solver._lam_lo, 1100.0 + solver.step, solver.step)
+    assert spec.meta["sigma_evals"]["grid"] == len(grid)
+    assert {"grid", "siblings", "audit"} <= set(stages)
+    assert max(n * m * k for n, m, k in blocks) <= eigensolve._BLOCK_ENTRIES
+    assert max(n for n, _, _ in blocks) > 1
+
+
+def test_stage_wall_times_add_up_to_the_solve():
+    t0 = time.perf_counter()
+    spec = dirichlet_eigenvalues(build_polygon([0, 1, 1 + 1j, 1j]), 350.0)
+    wall = time.perf_counter() - t0
+    stage_s = spec.meta["stage_s"]
+    assert tuple(stage_s) == eigensolve._STAGES
+    assert all(v >= 0 for v in stage_s.values())
+    assert 0 < sum(stage_s.values()) <= wall
 
 
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
@@ -302,6 +397,21 @@ class TestHadamardVariation:
         lm = dirichlet_eigenvalues(move_polygon(p, f, -t), 30.0).eigenvalues[0]
         fd = (lp - lm) / (2 * t)
         assert dl == pytest.approx(fd, rel=1e-4, abs=1e-4)
+
+    def test_one_gradient_pass_per_side(self, unit_square_p, monkeypatch):
+        # the Rellich norm and the field integral share the side gradients
+        calls = []
+        gradient = eigensolve._CornerBasis.gradient
+
+        def spy(self, lam, pts):
+            calls.append(lam)
+            return gradient(self, lam, pts)
+
+        monkeypatch.setattr(eigensolve._CornerBasis, "gradient", spy)
+        f = field_from_vertex_velocities(unit_square_p, [0, 1, 1, 0])
+        assert hadamard_eigenvalue_variation(unit_square_p, f, 1) == pytest.approx(
+            -2 * np.pi**2, rel=1e-6)
+        assert len(calls) == unit_square_p.n
 
     def test_degenerate_rejected(self, unit_square_p):
         f = dilation_field(unit_square_p)

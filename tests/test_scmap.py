@@ -81,6 +81,23 @@ class TestParameterProblem:
         solve_parameter_problem(build_polygon([0, 1, 1 + 1j, 1j]), SCConfig(quad_order=16))
         assert orders and set(orders) == {16}
 
+    def test_checked_vertex_images_are_reused(self, monkeypatch):
+        # the images checked after the solve seed the cache that map_forward
+        # reads, so the anchor costs no second pass over the intervals
+        from polydet import scmap
+
+        calls = []
+        real = scmap._interval_integrals
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scmap, "_interval_integrals", spy)
+        m = solve_parameter_problem(build_polygon([0, 1, 0.3 + 0.8j]))
+        assert len(calls) == 1
+        assert np.array_equal(m.__dict__["_vimages"], _mapped_vertices(m))
+
     def test_exponent_range(self, square_map):
         for e in square_map.exponents:
             assert -1 < e < 0
