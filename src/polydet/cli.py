@@ -13,17 +13,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import validation
 from .config import RunConfig, Report, Timer, config_from_file
 from .eigensolve import Spectrum, dirichlet_eigenvalues, polygon_hash, weyl_count_check
-from .errors import NumericalFailure, ValidationFailure
+from .errors import NoConvergence, NumericalFailure, ValidationFailure
 from .geometry import field_from_json_dict, polygon_from_json_dict
-from .scmap import SCMap, solve_parameter_problem
+from .scmap import checked_map, solve_parameter_problem
 from .smoothwz import alvarez_logdet, domain_from_json_dict, wz_variation
 from .varform import contour_shift_integral, main_formula
 from .zetadet import heat_coefficients, zeta_logdet
+
+_FD_STEP = 5e-3     # t of the `var --route fd` Richardson difference
 
 
 def _load_json(path):
@@ -51,27 +51,22 @@ def _load_polygon(path):
 
 
 def _solve_map_cached(p, cfg, cache):
-    key = f"scmap_{polygon_hash(p)}_{cfg.hash()}.json"
-    if cache:
-        f = Path(cache) / key
-        if f.exists():
+    """The SC map of p and whether it came from the cache.  A cached entry
+    holds prevertices; it is used only if checked_map accepts them for p,
+    and otherwise (or when it cannot be read) the map is solved again and
+    the entry rewritten."""
+    f = Path(cache) / f"scmap_{polygon_hash(p)}_{cfg.hash()}.json" if cache else None
+    if f is not None and f.exists():
+        try:
             d = json.loads(f.read_text())
-            m = SCMap(
-                prevertices=tuple(d["prevertices"]),
-                exponents=tuple(np.asarray(p.angles) / np.pi - 1.0),
-                prefactor=complex(*d["C"]),
-                base_point=complex(*d["base"]),
-                polygon=p,
-                residual=d.get("residual", 0.0),
-            )
-            from .scmap import map_forward
-            object.__setattr__(m, "anchor_x", map_forward(m, 1j))
-            return m, True
-    m = solve_parameter_problem(p, cfg.sc)
-    if cache:
+            return checked_map(p, d["prevertices"], float(d["residual"])), True
+        except (ValueError, KeyError, TypeError, ValidationFailure, NoConvergence):
+            pass
+    m = solve_parameter_problem(p)
+    if f is not None:
         d = m.to_json_dict()
         d["residual"] = m.residual
-        _write_replacing(Path(cache) / key, json.dumps(d))
+        _write_replacing(f, json.dumps(d))
     return m, False
 
 
@@ -89,26 +84,30 @@ def _write_replacing(path, text):
 
 
 def _load_spectrum(csv_f, side_f, p):
-    """The cached spectrum, or None unless both files exist, the CSV is
-    complete (ends in a newline, two fields a row), its row count and
+    """The cached spectrum, or None unless both files exist and parse, the
+    CSV is complete (ends in a newline, two fields a row), its row count and
     polygon hash match the sidecar and its eigenvalues pass the Weyl count
     check (the sidecar's stored check is not trusted)."""
     if not (csv_f.exists() and side_f.exists()):
         return None
-    side = json.loads(side_f.read_text())
     text = csv_f.read_text()
     rows = [line.split(",") for line in text.splitlines()[1:] if line]
-    if (not text.endswith("\n") or any(len(r) != 2 for r in rows)
-            or side.get("n_eigs") != len(rows)
-            or side.get("polygon_hash") != polygon_hash(p)):
+    try:
+        side = json.loads(side_f.read_text())
+        if (not text.endswith("\n") or any(len(r) != 2 for r in rows)
+                or side["n_eigs"] != len(rows) or side["polygon_hash"] != polygon_hash(p)):
+            return None
+        lam_max = float(side["lambda_max"])
+        eigs = [float(r[0]) for r in rows]
+        errs = [float(r[1]) for r in rows]
+    except (ValueError, KeyError, TypeError):
         return None
-    eigs = [float(r[0]) for r in rows]
-    check = weyl_count_check(p, eigs, side["lambda_max"])
+    check = weyl_count_check(p, eigs, lam_max)
     if not check["ok"]:
         return None
     return Spectrum(eigenvalues=tuple(eigs),
-                    errors=tuple(float(r[1]) for r in rows),
-                    lambda_max=side["lambda_max"],
+                    errors=tuple(errs),
+                    lambda_max=lam_max,
                     count_check=check,
                     polygon_hash=side["polygon_hash"],
                     meta=side.get("meta", {}))
@@ -185,7 +184,7 @@ def cmd_var(args, cfg):
     diagnostics = {}
     if args.route in ("formula", "both"):
         m, _ = _solve_map_cached(p, cfg, _cache_dir(args))
-        dv = main_formula(p, m, f, cfg.var)
+        dv = main_formula(p, m, f)
         payload["formula"] = {
             "boundary_term": dv.boundary_term,
             "corner_term": dv.corner_term,
@@ -199,12 +198,12 @@ def cmd_var(args, cfg):
             active = [j for j, (c0, c1) in enumerate(f.side_normal_velocity)
                       if abs(c0) > 1e-12]
             if active and all(j < p.n - 1 for j in active):
-                payload["formula"]["contour_route"] = contour_shift_integral(m, f, cfg.var)
+                payload["formula"]["contour_route"] = contour_shift_integral(m, f)
         timer.mark("formula")
     if args.route in ("fd", "both"):
         lam_max, zcfg = cfg.pipeline_zeta(p)
         payload["fd"] = validation.fd_logdet_derivative(p, f, lam_max, zcfg,
-                                                        t=cfg.fd_step, cfg=cfg.eig)
+                                                        t=_FD_STEP, cfg=cfg.eig)
         timer.mark("fd")
     if args.route == "both":
         payload["discrepancy"] = abs(payload["formula"]["total"] - payload["fd"])

@@ -3,43 +3,35 @@
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
 from .errors import ValidationFailure
 from .eigensolve import EigConfig
-from .scmap import SCConfig
-from .varform import VarConfig
 from .zetadet import ZetaConfig
+
+_LAMBDA_MAX_FACTOR = 28.0   # default lambda_max = factor / tau0
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    sc: SCConfig = field(default_factory=SCConfig)
     eig: EigConfig = field(default_factory=EigConfig)
     zeta: ZetaConfig = field(default_factory=ZetaConfig)
-    var: VarConfig = field(default_factory=VarConfig)
-    lambda_max: float = None      # None: 10 * Weyl lambda_1 estimate * margin
-    lambda_max_factor: float = 28.0   # auto lambda_max = factor / tau0-scale
-    fd_step: float = 5e-3
+    lambda_max: float = None      # None: _LAMBDA_MAX_FACTOR / tau0
 
     def __post_init__(self):
-        for name, cfg in (("sc", self.sc), ("eig", self.eig),
-                          ("zeta", self.zeta), ("var", self.var)):
-            for f in dataclasses.fields(cfg):
-                v = getattr(cfg, f.name)
-                if isinstance(v, float) and f.name.endswith(("tol", "frac")) and v <= 0:
-                    raise ValidationFailure(f"{name}.{f.name} must be positive")
+        for key, v in (("lambda_max", self.lambda_max), ("zeta.tau0", self.zeta.tau0),
+                       ("zeta.tail_tol", self.zeta.tail_tol)):
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise ValidationFailure(
+                    f"config key {key} must be finite and positive, not {json.dumps(v)}")
 
     def to_dict(self):
         return {
-            "sc": dataclasses.asdict(self.sc),
             "eig": dataclasses.asdict(self.eig),
             "zeta": dataclasses.asdict(self.zeta),
-            "var": dataclasses.asdict(self.var),
             "lambda_max": self.lambda_max,
-            "lambda_max_factor": self.lambda_max_factor,
-            "fd_step": self.fd_step,
         }
 
     def hash(self):
@@ -53,13 +45,11 @@ class RunConfig:
         negligible (beta2 ~ squared narrowest width), and lambda_max so that
         lambda_max * tau0 covers the tail-model decay budget.
         """
-        import math
-
         # r_in >= A/P for convex domains, so 2A/P bounds the narrowest width
         width = 2 * p.area / p.perimeter
         tau0 = self.zeta.tau0 if self.zeta.tau0 is not None else width**2 / 14.0
         lam_max = self.lambda_max if self.lambda_max is not None \
-            else self.lambda_max_factor / tau0
+            else _LAMBDA_MAX_FACTOR / tau0
         lam1_est = 5.76 * math.pi / p.area
         if lam_max < 10 * lam1_est:
             raise ValidationFailure(
@@ -73,8 +63,7 @@ def config_from_file(path):
     with open(path) as fh:
         raw = json.load(fh)
     raw = _checked(RunConfig, raw, "")
-    for section, cls in (("sc", SCConfig), ("eig", EigConfig),
-                         ("zeta", ZetaConfig), ("var", VarConfig)):
+    for section, cls in (("eig", EigConfig), ("zeta", ZetaConfig)):
         if section in raw:
             raw[section] = cls(**_checked(cls, raw[section], f"{section}."))
     return RunConfig(**raw)

@@ -27,25 +27,17 @@ from .errors import (
     NewtonDivergence,
     NoConvergence,
     PoleQuery,
-    QuadratureFailure,
     ValidationFailure,
     VertexQuery,
 )
 from .geometry import Polygon
 from .quadrature import jacgauss, leggauss, panel_nodes
 
-_VERTEX_ORDER = 24      # Gauss order of the cached vertex images (_vertex_images)
-
-
-@dataclass(frozen=True)
-class SCConfig:
-    quad_order: int = 24
-    quad_tol: float = 1e-10
-    solver_max_iter: int = 200
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 40
-    init_jitter: float = 0.0
-    init_seed: int = 0
+_QUAD_ORDER = 24        # Gauss order of every SC segment quadrature
+_VERTEX_TOL = 1e-8      # mapped vertices against the polygon, relative to its size
+_SOLVER_MAX_ITER = 200  # least-squares evaluations per unknown prevertex
+_NEWTON_TOL = 1e-12     # map_inverse residual, relative to the polygon size
+_NEWTON_MAX_ITER = 40
 
 
 @dataclass(frozen=True)
@@ -146,8 +138,8 @@ def _panel_breaks(a, b, sing_pts, anchored, order_frac=0.45, max_depth=48):
     return accepted, u
 
 
-def integrate_sc_segment(zk, g, a, b, sing_index=None, order=24, prefactor=1.0):
-    """Integral of prefactor * prod (zeta - z_k)^{g_k} along the segment [a, b].
+def integrate_sc_segment(zk, g, a, b, sing_index=None, order=_QUAD_ORDER):
+    """Integral of prod (zeta - z_k)^{g_k} along the segment [a, b].
 
     ``sing_index``: index k such that a == z_k; the (zeta - z_k)^{g_k} factor
     is then absorbed into a Gauss-Jacobi weight on the panel touching a.
@@ -178,18 +170,18 @@ def integrate_sc_segment(zk, g, a, b, sing_index=None, order=24, prefactor=1.0):
         w = leggauss(order)[1]
         for s in np.sum(half[:, None] * w * _unnormalized_derivative(zk, g, zeta), axis=-1):
             total += s
-    return prefactor * total
+    return total
 
 
-def _interval_integrals(zk, g, order):
+def _interval_integrals(zk, g):
     """Integral of prod (zeta - z_k)^{g_k} over each finite prevertex
     interval [z_k, z_{k+1}], split at the midpoint so each half is anchored
     at its own endpoint singularity."""
     out = np.empty(len(zk) - 1, dtype=complex)
     for k in range(len(zk) - 1):
         mid = 0.5 * (zk[k] + zk[k + 1])
-        out[k] = (integrate_sc_segment(zk, g, zk[k], mid, sing_index=k, order=order)
-                  - integrate_sc_segment(zk, g, zk[k + 1], mid, sing_index=k + 1, order=order))
+        out[k] = (integrate_sc_segment(zk, g, zk[k], mid, sing_index=k)
+                  - integrate_sc_segment(zk, g, zk[k + 1], mid, sing_index=k + 1))
     return out
 
 
@@ -201,9 +193,9 @@ def _vertex_chain(base, C, segs):
     return np.asarray(xs)
 
 
-def _mapped_side_lengths(zk, g, order):
+def _mapped_side_lengths(zk, g):
     """|integral of the SC derivative| over each finite prevertex interval."""
-    segs = _interval_integrals(zk, g, order)
+    segs = _interval_integrals(zk, g)
     # abs() of each element; np.abs of a complex array rounds differently
     return np.hypot(segs.real, segs.imag)
 
@@ -230,15 +222,14 @@ def _initial_gap_logs(L):
     return np.log(gaps[:-1] / gaps[-1])
 
 
-def solve_parameter_problem(p, cfg=None):
+def solve_parameter_problem(p):
     """Solve the SC parameter problem for polygon p.
 
     Prevertices are normalized to z_1 = -1, z_2 = 0, z_n = 1; the n-3
     interior prevertices in (0, 1) are solved in log-gap variables so that
-    the mapped side-length ratios match the polygon.  The prefactor and base
-    point are fixed by matching vertex x_1 and the side [x_1, x_2].
+    the mapped side-length ratios match the polygon.  The map is then built
+    and checked by checked_map.
     """
-    cfg = cfg or SCConfig()
     n = p.n
     g = np.asarray(p.angles) / np.pi - 1.0
     L = np.asarray(p.side_lengths)
@@ -254,18 +245,12 @@ def solve_parameter_problem(p, cfg=None):
         zk = np.array([-1.0, 0.0, 1.0])
         resid = 0.0
     else:
-        u0 = _initial_gap_logs(L)
-        if cfg.init_jitter:
-            rng = np.random.default_rng(cfg.init_seed)
-            u0 = u0 + cfg.init_jitter * rng.standard_normal(u0.shape)
-
         def residuals(u):
-            zk = assemble(u)
-            ell = _mapped_side_lengths(zk, g, cfg.quad_order)
+            ell = _mapped_side_lengths(assemble(u), g)
             return np.log(ell[1:] / ell[0]) - target
 
-        sol = least_squares(residuals, u0, method="lm", xtol=1e-15, ftol=1e-15,
-                            gtol=1e-15, max_nfev=cfg.solver_max_iter * max(1, n - 3))
+        sol = least_squares(residuals, _initial_gap_logs(L), method="lm", xtol=1e-15,
+                            ftol=1e-15, gtol=1e-15, max_nfev=_SOLVER_MAX_ITER * max(1, n - 3))
         zk = assemble(sol.x)
         resid = float(np.max(np.abs(sol.fun)))
         if resid > 1e-9:
@@ -275,37 +260,42 @@ def solve_parameter_problem(p, cfg=None):
     gaps = np.diff(zk)
     if gaps.min() < 1e-12:
         warnings.warn(f"prevertex gap {gaps.min():.3e} below 1e-12", CrowdingWarning)
+    return checked_map(p, zk, resid)
 
-    # fix C and the base point from the first side, and verify the mapped
-    # vertices against the target polygon
-    segs = _interval_integrals(zk, g, cfg.quad_order)
+
+def checked_map(p, prevertices, residual=0.0):
+    """The SC map of polygon p with the given prevertices, checked.
+
+    One pass over the prevertex intervals fixes the prefactor and base point
+    from the first side [x_1, x_2] and gives every vertex image; these must
+    match the polygon's vertices (NoConvergence otherwise).  The images seed
+    the cache that map_forward reads, and the interior anchor x(i) is set.
+    """
+    zk = np.asarray(prevertices, dtype=float)
+    if zk.shape != (p.n,):
+        raise ValidationFailure(f"{zk.size} prevertices for a {p.n}-gon")
+    g = np.asarray(p.angles) / np.pi - 1.0
+    segs = _interval_integrals(zk, g)
     verts = p.vertex_array()
-    C = (verts[1] - verts[0]) / segs[0]
-
     m = SCMap(
         prevertices=tuple(float(z) for z in zk),
         exponents=tuple(float(x) for x in g),
-        prefactor=complex(C),
+        prefactor=complex((verts[1] - verts[0]) / segs[0]),
         base_point=complex(verts[0]),
         polygon=p,
-        residual=resid,
+        residual=residual,
     )
     xk = _vertex_chain(m.base_point, m.prefactor, segs)
     err = np.max(np.abs(xk - verts)) / max(1.0, float(np.max(np.abs(verts))))
-    if err > cfg.quad_tol * 100:
+    if not err <= _VERTEX_TOL:
         raise NoConvergence(f"mapped vertices off by {err:.3e}", residual=err)
-    if cfg.quad_order == _VERTEX_ORDER:
-        # the images _vertex_images would compute again
-        object.__setattr__(m, "_vimages", xk)
-
-    anchor_z = 1j
-    anchor_x = map_forward(m, anchor_z)
-    object.__setattr__(m, "anchor_x", complex(anchor_x))
+    object.__setattr__(m, "_vimages", xk)
+    object.__setattr__(m, "anchor_x", map_forward(m, m.anchor_z))
     return m
 
 
-def _mapped_vertices(m, order=_VERTEX_ORDER):
-    segs = _interval_integrals(m.prevertex_array(), np.asarray(m.exponents), order)
+def _mapped_vertices(m):
+    segs = _interval_integrals(m.prevertex_array(), np.asarray(m.exponents))
     return _vertex_chain(m.base_point, m.prefactor, segs)
 
 
@@ -313,13 +303,11 @@ def _mapped_vertices(m, order=_VERTEX_ORDER):
 # forward and inverse evaluation
 # ---------------------------------------------------------------------------
 
-def map_forward(m, z, start=None, order=None, check=False, tol=None):
+def map_forward(m, z, start=None):
     """Evaluate x(z) for z in the closed upper half-plane.
 
     Integrates x' along the straight segment from a prevertex (default: the
-    nearest one) to z with compound Gauss-Jacobi/Legendre panels.  With
-    ``check=True`` the quadrature is repeated at higher order and a
-    QuadratureFailure is raised if the two disagree beyond ``tol``.
+    nearest one) to z with compound Gauss-Jacobi/Legendre panels.
     """
     z = complex(z)
     if z.imag < -1e-12:
@@ -332,15 +320,8 @@ def map_forward(m, z, start=None, order=None, check=False, tol=None):
     xk = _vertex_images(m)
     if z == zk[start]:
         return complex(xk[start])
-    order = order or 24
-    seg = integrate_sc_segment(zk, g, zk[start], z, sing_index=start, order=order)
-    val = xk[start] + m.prefactor * seg
-    if check:
-        seg2 = integrate_sc_segment(zk, g, zk[start], z, sing_index=start, order=order + 12)
-        err = abs(seg2 - seg) * abs(m.prefactor)
-        if err > (tol or 1e-10) * max(1.0, abs(val)):
-            raise QuadratureFailure(f"quadrature error estimate {err:.3e}")
-    return complex(val)
+    seg = integrate_sc_segment(zk, g, zk[start], z, sing_index=start)
+    return complex(xk[start] + m.prefactor * seg)
 
 
 def _vertex_images(m):
@@ -351,13 +332,12 @@ def _vertex_images(m):
     return got
 
 
-def map_inverse(m, x, cfg=None):
+def map_inverse(m, x):
     """Preimage z of x under the SC map, Newton-polished to ~1e-12.
 
     The initial guess integrates dz/dx = 1/x'(z) along the segment from the
     cached interior anchor to x.
     """
-    cfg = cfg or SCConfig()
     x = complex(x)
     verts = m.polygon.vertex_array()
     scale = float(np.max(np.abs(verts - verts.mean())))
@@ -391,9 +371,9 @@ def map_inverse(m, x, cfg=None):
 
     path = [z]
     f_scale = max(1.0, scale)
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         fz = map_forward(m, z) - x
-        if abs(fz) < cfg.newton_tol * f_scale:
+        if abs(fz) < _NEWTON_TOL * f_scale:
             return z if z.imag > 0 else complex(z.real, 0.0)
         step = fz / sc_derivative(m, z)
         z_new = z - step
@@ -442,9 +422,9 @@ def schwarzian_xz_inverted(m, t):
     return complex(out) if out.ndim == 0 else out
 
 
-def schwarzian_zx(m, x, cfg=None):
+def schwarzian_zx(m, x):
     """Schwarzian {z, x} = -(dz/dx)^2 {x, z} evaluated at z = map_inverse(x)."""
-    z = map_inverse(m, x, cfg)
+    z = map_inverse(m, x)
     return schwarzian_zx_at_z(m, z)
 
 
@@ -570,5 +550,5 @@ def map_on_side(m, j, z_nodes):
     zk = m.prevertex_array()
     z_nodes = np.asarray(z_nodes, dtype=float)
     x0 = _vertex_images(m)[j] + m.prefactor * integrate_sc_segment(
-        zk, np.asarray(m.exponents), zk[j], z_nodes[0], sing_index=j, order=24)
+        zk, np.asarray(m.exponents), zk[j], z_nodes[0], sing_index=j)
     return np.concatenate([[x0], cumulative_images(m, z_nodes[1:], z_nodes[0], x0)])

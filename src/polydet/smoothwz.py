@@ -88,6 +88,19 @@ def _check_grid(n_grid):
         raise ValidationFailure("n_grid must be a power of two >= 256")
 
 
+def _grid_checked(value, n_grid, check, what):
+    """value(n_grid); with check, value(2 n_grid) once the doubling has moved
+    it by at most 1e-10 (1 + |v|), else GridTooCoarse naming what moved."""
+    _check_grid(n_grid)
+    v = value(n_grid)
+    if check:
+        v2 = value(2 * n_grid)
+        if abs(v2 - v) > 1e-10 * (1 + abs(v)):
+            raise GridTooCoarse(f"doubling n_grid moves {what} by {abs(v2 - v):.2e}")
+        v = v2
+    return float(v)
+
+
 def alvarez_logdet(d, n_grid=512, check=True):
     """Boundary comparison value of log det (additive constant omitted).
 
@@ -95,8 +108,6 @@ def alvarez_logdet(d, n_grid=512, check=True):
     d_r phi = Re(w z''/z') enter the two circle integrals; the trapezoid rule
     on the periodic analytic integrand converges spectrally.
     """
-    _check_grid(n_grid)
-
     def value(n):
         t, w = _circle(n)
         zp = d.dz(w)
@@ -105,14 +116,7 @@ def alvarez_logdet(d, n_grid=512, check=True):
         dt = 2 * np.pi / n
         return (-1.0 / (12 * np.pi)) * (np.sum(phi * dr_phi) + 2 * np.sum(phi)) * dt
 
-    v = value(n_grid)
-    if check:
-        v2 = value(2 * n_grid)
-        if abs(v2 - v) > 1e-10 * (1 + abs(v)):
-            raise GridTooCoarse(
-                f"doubling n_grid moves the Alvarez value by {abs(v2 - v):.2e}")
-        v = v2
-    return float(v)
+    return _grid_checked(value, n_grid, check, "the Alvarez value")
 
 
 def wz_variation(d, V, n_grid=512, check=True):
@@ -123,7 +127,6 @@ def wz_variation(d, V, n_grid=512, check=True):
     {w,z} = -{z,w} / z'^2 from the Schwarzian chain rule (no inverse map is
     ever constructed).
     """
-    _check_grid(n_grid)
     V = np.asarray(V, dtype=complex)
 
     def value(n):
@@ -139,14 +142,7 @@ def wz_variation(d, V, n_grid=512, check=True):
         dt = 2 * np.pi / n
         return (1.0 / (6 * np.pi)) * np.sum(integrand * np.abs(zp)).real * dt
 
-    v = value(n_grid)
-    if check:
-        v2 = value(2 * n_grid)
-        if abs(v2 - v) > 1e-10 * (1 + abs(v)):
-            raise GridTooCoarse(
-                f"doubling n_grid moves the variation by {abs(v2 - v):.2e}")
-        v = v2
-    return float(v)
+    return _grid_checked(value, n_grid, check, "the variation")
 
 
 def wz_vs_alvarez_fd(d, V, eps=1e-4, n_grid=512):

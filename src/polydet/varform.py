@@ -125,16 +125,14 @@ LOG2 = 0.6931471805599453094
 ZETA_PRIME_M1 = -0.1654211437004509292   # zeta'(-1) = 1/12 - log(Glaisher's A)
 
 
-@dataclass(frozen=True)
-class VarConfig:
-    match_frac: float = 0.25     # near-zone radius, fraction of the prevertex gap
-    eps_frac: float = 1e-3       # Hadamard eps, fraction of the min side length
-    arc_frac: float = 0.1        # contour-shift arc radius, fraction of the gap
-    gl_order: int = 20
-    fp_order: int = 48
-    counterterm_tol: float = 1e-5
-    angle_sum_tol: float = 1e-8
-    field_tol: float = 1e-14
+_MATCH_FRAC = 0.25      # near-zone radius, fraction of the prevertex gap
+_EPS_FRAC = 1e-3        # Hadamard eps, fraction of the min side length
+_ARC_FRAC = 0.1         # contour-shift arc radius, fraction of the gap
+_GL_ORDER = 20          # Gauss-Legendre panels of the far parts and eps values
+_FP_ORDER = 48          # closed-form finite part rules
+_COUNTERTERM_TOL = 1e-5
+_ANGLE_SUM_TOL = 1e-8
+_FIELD_TOL = 1e-14      # a side whose normal velocity is below this is skipped
 
 
 @dataclass(frozen=True)
@@ -226,14 +224,14 @@ def corner_functional(alpha):
     return -(q / (2 * np.pi)) * (z1 - 2 * LOG2 * z0)
 
 
-def corner_term(p, delta_angles, tol=1e-8):
+def corner_term(p, delta_angles):
     """sum_i e(a_i) da_i with e = corner_functional; the angle variations
     must sum to zero."""
     da = np.asarray(delta_angles, dtype=float)
     if len(da) != p.n:
         raise ValidationFailure(f"expected {p.n} angle variations")
     scale = max(1.0, float(np.max(np.abs(da))))
-    if abs(da.sum()) > tol * scale:
+    if abs(da.sum()) > _ANGLE_SUM_TOL * scale:
         raise AngleSumViolation(f"sum of delta angles {da.sum():.2e} is not zero")
     return float(np.sum(corner_functional(p.angles) * da))
 
@@ -254,7 +252,7 @@ class _NearVertex:
     """Everything needed to integrate the boundary integrand near one vertex,
     approached along one of its two sides."""
 
-    def __init__(self, m, i, from_right, cfg):
+    def __init__(self, m, i, from_right):
         self.m = m
         self.i = i
         self.from_right = from_right
@@ -336,7 +334,7 @@ class _NearVertex:
         return w
 
 
-def _near_contributions(near, nu_hat, c0_eff, c1_eff, delta, eps_pair, cfg):
+def _near_contributions(near, nu_hat, c0_eff, c1_eff, delta, eps_pair):
     """Finite part and finite-eps values of the near-vertex piece.
 
     Returns (fp_exact, {eps: value}, rate) where the finite-eps values have
@@ -346,13 +344,13 @@ def _near_contributions(near, nu_hat, c0_eff, c1_eff, delta, eps_pair, cfg):
     m0 = near.m0
     pref = -nu_hat / near.D
     # closed-form finite part
-    xj, wj = jacgauss(cfg.fp_order, 0.0, -apio)
+    xj, wj = jacgauss(_FP_ORDER, 0.0, -apio)
     wq = 0.5 * delta * (1.0 + xj)
     phi0 = (near.h0(wq) - m0) / wq
     I0 = (0.5 * delta) ** (1.0 - apio) * np.sum(wj * phi0)
     fp = pref * c0_eff * (I0 - m0 * (np.pi / near.alpha) * delta ** (-apio))
     if abs(c1_eff) > 0:
-        xg, wg = leggauss(cfg.fp_order)
+        xg, wg = leggauss(_FP_ORDER)
         wq1 = 0.5 * delta * (1.0 + xg)
         phi1 = (near.h1(wq1) - m0) / wq1
         I1 = 0.5 * delta * np.sum(wg * phi1)
@@ -368,8 +366,8 @@ def _near_contributions(near, nu_hat, c0_eff, c1_eff, delta, eps_pair, cfg):
         breaks = [w_eps]
         while breaks[-1] < delta:
             breaks.append(min(breaks[-1] * 2.0, delta))
-        wn, half = panel_nodes(breaks, cfg.gl_order)
-        wg = leggauss(cfg.gl_order)[1]
+        wn, half = panel_nodes(breaks, _GL_ORDER)
+        wg = leggauss(_GL_ORDER)[1]
         h0 = near.h0(wn)
         gvals = pref * (c0_eff * h0 * wn ** (-1.0 - apio))
         if abs(c1_eff) > 0:
@@ -430,15 +428,15 @@ def _integrand_dz(m, z, sxz, s_vals, c0, c1, nu_hat):
     return -sxz * (c0 + c1 * s_vals) * nu_hat / xp
 
 
-def _far_part(m, j, breaks, z_of, jac, sxz_of, c0, c1, nu_hat, x_anchor, cfg):
+def _far_part(m, j, breaks, z_of, jac, sxz_of, c0, c1, nu_hat, x_anchor):
     """Integral of the dz integrand of side j over the parameter panels
     ``breaks``, with z = z_of(t), dz = jac(t) dt and {x,z} = sxz_of(t).
 
     The arclength from vertex j is tracked by integrating x' cumulatively
     along the ordered nodes, starting from the image x_anchor of breaks[0].
     """
-    tn, half = panel_nodes(breaks, cfg.gl_order)
-    wg = leggauss(cfg.gl_order)[1]
+    tn, half = panel_nodes(breaks, _GL_ORDER)
+    wg = leggauss(_GL_ORDER)[1]
     xs = cumulative_images(m, tn.ravel(), breaks[0], x_anchor, z_of, jac)
     s_vals = np.abs(xs.reshape(tn.shape) - m.polygon.vertices[j])
     gz = _integrand_dz(m, z_of(tn), sxz_of(tn), s_vals, c0, c1, nu_hat)
@@ -448,15 +446,15 @@ def _far_part(m, j, breaks, z_of, jac, sxz_of, c0, c1, nu_hat, x_anchor, cfg):
     return total
 
 
-def _far_part_finite_side(m, j, zl, zr, c0, c1, nu_hat, x_left_anchor, cfg):
+def _far_part_finite_side(m, j, zl, zr, c0, c1, nu_hat, x_left_anchor):
     """Far part over [zl, zr] inside side j's prevertex interval."""
     breaks = _graded_breaks(zl, zr, 0.5 * (zl - m.prevertices[j]),
                             0.5 * (m.prevertices[j + 1] - zr))
     return _far_part(m, j, breaks, lambda t: t, lambda t: 1.0,
-                     lambda t: schwarzian_xz(m, t), c0, c1, nu_hat, x_left_anchor, cfg)
+                     lambda t: schwarzian_xz(m, t), c0, c1, nu_hat, x_left_anchor)
 
 
-def _far_part_infinite_side(m, zl_w, zr_w, c0, c1, nu_hat, x_anchor_right, cfg):
+def _far_part_infinite_side(m, zl_w, zr_w, c0, c1, nu_hat, x_anchor_right):
     """Far part of the side through infinity, pulled back by z = 1/t.
 
     zl_w, zr_w: near-zone radii at the start vertex (z_{n-1} = 1, from the
@@ -469,22 +467,21 @@ def _far_part_infinite_side(m, zl_w, zr_w, c0, c1, nu_hat, x_anchor_right, cfg):
     breaks = _graded_breaks(t_lo, t_hi, 0.3 * zr_w, 0.3 * zl_w)[::-1]  # t decreasing
     return _far_part(m, m.n - 1, breaks, lambda t: 1.0 / t, lambda t: -1.0 / t**2,
                      lambda t: schwarzian_xz_inverted(m, t), c0, c1, nu_hat,
-                     x_anchor_right, cfg)
+                     x_anchor_right)
 
 
-def hadamard_boundary_integral(m, f, cfg=None):
+def hadamard_boundary_integral(m, f):
     """Hadamard-regularized boundary integral H-int {z,x} (A.nu) nuhat dx.
 
     Returns the eps -> 0 extrapolated value (complex); the closed-form finite
     part and the per-vertex extrapolation residuals are exposed through the
     ``diagnostics`` attribute of the result (a _HadamardResult).
     """
-    cfg = cfg or VarConfig()
     p = m.polygon
     n = p.n
     coeffs = f.side_normal_velocity
     zk = m.prevertex_array()
-    eps0 = cfg.eps_frac * min(p.side_lengths)
+    eps0 = _EPS_FRAC * min(p.side_lengths)
     eps_triplet = (eps0, 0.5 * eps0, 0.25 * eps0)
 
     total_extrap = 0.0 + 0.0j
@@ -495,35 +492,34 @@ def hadamard_boundary_integral(m, f, cfg=None):
     for j in range(n):
         c0, c1 = coeffs[j]
         L = p.side_lengths[j]
-        if abs(c0) + abs(c1) * L < cfg.field_tol:
+        if abs(c0) + abs(c1) * L < _FIELD_TOL:
             continue
         nu_hat = p.side_normal(j)
         i_start, i_end = j, (j + 1) % n
 
         # the start vertex is approached from the right of its prevertex and
         # the end vertex from the left, also for the side through infinity
-        near_s = _NearVertex(m, i_start, from_right=True, cfg=cfg)
-        near_e = _NearVertex(m, i_end, from_right=False, cfg=cfg)
+        near_s = _NearVertex(m, i_start, from_right=True)
+        near_e = _NearVertex(m, i_end, from_right=False)
 
-        delta_s = cfg.match_frac * min(m.gap(i_start), 1.0)
-        delta_e = cfg.match_frac * min(m.gap(i_end), 1.0)
+        delta_s = _MATCH_FRAC * min(m.gap(i_start), 1.0)
+        delta_e = _MATCH_FRAC * min(m.gap(i_end), 1.0)
         if j < n - 1:
             interval = zk[j + 1] - zk[j]
             delta_s = min(delta_s, 0.35 * interval)
             delta_e = min(delta_e, 0.35 * interval)
 
         fp_s, eps_s, _ = _near_contributions(
-            near_s, nu_hat, c0, c1, delta_s, eps_triplet, cfg)
+            near_s, nu_hat, c0, c1, delta_s, eps_triplet)
         fp_e, eps_e, _ = _near_contributions(
-            near_e, nu_hat, c0 + c1 * L, -c1, delta_e, eps_triplet, cfg)
+            near_e, nu_hat, c0 + c1 * L, -c1, delta_e, eps_triplet)
 
         x_anchor = near_s.x_at(delta_s)[0]
         if j < n - 1:
             far = _far_part_finite_side(m, j, zk[j] + delta_s, zk[j + 1] - delta_e,
-                                        c0, c1, nu_hat, x_anchor, cfg)
+                                        c0, c1, nu_hat, x_anchor)
         else:
-            far = _far_part_infinite_side(m, delta_s, delta_e, c0, c1, nu_hat,
-                                          x_anchor, cfg)
+            far = _far_part_infinite_side(m, delta_s, delta_e, c0, c1, nu_hat, x_anchor)
 
         total_extrap += far
         total_fp += far + fp_s + fp_e
@@ -540,7 +536,7 @@ def hadamard_boundary_integral(m, f, cfg=None):
 
     mismatch = abs(total_extrap - total_fp)
     scale = max(1.0, abs(total_fp))
-    if mismatch > max(cfg.counterterm_tol * scale, 4.0 * worst_d2):
+    if mismatch > max(_COUNTERTERM_TOL * scale, 4.0 * worst_d2):
         raise CountertermMismatch(
             f"eps-extrapolation disagrees with the closed-form finite part by {mismatch:.2e}")
     return _HadamardResult(
@@ -569,12 +565,11 @@ class _HadamardResult:
 # the two routes
 # ---------------------------------------------------------------------------
 
-def main_formula(p, m, f, cfg=None):
+def main_formula(p, m, f):
     """Variational formula for log det: boundary term + corner term."""
-    cfg = cfg or VarConfig()
-    res = hadamard_boundary_integral(m, f, cfg)
+    res = hadamard_boundary_integral(m, f)
     boundary = float(res.value.imag) / (6 * np.pi)
-    corner = corner_term(p, f.delta_angles, tol=cfg.angle_sum_tol)
+    corner = corner_term(p, f.delta_angles)
     diag = dict(res.diagnostics)
     diag["finite_part_boundary_term"] = res.finite_part.imag / (6 * np.pi)
     return DeterminantVariation(
@@ -586,7 +581,7 @@ def main_formula(p, m, f, cfg=None):
     )
 
 
-def contour_shift_integral(m, f, cfg=None):
+def contour_shift_integral(m, f):
     """Shift-route value of d(log det) for a pure parallel-shift field.
 
     The field must be constant on each active side ((A.nu) = c0, c1 = 0) and
@@ -595,17 +590,15 @@ def contour_shift_integral(m, f, cfg=None):
     radius eps around the prevertex and the divergent piece is replaced by
     the interior contour integral of {z,x} along that arc.
     """
-    cfg = cfg or VarConfig()
     p = m.polygon
     n = p.n
     zk = m.prevertex_array()
-    verts = p.vertex_array()
     total = 0.0
 
     for j in range(n):
         c0, c1 = f.side_normal_velocity[j]
         L = p.side_lengths[j]
-        if abs(c0) + abs(c1) * L < cfg.field_tol:
+        if abs(c0) + abs(c1) * L < _FIELD_TOL:
             continue
         if abs(c1) * L > 1e-10 * max(1.0, abs(c0)):
             raise ValidationFailure("contour route requires pure parallel shifts")
@@ -615,17 +608,17 @@ def contour_shift_integral(m, f, cfg=None):
         nu_hat = p.side_normal(j)
         tau = p.side_tangent(j)
         theta_s = np.angle(tau)
-        eps_s = cfg.arc_frac * min(m.gap(j), 1.0)
-        eps_e = cfg.arc_frac * min(m.gap(j + 1), 1.0)
+        eps_s = _ARC_FRAC * min(m.gap(j), 1.0)
+        eps_e = _ARC_FRAC * min(m.gap(j + 1), 1.0)
         interval = zk[j + 1] - zk[j]
         eps_s = min(eps_s, 0.3 * interval)
         eps_e = min(eps_e, 0.3 * interval)
 
         # straight piece between the arc feet
-        near = _NearVertex(m, j, from_right=True, cfg=cfg)
+        near = _NearVertex(m, j, from_right=True)
         x_anchor = near.x_at(eps_s)[0]
         straight = _far_part_finite_side(m, j, zk[j] + eps_s, zk[j + 1] - eps_e,
-                                         c0, 0.0, nu_hat, x_anchor, cfg)
+                                         c0, 0.0, nu_hat, x_anchor)
         total += straight.imag / (6 * np.pi)
 
         # interior arc corrections at both ends; the start vertex carries the

@@ -117,8 +117,8 @@ def _logdet_value(eigs, h, tau0, lam_max, tail=True):
 
 def zeta_logdet(spectrum, h, cfg):
     """log det from a truncated Spectrum plus heat-trace completion, split
-    at cfg.tau0 (which must be set).  A spectrum that failed its Weyl count
-    check is refused.
+    at cfg.tau0 (which must be set, finite and positive).  A spectrum that
+    failed its Weyl count check is refused.
 
     Diagnostics: the value is recomputed with tau0 doubled and with the
     spectrum truncated at lambda_max/2 (tail model taking over earlier); the
@@ -132,8 +132,10 @@ def zeta_logdet(spectrum, h, cfg):
         raise ValidationFailure("spectrum failed its Weyl count check")
     if cfg.tau0 is None:
         raise ValidationFailure("tau0 is not set; RunConfig.pipeline_zeta chooses it")
-    lam_max = spectrum.lambda_max
     tau0 = cfg.tau0
+    if not (np.isfinite(tau0) and tau0 > 0):
+        raise ValidationFailure(f"tau0 = {tau0} is not finite and positive")
+    lam_max = spectrum.lambda_max
 
     value = _logdet_value(eigs, h, tau0, lam_max)
     v_tau2 = _logdet_value(eigs, h, 2 * tau0, lam_max)
@@ -150,7 +152,7 @@ def zeta_logdet(spectrum, h, cfg):
         "delta_lambda_halving": d_lam,
         "tail_weight": float(np.sum(exp1(eigs * tau0))),
     }
-    if err > cfg.tail_tol:
+    if not err <= cfg.tail_tol:     # a NaN estimate fails too
         raise TailNotConverged(
             f"doubling diagnostics {err:.2e} exceed {cfg.tail_tol:.2e} "
             f"(tau0 {d_tau:.2e}, lambda {d_lam:.2e}); raise lambda_max")

@@ -17,6 +17,20 @@ def rotation_field(p):
     return field_from_vertex_velocities(p, [1j * v for v in p.vertices])
 
 
+def jittered_initialization(monkeypatch, jitter, seed):
+    """Make the SC solve start from its initial gap logs plus seeded
+    Gaussian noise of size jitter."""
+    from polydet import scmap
+
+    real = scmap._initial_gap_logs
+
+    def jittered(L):
+        u0 = real(L)
+        return u0 + jitter * np.random.default_rng(seed).standard_normal(u0.shape)
+
+    monkeypatch.setattr(scmap, "_initial_gap_logs", jittered)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from polydet.cli import main
 from polydet.config import RunConfig, config_from_file
 from polydet.eigensolve import EigConfig
 from polydet.errors import ValidationFailure
-from polydet.scmap import SCConfig
-from polydet.varform import VarConfig
 from polydet.zetadet import ZetaConfig, rectangle_logdet_exact
 
 
@@ -60,7 +59,11 @@ class TestRunConfig:
                                           ({"eig": {"dip_threshold": 0.3}},
                                            "eig.dip_threshold"),
                                           ({"zeta": {"require_weyl": True}},
-                                           "zeta.require_weyl")])
+                                           "zeta.require_weyl"),
+                                          ({"var": {"gl_order": "20"}}, "var"),
+                                          ({"sc": {"quad_order": 24.0}}, "sc"),
+                                          ({"lambda_max_factor": 28}, "lambda_max_factor"),
+                                          ({"fd_step": None}, "fd_step")])
     def test_unknown_key_exits_2(self, raw, key, square_file, tmp_path, capsys):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(raw))
@@ -69,11 +72,16 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("raw, message", [
         ({"lambda_max": "abc"}, 'lambda_max must be a number, not "abc"'),
-        ({"var": {"gl_order": "20"}}, 'var.gl_order must be an integer, not "20"'),
-        ({"sc": {"quad_order": 24.0}}, "sc.quad_order must be an integer, not 24.0"),
+        ({"lambda_max": 350, "zeta": {"tau0": -0.05}},
+         "zeta.tau0 must be finite and positive, not -0.05"),
+        ({"lambda_max": 350, "zeta": {"tau0": float("nan")}},
+         "zeta.tau0 must be finite and positive, not NaN"),
         ({"eig": {"seed": True}}, "eig.seed must be an integer, not true"),
-        ({"fd_step": None}, "fd_step must be a number, not null")])
+        ({"lambda_max": float("nan")}, "lambda_max must be finite and positive, not NaN"),
+        ({"lambda_max": 350, "zeta": {"tau0": 0}},
+         "zeta.tau0 must be finite and positive, not 0.0")])
     def test_wrong_value_type_exits_2(self, raw, message, square_file, tmp_path, capsys):
+        # NaN is not JSON, but Python's json module reads and writes it
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(raw))
         assert main(["--cfg", str(f), "det", square_file]) == 2
@@ -81,11 +89,27 @@ class TestRunConfig:
 
     def test_null_defaults_and_integers_in_float_fields(self, tmp_path):
         f = tmp_path / "cfg.json"
-        f.write_text(json.dumps({"lambda_max": None, "zeta": {"tau0": None},
-                                 "var": {"eps_frac": 1e-3}, "lambda_max_factor": 28}))
+        f.write_text(json.dumps({"lambda_max": None, "zeta": {"tau0": None, "tail_tol": 1e-4}}))
         cfg = config_from_file(str(f))
         assert cfg.lambda_max is None and cfg.zeta.tau0 is None
         assert cfg.hash() == RunConfig().hash()
+        f.write_text(json.dumps({"lambda_max": 420}))
+        assert config_from_file(str(f)).hash() == RunConfig(lambda_max=420.0).hash()
+
+    def test_settable_keys(self, tmp_path):
+        def keys(d, prefix=""):
+            return {k for name, v in d.items()
+                    for k in (keys(v, f"{prefix}{name}.") if isinstance(v, dict)
+                              else {prefix + name})}
+
+        assert keys(RunConfig().to_dict()) == {"eig.seed", "zeta.tau0", "zeta.tail_tol",
+                                               "lambda_max"}
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"eig": {"seed": 3}, "zeta": {"tau0": 0.05, "tail_tol": 1.0},
+                                 "lambda_max": 350}))
+        cfg = config_from_file(str(f))
+        assert cfg == RunConfig(eig=EigConfig(seed=3), lambda_max=350.0,
+                                zeta=ZetaConfig(tau0=0.05, tail_tol=1.0))
 
     def test_seed_overrides_eig(self, square_file, tmp_path, capsys):
         code, out = run_cli(["--seed", "7", "scmap", square_file], capsys)
@@ -108,7 +132,7 @@ class TestRunConfig:
     def test_every_config_field_is_read(self):
         # a field that no code reads is a setting without effect
         src = "".join(f.read_text() for f in Path(polydet.__file__).parent.glob("*.py"))
-        for cls in (RunConfig, SCConfig, EigConfig, ZetaConfig, VarConfig):
+        for cls in (RunConfig, EigConfig, ZetaConfig):
             for f in dataclasses.fields(cls):
                 assert re.search(rf"\.{f.name}\b", src), f"{cls.__name__}.{f.name}"
 
@@ -142,13 +166,42 @@ class TestScmapCommand:
         assert main(["scmap", str(f)]) == 2
 
     def test_cache_round_trip(self, square_file, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        code1, out1 = run_cli(["--cache-dir", cache, "scmap", square_file], capsys)
-        code2, out2 = run_cli(["--cache-dir", cache, "scmap", square_file], capsys)
+        cache = tmp_path / "cache"
+        args = ["--cache-dir", str(cache), "scmap", square_file]
+        code1, out1 = run_cli(args, capsys)
+        code2, out2 = run_cli(args, capsys)
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["payload"] == r2["payload"]
         assert not r1["diagnostics"]["cache_hit"]
         assert r2["diagnostics"]["cache_hit"]
+        # an entry that is not whole JSON is a miss, recomputed and rewritten
+        (f,) = cache.glob("scmap_*.json")
+        text = f.read_text()
+        f.write_text(text[:40])
+        code3, out3 = run_cli(args, capsys)
+        assert code3 == 0
+        r3 = json.loads(out3)
+        assert not r3["diagnostics"]["cache_hit"]
+        assert r3["payload"] == r1["payload"]
+        assert f.read_text() == text
+
+    def test_cache_failing_the_vertex_check_is_recomputed(self, square_file, tmp_path,
+                                                          capsys):
+        cache = tmp_path / "cache"
+        args = ["--cache-dir", str(cache), "scmap", square_file]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        (f,) = cache.glob("scmap_*.json")
+        text = f.read_text()
+        d = json.loads(text)
+        d["prevertices"][2] = 0.4
+        f.write_text(json.dumps(d))
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert not rep["diagnostics"]["cache_hit"]
+        assert rep["payload"]["prevertices"][2] == pytest.approx(1 / 3, abs=1e-12)
+        assert f.read_text() == text
 
 
 class TestDetCommand:
@@ -196,6 +249,19 @@ class TestDetCommand:
         assert _load_spectrum(csv_f, side_f, square) is None
         csv_f.write_text(text)
         assert _load_spectrum(csv_f, side_f, build_polygon([0, 1, 1 + 1.1j, 1.1j])) is None
+        # a sidecar that is not whole JSON, or lacks a key, is a miss too
+        side = json.loads(side_f.read_text())
+        del side["lambda_max"]
+        side_f.write_text(json.dumps(side))
+        assert _load_spectrum(csv_f, side_f, square) is None
+        side_f.write_text(side_f.read_text()[:30])
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert not rep["diagnostics"]["cache_hit"]
+        assert rep["payload"]["n_eigs"] == n_eigs
+        assert json.loads(side_f.read_text())["n_eigs"] == n_eigs
+        assert not list(cache.glob("*.tmp"))
 
     def test_cache_failing_the_weyl_check_is_recomputed(self, square_file, det_cfg_file,
                                                          tmp_path, capsys):
@@ -286,6 +352,21 @@ class TestWzCommand:
 
 
 class TestValidateCommand:
+    def test_each_record_carries_its_checks_runtime(self, monkeypatch):
+        from polydet import validation
+
+        def two_records():
+            return [validation._record("a", 0.0, 1.0), validation._record("b", 0.0, 1.0)]
+
+        def one_record():
+            return [validation._record("c", 0.0, 1.0)]
+
+        clock = iter([0.0, 2.0, 10.0, 10.5])
+        monkeypatch.setattr(validation, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        monkeypatch.setitem(validation.SUITES, "stub", [two_records, one_record])
+        records = validation.run_suite("stub")
+        assert [r["runtime_s"] for r in records] == [2.0, 2.0, 0.5]
+
     def test_geometry_suite(self, capsys):
         code, out = run_cli(["validate", "geometry"], capsys)
         assert code == 0

@@ -10,7 +10,6 @@ from polydet.errors import (
 )
 from polydet.geometry import build_polygon
 from polydet.scmap import (
-    SCConfig,
     SCMap,
     derivative_prefactor,
     map_forward,
@@ -29,7 +28,7 @@ from polydet.scmap import (
     integrate_sc_segment,
 )
 from polydet.quadrature import gl_nodes, jacgauss
-from conftest import random_convex_polygon
+from conftest import jittered_initialization, random_convex_polygon
 
 
 @pytest.fixture(scope="module")
@@ -66,20 +65,36 @@ class TestParameterProblem:
         assert sides[2] / sides[1] == pytest.approx(2.0, rel=1e-10)
 
     def test_vertex_check_uses_quad_order(self, monkeypatch):
+        # the solve, the vertex check, the anchor and map_on_side all use
+        # the one SC quadrature order
         from polydet import scmap
 
         orders = []
         real = scmap.integrate_sc_segment
 
-        def spy(*args, order=24, **kwargs):
-            orders.append(order)
-            return real(*args, order=order, **kwargs)
+        def spy(*args, **kwargs):
+            orders.append(kwargs.get("order", scmap._QUAD_ORDER))
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(scmap, "integrate_sc_segment", spy)
-        # the interior anchor is evaluated by map_forward at its own order
-        monkeypatch.setattr(scmap, "map_forward", lambda m, z: 0j)
-        solve_parameter_problem(build_polygon([0, 1, 1 + 1j, 1j]), SCConfig(quad_order=16))
-        assert orders and set(orders) == {16}
+        m = solve_parameter_problem(build_polygon([0, 1, 1 + 1j, 1j]))
+        map_forward(m, 0.3 + 0.4j)
+        map_on_side(m, 1, [0.1, 0.2])
+        assert orders and set(orders) == {scmap._QUAD_ORDER} == {24}
+
+    def test_checked_map_rejects_wrong_prevertices(self, square_map):
+        from polydet.errors import NoConvergence
+        from polydet.scmap import checked_map
+
+        p = square_map.polygon
+        m = checked_map(p, square_map.prevertices, square_map.residual)
+        assert (m.prefactor, m.base_point, m.anchor_x) == (
+            square_map.prefactor, square_map.base_point, square_map.anchor_x)
+        assert np.array_equal(m.__dict__["_vimages"], square_map.__dict__["_vimages"])
+        with pytest.raises(NoConvergence):
+            checked_map(p, (-1.0, 0.0, 0.4, 1.0))
+        with pytest.raises(ValidationFailure):
+            checked_map(p, (-1.0, 0.0, 1.0))
 
     def test_checked_vertex_images_are_reused(self, monkeypatch):
         # the images checked after the solve seed the cache that map_forward
@@ -332,10 +347,11 @@ class TestVertexExpansion:
 
 
 class TestGaugeRobustness:
-    def test_jittered_initialization_same_map(self):
+    def test_jittered_initialization_same_map(self, monkeypatch):
         p = build_polygon([0, 1.4, 1.9 + 1.1j, 0.4 + 1.7j, -0.5 + 0.9j])
         m0 = solve_parameter_problem(p)
-        m1 = solve_parameter_problem(p, SCConfig(init_jitter=0.4, init_seed=11))
+        jittered_initialization(monkeypatch, 0.4, 11)
+        m1 = solve_parameter_problem(p)
         assert np.allclose(m0.prevertices, m1.prevertices, atol=1e-11)
 
     def test_nonconvex_rejected_upstream(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polydet.errors import MapDegenerate, ValidationFailure
+from polydet.errors import GridTooCoarse, MapDegenerate, ValidationFailure
 from polydet.smoothwz import (
     SmoothDomain,
     alvarez_logdet,
@@ -64,6 +64,22 @@ class TestAlvarez:
         v1024 = alvarez_logdet(d, 1024, check=False)
         e1, e2 = abs(v256 - v1024), abs(v512 - v1024)
         assert e2 < e1 / 1e4 or e2 < 1e-15
+
+
+class TestGridDoubling:
+    def test_checked_value_is_the_doubled_grid_value(self):
+        d = SmoothDomain((0.0, 1.0, 0.15, 0.05j, 0.02))
+        V = [0.0, 0.3, 0.5]
+        assert alvarez_logdet(d, 256) == alvarez_logdet(d, 512, check=False)
+        assert wz_variation(d, V, 256) == wz_variation(d, V, 512, check=False)
+
+    def test_coarse_grid_names_the_quantity(self):
+        # z' = 1 + 0.96 w vanishes just outside the circle
+        d = SmoothDomain((0.0, 1.0, 0.48))
+        with pytest.raises(GridTooCoarse, match="the Alvarez value"):
+            alvarez_logdet(d, 256)
+        with pytest.raises(GridTooCoarse, match="the variation"):
+            wz_variation(d, [0.0, 1.0], 256)
 
 
 class TestWZVariation:

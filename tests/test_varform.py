@@ -9,8 +9,8 @@ from polydet.errors import (
     ValidationFailure,
 )
 from polydet.geometry import build_polygon, field_from_vertex_velocities
+from polydet import varform
 from polydet.scmap import (
-    SCConfig,
     _local_regular_factor,
     map_forward,
     solve_parameter_problem,
@@ -18,7 +18,6 @@ from polydet.scmap import (
     schwarzian_xz,
 )
 from polydet.varform import (
-    VarConfig,
     _aitken_limit,
     _local_regular_factor_left,
     _NearVertex,
@@ -35,6 +34,7 @@ from polydet.varform import (
 from polydet.zetadet import EULER_GAMMA, rectangle_logdet_exact, scaling_variation
 from conftest import (
     dilation_field,
+    jittered_initialization,
     random_convex_polygon,
     rotation_field,
     side_shift_field,
@@ -189,7 +189,7 @@ def test_rho_on_panel_arrays_equals_pointwise(rng):
     p = random_convex_polygon(rng, n_min=5, n_max=5)
     m = solve_parameter_problem(p)
     for i, from_right in ((1, True), (3, False)):
-        near = _NearVertex(m, i, from_right, VarConfig())
+        near = _NearVertex(m, i, from_right)
         w = 0.25 * m.gap(i) * rng.uniform(1e-6, 1.0, (3, 7))
         assert np.array_equal(near.rho(w), [[near.rho(x)[0] for x in row] for row in w])
 
@@ -199,7 +199,7 @@ def test_x_at_matches_map_forward(rng):
     p = random_convex_polygon(rng, n_min=5, n_max=5)
     m = solve_parameter_problem(p)
     for i, from_right in ((1, True), (3, False), (4, True), (0, False)):
-        near = _NearVertex(m, i, from_right, VarConfig())
+        near = _NearVertex(m, i, from_right)
         w = 0.25 * m.gap(i) * np.array([1e-4, 0.01, 0.3, 1.0])
         z = m.prevertices[i] + (w if from_right else -w)
         ref = np.array([map_forward(m, zz) for zz in z])
@@ -228,9 +228,9 @@ class TestHadamardBoundaryIntegral:
         nu = p.side_normal(j)
         zl = m.prevertices[j] + 0.3
         zr = m.prevertices[j + 1] - 0.004
-        near = _NearVertex(m, j, from_right=True, cfg=VarConfig())
+        near = _NearVertex(m, j, from_right=True)
         x_anchor = near.x_at(zl - m.prevertices[j])[0]
-        got = _far_part_finite_side(m, j, zl, zr, c0, c1, nu, x_anchor, VarConfig())
+        got = _far_part_finite_side(m, j, zl, zr, c0, c1, nu, x_anchor)
 
         x_vertex = p.vertices[j]
 
@@ -249,14 +249,13 @@ class TestHadamardBoundaryIntegral:
         # removal radius in true arclength cancels that leading term
         # identically, leaving the next vertex-expansion order
         # eps^{2 pi/alpha - 1} (slope 2 on a hexagon corner, 3 on a square).
-        cfg = VarConfig()
         eps_list = (4e-3, 2e-3, 1e-3, 5e-4)
 
         hexa = build_polygon(np.exp(1j * np.pi * np.arange(6) / 3))
         mh = solve_parameter_problem(hexa)
-        near = _NearVertex(mh, 1, from_right=True, cfg=cfg)
+        near = _NearVertex(mh, 1, from_right=True)
         fp, vals, rate = _near_contributions(near, hexa.side_normal(1), 1.0, 0.4,
-                                             0.25 * mh.gap(1), eps_list, cfg)
+                                             0.25 * mh.gap(1), eps_list)
         resid = np.array([abs(vals[e] - fp) for e in eps_list])
         slope = np.polyfit(np.log(eps_list), np.log(resid), 1)[0]
         assert rate == pytest.approx(0.5)       # spec envelope, used by Aitken
@@ -264,9 +263,9 @@ class TestHadamardBoundaryIntegral:
         assert abs(slope - 2.0) < 0.1           # sharp rate 2 pi/alpha - 1
 
         p, m = square
-        near_sq = _NearVertex(m, 1, from_right=True, cfg=cfg)
+        near_sq = _NearVertex(m, 1, from_right=True)
         fp_sq, vals_sq, rate_sq = _near_contributions(
-            near_sq, -1j, 1.0, 0.4, 0.25 * m.gap(1), eps_list, cfg)
+            near_sq, -1j, 1.0, 0.4, 0.25 * m.gap(1), eps_list)
         resid_sq = np.array([abs(vals_sq[e] - fp_sq) for e in eps_list])
         slope_sq = np.polyfit(np.log(eps_list), np.log(resid_sq), 1)[0]
         assert rate_sq == pytest.approx(1.0)
@@ -314,11 +313,12 @@ class TestMainFormula:
         dv = main_formula(p, m, field_from_vertex_velocities(p, v))
         assert dv.total == dv.boundary_term + dv.corner_term
 
-    def test_gauge_invariance_under_solver_jitter(self):
+    def test_gauge_invariance_under_solver_jitter(self, monkeypatch):
         p = build_polygon([0, 1.4, 1.9 + 1.1j, 0.4 + 1.7j, -0.5 + 0.9j])
         f = side_shift_field(p, 1)
         m0 = solve_parameter_problem(p)
-        m1 = solve_parameter_problem(p, SCConfig(init_jitter=0.4, init_seed=3))
+        jittered_initialization(monkeypatch, 0.4, 3)
+        m1 = solve_parameter_problem(p)
         v0 = main_formula(p, m0, f).total
         v1 = main_formula(p, m1, f).total
         assert abs(v0 - v1) < 1e-8
@@ -330,11 +330,13 @@ class TestContourShift:
         v = contour_shift_integral(m, side_shift_field(p, 1))
         assert v == pytest.approx(exact_rect_derivative(), abs=1e-5)
 
-    def test_contour_independence(self, square):
+    def test_contour_independence(self, square, monkeypatch):
         p, m = square
         f = side_shift_field(p, 1)
-        v1 = contour_shift_integral(m, f, VarConfig(arc_frac=0.1))
-        v2 = contour_shift_integral(m, f, VarConfig(arc_frac=0.05))
+        monkeypatch.setattr(varform, "_ARC_FRAC", 0.1)
+        v1 = contour_shift_integral(m, f)
+        monkeypatch.setattr(varform, "_ARC_FRAC", 0.05)
+        v2 = contour_shift_integral(m, f)
         assert abs(v1 - v2) < 1e-8
 
     def test_rect_top_side(self, rect21):

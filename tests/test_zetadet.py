@@ -131,6 +131,19 @@ class TestZetaLogdet:
         with pytest.raises(ValidationFailure, match="tau0"):
             zeta_logdet(rectangle_spectrum(1, 1, 600.0), h, ZetaConfig())
 
+    @pytest.mark.parametrize("tau0", [-0.05, 0.0, float("nan"), float("inf")])
+    def test_tau0_must_be_finite_and_positive(self, tau0):
+        h = heat_coefficients(build_polygon([0, 1, 1 + 1j, 1j]))
+        with pytest.raises(ValidationFailure, match="finite and positive"):
+            zeta_logdet(rectangle_spectrum(1, 1, 600.0), h, ZetaConfig(tau0=tau0))
+
+    def test_nan_error_estimate_does_not_pass(self):
+        # the estimate must be at most tail_tol; no comparison with NaN is
+        h = heat_coefficients(build_polygon([0, 1, 1 + 1j, 1j]))
+        with pytest.raises(TailNotConverged):
+            zeta_logdet(rectangle_spectrum(1, 1, 600.0), h,
+                        ZetaConfig(tau0=0.05, tail_tol=float("nan")))
+
     def test_report_payload(self):
         h = heat_coefficients(build_polygon([0, 1, 1 + 1j, 1j]))
         ld = zeta_logdet(rectangle_spectrum(1, 1, 600.0), h, ZetaConfig(tau0=0.05))
