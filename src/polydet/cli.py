@@ -50,12 +50,13 @@ def _load_polygon(path):
     return polygon_from_json_dict(_load_json(path))
 
 
-def _solve_map_cached(p, cfg, cache):
-    """The SC map of p and whether it came from the cache.  A cached entry
-    holds prevertices; it is used only if checked_map accepts them for p,
-    and otherwise (or when it cannot be read) the map is solved again and
-    the entry rewritten."""
-    f = Path(cache) / f"scmap_{polygon_hash(p)}_{cfg.hash()}.json" if cache else None
+def _solve_map_cached(p, cache):
+    """The SC map of p and whether it came from the cache.  The entry is
+    keyed by the polygon alone, since no config value enters the SC solve.
+    It holds prevertices and is used only if checked_map accepts them for
+    p; otherwise (or when it cannot be read) the map is solved again and the
+    entry rewritten."""
+    f = Path(cache) / f"scmap_{polygon_hash(p)}.json" if cache else None
     if f is not None and f.exists():
         try:
             d = json.loads(f.read_text())
@@ -140,7 +141,7 @@ def _spectrum_cached(p, lam_max, cfg, cache):
 def cmd_scmap(args, cfg):
     timer = Timer()
     p = _load_polygon(args.polygon)
-    m, hit = _solve_map_cached(p, cfg, _cache_dir(args))
+    m, hit = _solve_map_cached(p, _cache_dir(args))
     timer.mark("solve")
     return Report(
         command=["scmap", args.polygon],
@@ -183,7 +184,7 @@ def cmd_var(args, cfg):
     payload = {}
     diagnostics = {}
     if args.route in ("formula", "both"):
-        m, _ = _solve_map_cached(p, cfg, _cache_dir(args))
+        m, _ = _solve_map_cached(p, _cache_dir(args))
         dv = main_formula(p, m, f)
         payload["formula"] = {
             "boundary_term": dv.boundary_term,

@@ -11,8 +11,9 @@ Each dip of the sweep is refined by fitting sigma^2 as a parabola in lambda
 (see MPSSolver._refine_checked).  The sigma evaluations of a sweep are
 counted per stage into Spectrum.meta["sigma_evals"].
 
-Counting is validated against the two-term Weyl law; a failed check raises
-MissedEigenvalue rather than silently returning a thinned spectrum.
+Counting is validated against the two-term Weyl law plus the heat-trace
+constant b1; a failed check raises MissedEigenvalue rather than silently
+returning a thinned spectrum.
 """
 
 import functools
@@ -96,15 +97,20 @@ def weyl_two_term(p, lam):
 
 
 def weyl_count_check(p, eigs, lambda_max):
-    """Deviation of the counting function from the two-term Weyl law.
+    """Deviation of the counting function from the two-term Weyl law plus
+    its constant term, W(lam) + b1 (b1 the corner sum of the heat trace).
 
     Checked just below and above every eigenvalue and at the cutoff; the
     allowed band is +-(C_W + 3), C_W = _WEYL_CW.
     """
+    from .zetadet import heat_coefficients
+
+    b1 = heat_coefficients(p).b1
     eigs = np.sort(np.asarray(eigs, dtype=float))
-    k, w = np.arange(len(eigs)), weyl_two_term(p, eigs)
+    k, w = np.arange(len(eigs)), weyl_two_term(p, eigs) + b1
     # N(lam - 0) and N(lam + 0) at every eigenvalue, and N at the cutoff
-    devs = np.concatenate([k - w, k + 1 - w, [len(eigs) - weyl_two_term(p, lambda_max)]])
+    devs = np.concatenate([k - w, k + 1 - w,
+                           [len(eigs) - weyl_two_term(p, lambda_max) - b1]])
     band = _WEYL_CW + 3.0
     worst = float(np.max(np.abs(devs)))
     return {"max_abs_dev": worst, "band": band, "ok": bool(worst <= band)}

@@ -99,10 +99,13 @@ def sc_derivative(m, z):
 
 
 def _unnormalized_derivative(zk, g, z):
+    """prod (z - z_k)^{g_k}: one _log_uhp call on the (points, n) array of
+    differences, whose columns are summed with their exponents in k order."""
     z = np.asarray(z, dtype=complex)
+    logs = _log_uhp(z[..., None] - np.asarray(zk, dtype=float))
     s = np.zeros(z.shape, dtype=complex)
     for k in range(len(zk)):
-        s = s + g[k] * _log_uhp(z - zk[k])
+        s = s + g[k] * logs[..., k]
     return np.exp(s)
 
 

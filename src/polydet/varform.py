@@ -334,11 +334,14 @@ class _NearVertex:
         return w
 
 
-def _near_contributions(near, nu_hat, c0_eff, c1_eff, delta, eps_pair):
+def _near_contributions(near, nu_hat, delta, eps_seq):
     """Finite part and finite-eps values of the near-vertex piece.
 
-    Returns (fp_exact, {eps: value}, rate) where the finite-eps values have
-    the growing terms already subtracted.
+    The piece is linear in the normal velocity c0 + c1 s (s the arclength
+    from the vertex), so each value is returned as its (c0, c1) pair of
+    coefficients.  Returns (fp, vals, rate) with fp of shape (2,) and vals
+    of shape (len(eps_seq), 2); the finite-eps values have the growing terms
+    already subtracted.
     """
     apio = near.apio
     m0 = near.m0
@@ -346,39 +349,34 @@ def _near_contributions(near, nu_hat, c0_eff, c1_eff, delta, eps_pair):
     # closed-form finite part
     xj, wj = jacgauss(_FP_ORDER, 0.0, -apio)
     wq = 0.5 * delta * (1.0 + xj)
-    phi0 = (near.h0(wq) - m0) / wq
-    I0 = (0.5 * delta) ** (1.0 - apio) * np.sum(wj * phi0)
-    fp = pref * c0_eff * (I0 - m0 * (np.pi / near.alpha) * delta ** (-apio))
-    if abs(c1_eff) > 0:
-        xg, wg = leggauss(_FP_ORDER)
-        wq1 = 0.5 * delta * (1.0 + xg)
-        phi1 = (near.h1(wq1) - m0) / wq1
-        I1 = 0.5 * delta * np.sum(wg * phi1)
-        fp += pref * c1_eff * near.C_abs * (
-            I1 + m0 * (np.log(delta) + (np.pi / near.alpha) * np.log(near.C_abs)))
+    I0 = (0.5 * delta) ** (1.0 - apio) * np.sum(wj * (near.h0(wq) - m0) / wq)
+    xg, wg = leggauss(_FP_ORDER)
+    wq1 = 0.5 * delta * (1.0 + xg)
+    I1 = 0.5 * delta * np.sum(wg * (near.h1(wq1) - m0) / wq1)
+    fp = pref * np.array([
+        I0 - m0 * (np.pi / near.alpha) * delta ** (-apio),
+        near.C_abs * (I1 + m0 * (np.log(delta) + (np.pi / near.alpha) * np.log(near.C_abs)))])
 
-    # finite-eps values: numerical integral over [w(eps), delta] minus growing terms
-    vals = {}
-    for eps in eps_pair:
-        w_eps = near.w_of_eps(eps)
-        if w_eps >= delta:
-            raise ValidationFailure("eps removal region exceeds the near zone")
-        breaks = [w_eps]
-        while breaks[-1] < delta:
-            breaks.append(min(breaks[-1] * 2.0, delta))
-        wn, half = panel_nodes(breaks, _GL_ORDER)
-        wg = leggauss(_GL_ORDER)[1]
-        h0 = near.h0(wn)
-        gvals = pref * (c0_eff * h0 * wn ** (-1.0 - apio))
-        if abs(c1_eff) > 0:
-            gvals = gvals + pref * c1_eff * near.C_abs * (h0 * near.rho(wn)) / wn
-        total = 0.0 + 0.0j
-        for h, row in zip(half, wg * gvals):
-            total += h * np.sum(row)
-        growing = pref * c0_eff * m0 * (np.pi / near.alpha) * near.C_abs / eps
-        if abs(c1_eff) > 0:
-            growing = growing - pref * c1_eff * near.C_abs * m0 * (np.pi / near.alpha) * np.log(eps)
-        vals[eps] = total - growing
+    # finite-eps values: numerical integral over [w(eps), delta] minus growing
+    # terms.  One set of panels serves every eps: they double from the
+    # smallest w(eps) up to delta, restarting at each larger w(eps), so the
+    # integral from w(eps) is a tail sum of the panel integrals.
+    w_eps = [near.w_of_eps(eps) for eps in eps_seq]
+    if max(w_eps) >= delta:
+        raise ValidationFailure("eps removal region exceeds the near zone")
+    breaks = [min(w_eps)]
+    for stop in sorted(w_eps)[1:] + [delta]:
+        while breaks[-1] < stop:
+            breaks.append(min(breaks[-1] * 2.0, stop))
+    wn, half = panel_nodes(breaks, _GL_ORDER)
+    h0 = near.h0(wn)
+    g = np.stack([h0 * wn ** (-1.0 - apio), near.C_abs * h0 * near.rho(wn) / wn])
+    panels = half * np.sum(leggauss(_GL_ORDER)[1] * g, axis=-1)
+    tails = np.cumsum(panels[:, ::-1], axis=-1)[:, ::-1]
+    vals = np.empty((len(eps_seq), 2), dtype=complex)
+    for k, (eps, w) in enumerate(zip(eps_seq, w_eps)):
+        growing = m0 * (np.pi / near.alpha) * near.C_abs * np.array([1.0 / eps, -np.log(eps)])
+        vals[k] = pref * (tails[:, breaks.index(w)] - growing)
     rate = min(1.0, np.pi / near.alpha - 1.0)
     return fp, vals, rate
 
@@ -421,40 +419,32 @@ def _graded_breaks(a, b, h0a, h0b, ratio=2.0):
     return np.unique(np.concatenate([left, [0.5 * (a + b)], right[::-1]]))
 
 
-def _integrand_dz(m, z, sxz, s_vals, c0, c1, nu_hat):
-    """{z,x}(A.nu) nuhat dx collapsed to the dz integrand:
-    -{x,z}(z) (A.nu)(s) nuhat / x'(z), given sxz = {x,z}(z)."""
-    xp = sc_derivative(m, np.asarray(z, dtype=complex))
-    return -sxz * (c0 + c1 * s_vals) * nu_hat / xp
+def _far_part(m, j, breaks, z_of, jac, sxz_of, nu_hat, x_anchor):
+    """Integral of the dz integrand -{x,z}(z) (A.nu)(s) nuhat / x'(z) of
+    side j over the parameter panels ``breaks``, with z = z_of(t),
+    dz = jac(t) dt and {x,z} = sxz_of(t), as its (c0, c1) pair for the
+    normal velocity (A.nu)(s) = c0 + c1 s.
 
-
-def _far_part(m, j, breaks, z_of, jac, sxz_of, c0, c1, nu_hat, x_anchor):
-    """Integral of the dz integrand of side j over the parameter panels
-    ``breaks``, with z = z_of(t), dz = jac(t) dt and {x,z} = sxz_of(t).
-
-    The arclength from vertex j is tracked by integrating x' cumulatively
+    The arclength s from vertex j is tracked by integrating x' cumulatively
     along the ordered nodes, starting from the image x_anchor of breaks[0].
     """
     tn, half = panel_nodes(breaks, _GL_ORDER)
     wg = leggauss(_GL_ORDER)[1]
     xs = cumulative_images(m, tn.ravel(), breaks[0], x_anchor, z_of, jac)
     s_vals = np.abs(xs.reshape(tn.shape) - m.polygon.vertices[j])
-    gz = _integrand_dz(m, z_of(tn), sxz_of(tn), s_vals, c0, c1, nu_hat)
-    total = 0.0 + 0.0j
-    for h, row in zip(half, wg * gz * jac(tn)):
-        total += h * np.sum(row)
-    return total
+    gz = -sxz_of(tn) * nu_hat / sc_derivative(m, z_of(tn)) * jac(tn)
+    return np.sum(half * np.sum(wg * np.stack([gz, gz * s_vals]), axis=-1), axis=-1)
 
 
-def _far_part_finite_side(m, j, zl, zr, c0, c1, nu_hat, x_left_anchor):
+def _far_part_finite_side(m, j, zl, zr, nu_hat, x_left_anchor):
     """Far part over [zl, zr] inside side j's prevertex interval."""
     breaks = _graded_breaks(zl, zr, 0.5 * (zl - m.prevertices[j]),
                             0.5 * (m.prevertices[j + 1] - zr))
     return _far_part(m, j, breaks, lambda t: t, lambda t: 1.0,
-                     lambda t: schwarzian_xz(m, t), c0, c1, nu_hat, x_left_anchor)
+                     lambda t: schwarzian_xz(m, t), nu_hat, x_left_anchor)
 
 
-def _far_part_infinite_side(m, zl_w, zr_w, c0, c1, nu_hat, x_anchor_right):
+def _far_part_infinite_side(m, zl_w, zr_w, nu_hat, x_anchor_right):
     """Far part of the side through infinity, pulled back by z = 1/t.
 
     zl_w, zr_w: near-zone radii at the start vertex (z_{n-1} = 1, from the
@@ -466,8 +456,74 @@ def _far_part_infinite_side(m, zl_w, zr_w, c0, c1, nu_hat, x_anchor_right):
     t_lo = -1.0 / (1.0 + zr_w)
     breaks = _graded_breaks(t_lo, t_hi, 0.3 * zr_w, 0.3 * zl_w)[::-1]  # t decreasing
     return _far_part(m, m.n - 1, breaks, lambda t: 1.0 / t, lambda t: -1.0 / t**2,
-                     lambda t: schwarzian_xz_inverted(m, t), c0, c1, nu_hat,
-                     x_anchor_right)
+                     lambda t: schwarzian_xz_inverted(m, t), nu_hat, x_anchor_right)
+
+
+@dataclass(frozen=True)
+class _SideIntegrals:
+    """The field-independent integrals of one side.
+
+    The side's integrand is linear in its normal velocity c0 + c1 s, so each
+    integral is kept as its (c0, c1) pair; the end vertex's pairs are
+    coefficients of c0 + c1 L and -c1, the velocity in the arclength from
+    that vertex.
+    """
+
+    fp_start: np.ndarray        # closed-form finite parts, shape (2,)
+    fp_end: np.ndarray
+    eps_start: np.ndarray       # finite-eps values over the eps triplet, (3, 2)
+    eps_end: np.ndarray
+    far: np.ndarray             # (2,)
+
+
+def _eps_triplet(p):
+    eps0 = _EPS_FRAC * min(p.side_lengths)
+    return (eps0, 0.5 * eps0, 0.25 * eps0)
+
+
+def _integrate_side(m, j):
+    """Near-vertex and far-part integrals of side j, both parts at once."""
+    p = m.polygon
+    n = p.n
+    zk = m.prevertex_array()
+    nu_hat = p.side_normal(j)
+    i_start, i_end = j, (j + 1) % n
+
+    # the start vertex is approached from the right of its prevertex and
+    # the end vertex from the left, also for the side through infinity
+    near_s = _NearVertex(m, i_start, from_right=True)
+    near_e = _NearVertex(m, i_end, from_right=False)
+
+    delta_s = _MATCH_FRAC * min(m.gap(i_start), 1.0)
+    delta_e = _MATCH_FRAC * min(m.gap(i_end), 1.0)
+    if j < n - 1:
+        interval = zk[j + 1] - zk[j]
+        delta_s = min(delta_s, 0.35 * interval)
+        delta_e = min(delta_e, 0.35 * interval)
+
+    eps_triplet = _eps_triplet(p)
+    fp_s, eps_s, _ = _near_contributions(near_s, nu_hat, delta_s, eps_triplet)
+    fp_e, eps_e, _ = _near_contributions(near_e, nu_hat, delta_e, eps_triplet)
+
+    x_anchor = near_s.x_at(delta_s)[0]
+    if j < n - 1:
+        far = _far_part_finite_side(m, j, zk[j] + delta_s, zk[j + 1] - delta_e,
+                                    nu_hat, x_anchor)
+    else:
+        far = _far_part_infinite_side(m, delta_s, delta_e, nu_hat, x_anchor)
+    return _SideIntegrals(fp_s, fp_e, eps_s, eps_e, far)
+
+
+def _side_integrals(m, j):
+    """_integrate_side(m, j), computed the first time a field moves side j
+    and kept on the map (like its vertex images)."""
+    memo = m.__dict__.get("_side_integrals")
+    if memo is None:
+        memo = {}
+        object.__setattr__(m, "_side_integrals", memo)
+    if j not in memo:
+        memo[j] = _integrate_side(m, j)
+    return memo[j]
 
 
 def hadamard_boundary_integral(m, f):
@@ -476,55 +532,31 @@ def hadamard_boundary_integral(m, f):
     Returns the eps -> 0 extrapolated value (complex); the closed-form finite
     part and the per-vertex extrapolation residuals are exposed through the
     ``diagnostics`` attribute of the result (a _HadamardResult).
+
+    Each side's integrals are computed once per map (_side_integrals); a
+    field then costs one combination of their (c0, c1) pairs per side, and
+    the eps extrapolation and its checks.
     """
     p = m.polygon
-    n = p.n
-    coeffs = f.side_normal_velocity
-    zk = m.prevertex_array()
-    eps0 = _EPS_FRAC * min(p.side_lengths)
-    eps_triplet = (eps0, 0.5 * eps0, 0.25 * eps0)
+    eps_triplet = _eps_triplet(p)
 
     total_extrap = 0.0 + 0.0j
     total_fp = 0.0 + 0.0j
     per_vertex_resid = []
     worst_d2 = 0.0
 
-    for j in range(n):
-        c0, c1 = coeffs[j]
+    for j, (c0, c1) in enumerate(f.side_normal_velocity):
         L = p.side_lengths[j]
         if abs(c0) + abs(c1) * L < _FIELD_TOL:
             continue
-        nu_hat = p.side_normal(j)
-        i_start, i_end = j, (j + 1) % n
-
-        # the start vertex is approached from the right of its prevertex and
-        # the end vertex from the left, also for the side through infinity
-        near_s = _NearVertex(m, i_start, from_right=True)
-        near_e = _NearVertex(m, i_end, from_right=False)
-
-        delta_s = _MATCH_FRAC * min(m.gap(i_start), 1.0)
-        delta_e = _MATCH_FRAC * min(m.gap(i_end), 1.0)
-        if j < n - 1:
-            interval = zk[j + 1] - zk[j]
-            delta_s = min(delta_s, 0.35 * interval)
-            delta_e = min(delta_e, 0.35 * interval)
-
-        fp_s, eps_s, _ = _near_contributions(
-            near_s, nu_hat, c0, c1, delta_s, eps_triplet)
-        fp_e, eps_e, _ = _near_contributions(
-            near_e, nu_hat, c0 + c1 * L, -c1, delta_e, eps_triplet)
-
-        x_anchor = near_s.x_at(delta_s)[0]
-        if j < n - 1:
-            far = _far_part_finite_side(m, j, zk[j] + delta_s, zk[j + 1] - delta_e,
-                                        c0, c1, nu_hat, x_anchor)
-        else:
-            far = _far_part_infinite_side(m, delta_s, delta_e, c0, c1, nu_hat, x_anchor)
+        side = _side_integrals(m, j)
+        start, end = np.array([c0, c1]), np.array([c0 + c1 * L, -c1])
+        far = side.far @ start
+        fp_s, fp_e = side.fp_start @ start, side.fp_end @ end
 
         total_extrap += far
         total_fp += far + fp_s + fp_e
-        for fp_v, eps_v in ((fp_s, eps_s), (fp_e, eps_e)):
-            seq = [eps_v[e] for e in eps_triplet]
+        for fp_v, seq in ((fp_s, side.eps_start @ start), (fp_e, side.eps_end @ end)):
             limit, diverging, d2 = _aitken_limit(*seq)
             if diverging:
                 raise CountertermMismatch(
@@ -617,8 +649,8 @@ def contour_shift_integral(m, f):
         # straight piece between the arc feet
         near = _NearVertex(m, j, from_right=True)
         x_anchor = near.x_at(eps_s)[0]
-        straight = _far_part_finite_side(m, j, zk[j] + eps_s, zk[j + 1] - eps_e,
-                                         c0, 0.0, nu_hat, x_anchor)
+        straight = c0 * _far_part_finite_side(m, j, zk[j] + eps_s, zk[j + 1] - eps_e,
+                                              nu_hat, x_anchor)[0]
         total += straight.imag / (6 * np.pi)
 
         # interior arc corrections at both ends; the start vertex carries the

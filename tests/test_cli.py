@@ -203,6 +203,26 @@ class TestScmapCommand:
         assert rep["payload"]["prevertices"][2] == pytest.approx(1 / 3, abs=1e-12)
         assert f.read_text() == text
 
+    def test_cache_is_keyed_by_the_polygon_alone(self, square_file, tmp_path, capsys):
+        # no config value enters the SC solve, so none may change the cache key
+        cache = tmp_path / "cache"
+        code, out = run_cli(["--cache-dir", str(cache), "--seed", "1", "scmap", square_file],
+                            capsys)
+        assert code == 0
+        assert not json.loads(out)["diagnostics"]["cache_hit"]
+        cfg_files = []
+        for name, raw in (("lam.json", {"lambda_max": 500.0}),
+                          ("tau.json", {"zeta": {"tau0": 0.07}})):
+            cfg_files.append(tmp_path / name)
+            cfg_files[-1].write_text(json.dumps(raw))
+        for extra in (["--seed", "2"], ["--cfg", str(cfg_files[0])],
+                      ["--cfg", str(cfg_files[1])]):
+            code, out = run_cli(["--cache-dir", str(cache)] + extra + ["scmap", square_file],
+                                capsys)
+            assert code == 0
+            assert json.loads(out)["diagnostics"]["cache_hit"], extra
+            assert len(list(cache.glob("scmap_*.json"))) == 1
+
 
 class TestDetCommand:
     def test_det_square(self, square_file, det_cfg_file, tmp_path, capsys):

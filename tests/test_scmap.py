@@ -198,6 +198,24 @@ class TestSegmentQuadrature:
         # the free segments along the axis need many panels
         assert len(_panel_breaks(zk[0] - 0.5, zk[-1] + 0.3 + 0.001j, zk, None)[0]) > 20
 
+    def test_product_equals_the_per_prevertex_loop(self, rng):
+        # one _log_uhp call on all differences against one call per prevertex
+        m = solve_parameter_problem(random_convex_polygon(rng, n_min=6, n_max=6))
+        zk, g = m.prevertex_array(), np.asarray(m.exponents)
+        d = 0.1 * np.min(np.diff(zk))
+        interior = zk[:-1] + 0.37 * np.diff(zk) + 1j * np.array([1e-3, 0.2, 1.0, 3.0, 40.0])
+        axis = np.concatenate([zk - d, zk + d, zk - 1e-9, zk + 1e-9, [zk[0] - 5.0, zk[-1] + 5.0]])
+        # roundoff below the axis is read as a boundary point approached from above
+        below = axis - 1e-17j * np.abs(axis)
+        for z in (interior, axis, below, below.reshape(2, -1)):
+            ref = np.zeros(z.shape, dtype=complex)
+            for k in range(len(zk)):
+                ref = ref + g[k] * _log_uhp(z - zk[k])
+            assert np.array_equal(_unnormalized_derivative(zk, g, z), np.exp(ref))
+        # the branch fix is exercised: left of a prevertex the roundoff points read arg = pi
+        assert np.array_equal(_unnormalized_derivative(zk, g, below[:m.n]),
+                              _unnormalized_derivative(zk, g, axis[:m.n]))
+
 
 class TestMapInverse:
     def test_round_trip_random_interior(self, square_map, rng):

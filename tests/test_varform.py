@@ -206,6 +206,70 @@ def test_x_at_matches_map_forward(rng):
         assert np.max(np.abs(near.x_at(w) - ref)) < 1e-11
 
 
+def _random_field(p, rng):
+    return field_from_vertex_velocities(p, rng.normal(size=p.n) + 1j * rng.normal(size=p.n))
+
+
+class TestSideIntegralsPerMap:
+    """Each side is integrated once per map; a field only combines the pairs."""
+
+    def test_second_field_does_no_quadrature(self, rng, monkeypatch):
+        p = random_convex_polygon(rng, n_min=6, n_max=6)
+        m = solve_parameter_problem(p)
+        main_formula(p, m, _random_field(p, rng))
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(varform, "_local_regular_factor",
+                            spy("regular_factor", varform._local_regular_factor))
+        monkeypatch.setattr(varform._NearVertex, "rho", spy("rho", varform._NearVertex.rho))
+        monkeypatch.setattr(varform, "sc_derivative", spy("sc_derivative", sc_derivative))
+        for f in (dilation_field(p), rotation_field(p), _random_field(p, rng)):
+            main_formula(p, m, f)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_cached_equals_fresh_map(self, n, rng):
+        p = random_convex_polygon(rng, n_min=n, n_max=n)
+        m = solve_parameter_problem(p)
+        fields = [dilation_field(p), rotation_field(p), _random_field(p, rng)]
+        cached = [main_formula(p, m, f) for f in fields]
+        for f, dv in zip(fields, cached):
+            fresh = main_formula(p, solve_parameter_problem(p), f)
+            for a, b in ((dv.total, fresh.total), (dv.boundary_term, fresh.boundary_term)):
+                assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+    def test_only_moved_sides_are_integrated(self, rng, monkeypatch):
+        p = random_convex_polygon(rng, n_min=5, n_max=5)
+        m = solve_parameter_problem(p)
+        integrated = []
+        real = varform._integrate_side
+
+        def spy(m_, j):
+            integrated.append(j)
+            return real(m_, j)
+
+        monkeypatch.setattr(varform, "_integrate_side", spy)
+        main_formula(p, m, side_shift_field(p, 2))
+        assert integrated == [2]
+        main_formula(p, m, side_shift_field(p, 2, speed=0.5))
+        main_formula(p, m, side_shift_field(p, 4))
+        assert integrated == [2, 4]
+
+    def test_finite_part_is_linear(self, square, rng):
+        p, m = square
+        v1 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        v2 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        fp1, fp2, fp12 = (hadamard_boundary_integral(
+            m, field_from_vertex_velocities(p, v)).finite_part for v in (v1, v2, v1 + v2))
+        assert abs(fp12 - fp1 - fp2) < 1e-12 * max(1.0, abs(fp12))
+
+
 class TestHadamardBoundaryIntegral:
     def test_eps_extrapolation_matches_finite_part(self, square):
         p, m = square
@@ -230,7 +294,7 @@ class TestHadamardBoundaryIntegral:
         zr = m.prevertices[j + 1] - 0.004
         near = _NearVertex(m, j, from_right=True)
         x_anchor = near.x_at(zl - m.prevertices[j])[0]
-        got = _far_part_finite_side(m, j, zl, zr, c0, c1, nu, x_anchor)
+        got = _far_part_finite_side(m, j, zl, zr, nu, x_anchor) @ [c0, c1]
 
         x_vertex = p.vertices[j]
 
@@ -254,9 +318,9 @@ class TestHadamardBoundaryIntegral:
         hexa = build_polygon(np.exp(1j * np.pi * np.arange(6) / 3))
         mh = solve_parameter_problem(hexa)
         near = _NearVertex(mh, 1, from_right=True)
-        fp, vals, rate = _near_contributions(near, hexa.side_normal(1), 1.0, 0.4,
+        fp, vals, rate = _near_contributions(near, hexa.side_normal(1),
                                              0.25 * mh.gap(1), eps_list)
-        resid = np.array([abs(vals[e] - fp) for e in eps_list])
+        resid = np.abs(vals @ [1.0, 0.4] - fp @ [1.0, 0.4])
         slope = np.polyfit(np.log(eps_list), np.log(resid), 1)[0]
         assert rate == pytest.approx(0.5)       # spec envelope, used by Aitken
         assert slope > rate - 0.1               # at least the envelope rate
@@ -265,8 +329,8 @@ class TestHadamardBoundaryIntegral:
         p, m = square
         near_sq = _NearVertex(m, 1, from_right=True)
         fp_sq, vals_sq, rate_sq = _near_contributions(
-            near_sq, -1j, 1.0, 0.4, 0.25 * m.gap(1), eps_list)
-        resid_sq = np.array([abs(vals_sq[e] - fp_sq) for e in eps_list])
+            near_sq, -1j, 0.25 * m.gap(1), eps_list)
+        resid_sq = np.abs(vals_sq @ [1.0, 0.4] - fp_sq @ [1.0, 0.4])
         slope_sq = np.polyfit(np.log(eps_list), np.log(resid_sq), 1)[0]
         assert rate_sq == pytest.approx(1.0)
         assert abs(slope_sq - 3.0) < 0.1
