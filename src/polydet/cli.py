@@ -16,7 +16,7 @@ from pathlib import Path
 from . import validation
 from .config import RunConfig, Report, Timer, config_from_file
 from .eigensolve import Spectrum, dirichlet_eigenvalues, polygon_hash, weyl_count_check
-from .errors import NoConvergence, NumericalFailure, ValidationFailure
+from .errors import NumericalFailure, ValidationFailure
 from .geometry import field_from_json_dict, polygon_from_json_dict
 from .scmap import checked_map, solve_parameter_problem
 from .smoothwz import alvarez_logdet, domain_from_json_dict, wz_variation
@@ -61,7 +61,7 @@ def _solve_map_cached(p, cache):
         try:
             d = json.loads(f.read_text())
             return checked_map(p, d["prevertices"], float(d["residual"])), True
-        except (ValueError, KeyError, TypeError, ValidationFailure, NoConvergence):
+        except (ValueError, KeyError, TypeError, NumericalFailure):
             pass
     m = solve_parameter_problem(p)
     if f is not None:

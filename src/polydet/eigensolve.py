@@ -885,11 +885,6 @@ class MPSSolver:
 
         return weight
 
-    def l2_norm_sq(self, lam, C, origin=None):
-        """L2 norms of the eigenfunction columns via the Rellich identity."""
-        return self.normal_derivative_sq_integrals(
-            lam, C, [self.rellich_weight(origin)])[0] / (2 * lam)
-
 
 def _parabola(x, f):
     """(A, vertex, value) of the parabola A (lam - vertex)^2 + value through

@@ -33,29 +33,11 @@ class NoConvergence(NumericalFailure):
         self.residual = residual
 
 
-class CrowdingWarning(UserWarning):
-    pass
-
-
-class QuadratureFailure(NumericalFailure):
-    pass
-
-
-class NewtonDivergence(NumericalFailure):
-    def __init__(self, message, path=None):
-        super().__init__(message)
-        self.path = path
-
-
-class VertexQuery(ValidationFailure):
+class PrevertexCrowding(NumericalFailure):
     pass
 
 
 class PoleQuery(ValidationFailure):
-    pass
-
-
-class CircleTooLarge(ValidationFailure):
     pass
 
 

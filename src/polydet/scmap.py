@@ -15,29 +15,19 @@ variables, which keeps the ordering built in and is robust against mild
 crowding.
 """
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import (
-    CircleTooLarge,
-    CrowdingWarning,
-    NewtonDivergence,
-    NoConvergence,
-    PoleQuery,
-    ValidationFailure,
-    VertexQuery,
-)
+from .errors import NoConvergence, PoleQuery, PrevertexCrowding, ValidationFailure
 from .geometry import Polygon
 from .quadrature import jacgauss, leggauss, panel_nodes
 
 _QUAD_ORDER = 24        # Gauss order of every SC segment quadrature
 _VERTEX_TOL = 1e-8      # mapped vertices against the polygon, relative to its size
 _SOLVER_MAX_ITER = 200  # least-squares evaluations per unknown prevertex
-_NEWTON_TOL = 1e-12     # map_inverse residual, relative to the polygon size
-_NEWTON_MAX_ITER = 40
+_MIN_GAP = 1e-12        # smallest prevertex gap the map resolves
 
 
 @dataclass(frozen=True)
@@ -49,8 +39,6 @@ class SCMap:
     prefactor: complex
     base_point: complex       # image of prevertices[0], i.e. the first vertex
     polygon: Polygon
-    anchor_z: complex = field(default=1j, repr=False)
-    anchor_x: complex = field(default=0j, repr=False)
     residual: float = 0.0
 
     @property
@@ -259,24 +247,25 @@ def solve_parameter_problem(p):
         if resid > 1e-9:
             raise NoConvergence(
                 f"parameter problem residual {resid:.3e} above tolerance", residual=resid)
-
-    gaps = np.diff(zk)
-    if gaps.min() < 1e-12:
-        warnings.warn(f"prevertex gap {gaps.min():.3e} below 1e-12", CrowdingWarning)
     return checked_map(p, zk, resid)
 
 
 def checked_map(p, prevertices, residual=0.0):
     """The SC map of polygon p with the given prevertices, checked.
 
-    One pass over the prevertex intervals fixes the prefactor and base point
-    from the first side [x_1, x_2] and gives every vertex image; these must
-    match the polygon's vertices (NoConvergence otherwise).  The images seed
-    the cache that map_forward reads, and the interior anchor x(i) is set.
+    Adjacent prevertices closer than _MIN_GAP crowd the map beyond what it
+    resolves (PrevertexCrowding).  One pass over the prevertex intervals
+    fixes the prefactor and base point from the first side [x_1, x_2] and
+    gives every vertex image; these must match the polygon's vertices
+    (NoConvergence otherwise).  The images seed the cache that map_forward
+    reads.
     """
     zk = np.asarray(prevertices, dtype=float)
     if zk.shape != (p.n,):
         raise ValidationFailure(f"{zk.size} prevertices for a {p.n}-gon")
+    gap = float(np.min(np.diff(zk)))
+    if not gap >= _MIN_GAP:
+        raise PrevertexCrowding(f"prevertex gap {gap:.3e} below {_MIN_GAP:g}")
     g = np.asarray(p.angles) / np.pi - 1.0
     segs = _interval_integrals(zk, g)
     verts = p.vertex_array()
@@ -293,7 +282,6 @@ def checked_map(p, prevertices, residual=0.0):
     if not err <= _VERTEX_TOL:
         raise NoConvergence(f"mapped vertices off by {err:.3e}", residual=err)
     object.__setattr__(m, "_vimages", xk)
-    object.__setattr__(m, "anchor_x", map_forward(m, m.anchor_z))
     return m
 
 
@@ -303,7 +291,7 @@ def _mapped_vertices(m):
 
 
 # ---------------------------------------------------------------------------
-# forward and inverse evaluation
+# forward evaluation
 # ---------------------------------------------------------------------------
 
 def map_forward(m, z, start=None):
@@ -333,61 +321,6 @@ def _vertex_images(m):
         got = _mapped_vertices(m)
         object.__setattr__(m, "_vimages", got)
     return got
-
-
-def map_inverse(m, x):
-    """Preimage z of x under the SC map, Newton-polished to ~1e-12.
-
-    The initial guess integrates dz/dx = 1/x'(z) along the segment from the
-    cached interior anchor to x.
-    """
-    x = complex(x)
-    verts = m.polygon.vertex_array()
-    scale = float(np.max(np.abs(verts - verts.mean())))
-    dv = np.abs(verts - x)
-    iv = int(np.argmin(dv))
-    if dv[iv] < 1e-11 * scale:
-        raise VertexQuery(f"{x} is a polygon vertex; the inverse is singular there")
-
-    if dv[iv] < 0.1 * min(m.polygon.side_lengths):
-        # near a vertex the map is non-smooth; invert the local expansion
-        ve = vertex_expansion(m, iv, order=4)
-        apio = ve.alpha / np.pi
-        w = np.exp((1.0 / apio) * np.log((x - verts[iv]) / ve.leading))
-        for _ in range(4):
-            corr = 1.0 + sum(c * w**j for j, c in enumerate(ve.coefficients, start=1))
-            w = np.exp((1.0 / apio) * np.log((x - verts[iv]) / (ve.leading * corr)))
-        z = complex(m.prevertices[iv] + w)
-    else:
-        # RK4 warm start along the straight segment anchor_x -> x
-        z = m.anchor_z
-        n_steps = 24
-        dx = (x - m.anchor_x) / n_steps
-        for _ in range(n_steps):
-            k1 = 1.0 / sc_derivative(m, z)
-            k2 = 1.0 / sc_derivative(m, z + 0.5 * dx * k1)
-            k3 = 1.0 / sc_derivative(m, z + 0.5 * dx * k2)
-            k4 = 1.0 / sc_derivative(m, z + dx * k3)
-            z = z + dx * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-            if z.imag < 0:
-                z = complex(z.real, 0.0)
-
-    path = [z]
-    f_scale = max(1.0, scale)
-    for _ in range(_NEWTON_MAX_ITER):
-        fz = map_forward(m, z) - x
-        if abs(fz) < _NEWTON_TOL * f_scale:
-            return z if z.imag > 0 else complex(z.real, 0.0)
-        step = fz / sc_derivative(m, z)
-        z_new = z - step
-        if z_new.imag < 0:
-            if z_new.imag > -1e-9 * max(1.0, abs(z_new.real)):
-                z_new = complex(z_new.real, 0.0)
-            else:
-                z_new = complex(z_new.real, 0.25 * abs(z.imag) if z.imag > 0 else 0.0)
-        z = z_new
-        path.append(z)
-    raise NewtonDivergence(f"Newton failed to reach {x}", path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -425,44 +358,9 @@ def schwarzian_xz_inverted(m, t):
     return complex(out) if out.ndim == 0 else out
 
 
-def schwarzian_zx(m, x):
-    """Schwarzian {z, x} = -(dz/dx)^2 {x, z} evaluated at z = map_inverse(x)."""
-    z = map_inverse(m, x)
-    return schwarzian_zx_at_z(m, z)
-
-
-def schwarzian_zx_at_z(m, z):
-    """{z, x} expressed through the half-plane point z: -{x,z}/x'(z)^2."""
-    xp = sc_derivative(m, z)
-    return -schwarzian_xz(m, z) / xp**2
-
-
 # ---------------------------------------------------------------------------
-# vertex expansions
+# the regular factor at a vertex
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VertexExpansion:
-    """Local behavior x(z) - x_i = C_i (z-z_i)^(a_i/pi) (1 + c_1 w + c_2 w^2 + ...)."""
-
-    vertex_index: int
-    leading: complex           # C_i
-    coefficients: tuple        # (c_1, ..., c_order)
-    derivative_leading: complex  # D_i with x'(z) ~ D_i w^(a_i/pi - 1)
-    alpha: float
-    prevertex: float
-    radius: float
-
-    def evaluate(self, w):
-        """x(z_i + w) - x_i from the truncated expansion."""
-        w = np.asarray(w, dtype=complex)
-        corr = np.ones_like(w)
-        for j, c in enumerate(self.coefficients, start=1):
-            corr = corr + c * w**j
-        frac = np.exp((self.alpha / np.pi) * _log_uhp(w))
-        out = self.leading * frac * corr
-        return complex(out) if out.ndim == 0 else out
-
 
 def _local_regular_factor(m, i, w):
     """F(w) = x'(z_i + w) * w^{1 - alpha_i/pi}, analytic near w = 0.
@@ -486,46 +384,6 @@ def _local_regular_factor(m, i, w):
     return m.prefactor * np.exp(s)
 
 
-def derivative_prefactor(m, i):
-    """D_i = lim_{w->0+} x'(z_i + w) w^{1-alpha_i/pi} (approach from the right)."""
-    return complex(_local_regular_factor(m, i, np.array(0.0 + 0.0j)))
-
-
-def vertex_expansion(m, i, order, radius=None):
-    """Taylor data of the regular factor at vertex i via a circle DFT.
-
-    Evaluates x'(z) (z - z_i)^{1 - alpha_i/pi} on a small circle around the
-    prevertex and reads off Taylor coefficients by FFT.
-    """
-    if not 0 <= i < m.n:
-        raise ValidationFailure(f"vertex index {i} out of range")
-    if order > 6:
-        raise ValidationFailure("expansion order capped at 6")
-    gap = m.gap(i)
-    if radius is None:
-        radius = 0.3 * gap
-    elif radius > 0.5 * gap:
-        raise CircleTooLarge(f"radius {radius} exceeds half the prevertex gap {gap}")
-    M = 64
-    th = 2 * np.pi * np.arange(M) / M
-    w = radius * np.exp(1j * th)
-    F = _local_regular_factor(m, i, w)
-    coef = np.fft.fft(F) / (M * radius ** np.arange(M))
-    D = complex(coef[0])
-    apio = m.polygon.angles[i] / np.pi
-    r = coef[1:order + 1] / D
-    c = np.array([rj * apio / (apio + j) for j, rj in enumerate(r, start=1)])
-    return VertexExpansion(
-        vertex_index=i,
-        leading=D / apio,
-        coefficients=tuple(complex(x) for x in c),
-        derivative_leading=D,
-        alpha=float(m.polygon.angles[i]),
-        prevertex=float(m.prevertices[i]),
-        radius=float(radius),
-    )
-
-
 # ---------------------------------------------------------------------------
 # side utilities shared with the variational formula
 # ---------------------------------------------------------------------------
@@ -542,16 +400,3 @@ def cumulative_images(m, t_nodes, t_start, x_start, z_of=lambda t: t, jac=lambda
     wq = leggauss(12)[1]
     inc = half * np.sum(wq * (sc_derivative(m, z_of(tq)) * jac(tq)), axis=-1)
     return np.cumsum(np.concatenate([[x_start], inc]))[1:]
-
-
-def map_on_side(m, j, z_nodes):
-    """Images x(z) for sorted nodes inside side j's prevertex interval.
-
-    Cumulative Gauss-Legendre integration between consecutive nodes, anchored
-    at the left vertex by a Gauss-Jacobi segment.
-    """
-    zk = m.prevertex_array()
-    z_nodes = np.asarray(z_nodes, dtype=float)
-    x0 = _vertex_images(m)[j] + m.prefactor * integrate_sc_segment(
-        zk, np.asarray(m.exponents), zk[j], z_nodes[0], sing_index=j)
-    return np.concatenate([[x0], cumulative_images(m, z_nodes[1:], z_nodes[0], x0)])

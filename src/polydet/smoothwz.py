@@ -156,18 +156,3 @@ def wz_vs_alvarez_fd(d, V, eps=1e-4, n_grid=512):
     minus = d.perturbed(V, -eps)
     fd = (alvarez_logdet(plus, n_grid) - alvarez_logdet(minus, n_grid)) / (2 * eps)
     return formula, fd
-
-
-def curvature_identity_check(d, n_grid=512):
-    """Max residual of the curvature identity
-    4 k^2/|w'|^2 = |2 + w z''/z'|^2 + 2 Re(w^2 (z''/z')^2) + ... ,
-    written out as the sum of the six boundary terms; zero for exact data."""
-    _check_grid(n_grid)
-    t, w = _circle(n_grid)
-    zp, zpp = d.dz(w), d.d2z(w)
-    q = zpp / zp
-    curv = (1.0 + (w * q)).real / np.abs(zp)
-    lhs = 4 * curv**2 * np.abs(zp) ** 2     # 4 k^2 / |w'|^2 with w' = 1/z'
-    rhs = (4.0 + (w**2 * q**2) + np.conj(w**2 * q**2)
-           + 4 * w * q + 4 * np.conj(w * q) + 2 * np.abs(q) ** 2).real
-    return float(np.max(np.abs(lhs - rhs)))

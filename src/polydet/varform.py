@@ -105,6 +105,7 @@ from .errors import (
     ContourThroughVertex,
     CountertermMismatch,
     PoleOnContour,
+    RegularizationResidual,
     ValidationFailure,
 )
 from scipy.special import psi
@@ -327,10 +328,18 @@ class _NearVertex:
         return base + arc if self.from_right else base - arc
 
     def w_of_eps(self, eps):
-        """w with arclength |x(w) - x_i| = eps (fixed point on rho)."""
+        """w with arclength |x(w) - x_i| = eps (fixed point on rho).
+
+        At a thin corner (eps/|C|)^(pi/alpha) can underflow to 0, and no
+        panel grading starts from there (RegularizationResidual).
+        """
         w = (eps / self.C_abs) ** (1.0 / self.apio)
         for _ in range(3):
             w = (eps / (self.C_abs * float(self.rho(w)[0]))) ** (1.0 / self.apio)
+        if not (np.isfinite(w) and w > 0):
+            raise RegularizationResidual(
+                f"eps {eps:.3e} at the vertex of angle {self.alpha:.4g} gives w = {w}, "
+                "outside the double range")
         return w
 
 
@@ -339,7 +348,7 @@ def _near_contributions(near, nu_hat, delta, eps_seq):
 
     The piece is linear in the normal velocity c0 + c1 s (s the arclength
     from the vertex), so each value is returned as its (c0, c1) pair of
-    coefficients.  Returns (fp, vals, rate) with fp of shape (2,) and vals
+    coefficients.  Returns (fp, vals) with fp of shape (2,) and vals
     of shape (len(eps_seq), 2); the finite-eps values have the growing terms
     already subtracted.
     """
@@ -377,8 +386,7 @@ def _near_contributions(near, nu_hat, delta, eps_seq):
     for k, (eps, w) in enumerate(zip(eps_seq, w_eps)):
         growing = m0 * (np.pi / near.alpha) * near.C_abs * np.array([1.0 / eps, -np.log(eps)])
         vals[k] = pref * (tails[:, breaks.index(w)] - growing)
-    rate = min(1.0, np.pi / near.alpha - 1.0)
-    return fp, vals, rate
+    return fp, vals
 
 
 def _aitken_limit(v1, v2, v3):
@@ -502,8 +510,8 @@ def _integrate_side(m, j):
         delta_e = min(delta_e, 0.35 * interval)
 
     eps_triplet = _eps_triplet(p)
-    fp_s, eps_s, _ = _near_contributions(near_s, nu_hat, delta_s, eps_triplet)
-    fp_e, eps_e, _ = _near_contributions(near_e, nu_hat, delta_e, eps_triplet)
+    fp_s, eps_s = _near_contributions(near_s, nu_hat, delta_s, eps_triplet)
+    fp_e, eps_e = _near_contributions(near_e, nu_hat, delta_e, eps_triplet)
 
     x_anchor = near_s.x_at(delta_s)[0]
     if j < n - 1:

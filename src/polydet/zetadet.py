@@ -190,21 +190,3 @@ def rectangle_logdet_exact(a, b):
     if a <= 0 or b <= 0:
         raise ValidationFailure("rectangle sides must be positive")
     return float(_log_eta_q(b / a) - 0.5 * np.log(2 * a))
-
-
-def rectangle_logdet_bruteforce(a, b, tau0=0.01, decay=36.0):
-    """Brute-force check value: raw double-sum spectrum, no tail model.
-
-    Truncates at lambda_max = decay/tau0 and Richardson-extrapolates the
-    truncation by doubling lambda_max.  Used as an independent oracle for
-    rectangle_logdet_exact in tests.
-    """
-    from .eigensolve import rectangle_spectrum
-
-    h = HeatCoefficients(a1=a * b / (4 * np.pi), a2=-2 * (a + b) / 8.0, b1=0.25)
-    lam_max = decay / tau0
-    vals = []
-    for lm in (lam_max, 2 * lam_max):
-        eigs = rectangle_spectrum(a, b, lm).eigenvalue_array()
-        vals.append(_logdet_value(eigs, h, tau0, lm, tail=False))
-    return 2 * vals[1] - vals[0]

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import re
@@ -136,6 +137,25 @@ class TestRunConfig:
             for f in dataclasses.fields(cls):
                 assert re.search(rf"\.{f.name}\b", src), f"{cls.__name__}.{f.name}"
 
+    def test_every_definition_is_referenced(self):
+        # a function or class that nothing in the package names is dead code;
+        # dunder methods are called implicitly, a name in __all__ counts
+        files = sorted(Path(polydet.__file__).parent.glob("*.py"))
+        src = "".join(f.read_text() for f in files)
+        dead = []
+        for f in files:
+            for node in ast.walk(ast.parse(f.read_text())):
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                uses = len(re.findall(rf"\b{name}\b", src))
+                defs = len(re.findall(rf"\b(?:def|class) {name}\b", src))
+                if uses <= defs:
+                    dead.append(f"{f.stem}.{name}")
+        assert not dead, f"defined but never referenced: {dead}"
+
     def test_lambda_max_guard(self):
         from polydet.geometry import build_polygon
         p = build_polygon([0, 1, 1 + 1j, 1j])
@@ -193,15 +213,24 @@ class TestScmapCommand:
         assert code == 0
         (f,) = cache.glob("scmap_*.json")
         text = f.read_text()
-        d = json.loads(text)
-        d["prevertices"][2] = 0.4
-        f.write_text(json.dumps(d))
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        rep = json.loads(out)
-        assert not rep["diagnostics"]["cache_hit"]
-        assert rep["payload"]["prevertices"][2] == pytest.approx(1 / 3, abs=1e-12)
-        assert f.read_text() == text
+        # prevertices off the polygon, and prevertices crowded below 1e-12
+        for bad in (0.4, 1.0 - 1e-13):
+            d = json.loads(text)
+            d["prevertices"][2] = bad
+            f.write_text(json.dumps(d))
+            code, out = run_cli(args, capsys)
+            assert code == 0
+            rep = json.loads(out)
+            assert not rep["diagnostics"]["cache_hit"]
+            assert rep["payload"]["prevertices"][2] == pytest.approx(1 / 3, abs=1e-12)
+            assert f.read_text() == text
+
+    def test_crowded_map_exit_3(self, tmp_path, capsys):
+        # a 10 x 1 rectangle crowds two prevertices to a gap of 1.8e-13
+        f = tmp_path / "rect10.json"
+        f.write_text(json.dumps({"vertices": [[0, 0], [10, 0], [10, 1], [0, 1]]}))
+        assert main(["scmap", str(f)]) == 3
+        assert "PrevertexCrowding" in capsys.readouterr().err
 
     def test_cache_is_keyed_by_the_polygon_alone(self, square_file, tmp_path, capsys):
         # no config value enters the SC solve, so none may change the cache key

@@ -355,7 +355,8 @@ class TestNormalization:
         spec = solver.solve()
         lam = spec.eigenvalues[0]
         func, C = solver.eigenfunction(lam)
-        norm_rellich = solver.l2_norm_sq(lam, C)[0]
+        norm_rellich = solver.normal_derivative_sq_integrals(
+            lam, C, [solver.rellich_weight()])[0][0] / (2 * lam)
 
         from polydet.quadrature import leggauss
         x, w = leggauss(40)

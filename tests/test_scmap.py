@@ -1,26 +1,14 @@
 import numpy as np
 import pytest
 
-from polydet.errors import (
-    CircleTooLarge,
-    NonConvex,
-    PoleQuery,
-    ValidationFailure,
-    VertexQuery,
-)
+from polydet.errors import NonConvex, PoleQuery, PrevertexCrowding, ValidationFailure
 from polydet.geometry import build_polygon
 from polydet.scmap import (
     SCMap,
-    derivative_prefactor,
     map_forward,
-    map_inverse,
-    map_on_side,
     sc_derivative,
     schwarzian_xz,
-    schwarzian_zx,
-    schwarzian_zx_at_z,
     solve_parameter_problem,
-    vertex_expansion,
     _log_uhp,
     _mapped_vertices,
     _panel_breaks,
@@ -28,6 +16,7 @@ from polydet.scmap import (
     integrate_sc_segment,
 )
 from polydet.quadrature import gl_nodes, jacgauss
+from polydet.varform import _NearVertex
 from conftest import jittered_initialization, random_convex_polygon
 
 
@@ -65,8 +54,8 @@ class TestParameterProblem:
         assert sides[2] / sides[1] == pytest.approx(2.0, rel=1e-10)
 
     def test_vertex_check_uses_quad_order(self, monkeypatch):
-        # the solve, the vertex check, the anchor and map_on_side all use
-        # the one SC quadrature order
+        # the solve, the vertex check and map_forward all use the one SC
+        # quadrature order
         from polydet import scmap
 
         orders = []
@@ -79,7 +68,6 @@ class TestParameterProblem:
         monkeypatch.setattr(scmap, "integrate_sc_segment", spy)
         m = solve_parameter_problem(build_polygon([0, 1, 1 + 1j, 1j]))
         map_forward(m, 0.3 + 0.4j)
-        map_on_side(m, 1, [0.1, 0.2])
         assert orders and set(orders) == {scmap._QUAD_ORDER} == {24}
 
     def test_checked_map_rejects_wrong_prevertices(self, square_map):
@@ -88,17 +76,23 @@ class TestParameterProblem:
 
         p = square_map.polygon
         m = checked_map(p, square_map.prevertices, square_map.residual)
-        assert (m.prefactor, m.base_point, m.anchor_x) == (
-            square_map.prefactor, square_map.base_point, square_map.anchor_x)
+        assert (m.prefactor, m.base_point) == (square_map.prefactor, square_map.base_point)
         assert np.array_equal(m.__dict__["_vimages"], square_map.__dict__["_vimages"])
         with pytest.raises(NoConvergence):
             checked_map(p, (-1.0, 0.0, 0.4, 1.0))
         with pytest.raises(ValidationFailure):
             checked_map(p, (-1.0, 0.0, 1.0))
 
+    def test_crowded_prevertices_are_rejected(self, square_map):
+        # the check a solved map passes holds for prevertices read from a cache
+        from polydet.scmap import checked_map
+
+        with pytest.raises(PrevertexCrowding, match="gap 1.000e-13"):
+            checked_map(square_map.polygon, (-1.0, 0.0, 1.0 - 1e-13, 1.0))
+
     def test_checked_vertex_images_are_reused(self, monkeypatch):
         # the images checked after the solve seed the cache that map_forward
-        # reads, so the anchor costs no second pass over the intervals
+        # reads, so no second pass over the intervals is made
         from polydet import scmap
 
         calls = []
@@ -157,13 +151,6 @@ class TestMapForward:
                 off = ((x - a) * np.conj(tau)).imag
                 assert abs(off) < 1e-9
 
-    def test_map_on_side_consistency(self, rect_map):
-        z0, z1 = rect_map.prevertices[0], rect_map.prevertices[1]
-        nodes = np.linspace(z0 + 0.05, z1 - 0.05, 9)
-        xs = map_on_side(rect_map, 0, nodes)
-        for node, x in zip(nodes[::4], xs[::4]):
-            assert abs(map_forward(rect_map, node) - x) < 1e-11
-
 
 def _segment_per_panel(zk, g, a, b, sing_index, order):
     """integrate_sc_segment evaluated one panel at a time (the reference)."""
@@ -217,34 +204,6 @@ class TestSegmentQuadrature:
                               _unnormalized_derivative(zk, g, axis[:m.n]))
 
 
-class TestMapInverse:
-    def test_round_trip_random_interior(self, square_map, rng):
-        zs = rng.uniform(-2, 2, 100) + 1j * rng.uniform(0.05, 3.0, 100)
-        for z in zs:
-            x = map_forward(square_map, z)
-            z_back = map_inverse(square_map, x)
-            assert abs(z_back - z) < 1e-9 * max(1.0, abs(z))
-
-    def test_boundary_approach(self, square_map):
-        # x_k + eps along a side: preimage approaches z_k
-        verts = square_map.polygon.vertex_array()
-        tau = (verts[2] - verts[1]) / abs(verts[2] - verts[1])
-        gaps = []
-        for eps in [1e-2, 1e-3, 1e-4]:
-            z = map_inverse(square_map, verts[1] + eps * tau)
-            gaps.append(abs(z - square_map.prevertices[1]))
-        assert gaps[2] < gaps[1] < gaps[0]
-        assert gaps[2] < 1e-2
-
-    def test_centroid_of_square(self, square_map):
-        z = map_inverse(square_map, 0.5 + 0.5j)
-        assert abs(z - (1 + 2j) / 5) < 1e-9
-
-    def test_vertex_query(self, square_map):
-        with pytest.raises(VertexQuery):
-            map_inverse(square_map, 1 + 1j)
-
-
 class TestSchwarzian:
     def test_flat_data_is_moebius(self):
         poly = build_polygon([0, 1, 1j])
@@ -277,31 +236,19 @@ class TestSchwarzian:
         with pytest.raises(PoleQuery):
             schwarzian_xz(square_map, square_map.prevertices[1])
 
-    def test_chain_rule_identity(self, square_map, rng):
-        zs = rng.uniform(-2, 2, 50) + 1j * rng.uniform(0.1, 2.5, 50)
-        for z in zs:
-            sxz = schwarzian_xz(square_map, z)
-            szx = schwarzian_zx_at_z(square_map, z)
-            xp = sc_derivative(square_map, z)
-            assert abs(szx * xp**2 + sxz) < 1e-9 * max(1.0, abs(sxz))
-
-    def test_half_plane_identity_data(self):
-        poly = build_polygon([0, 1, 1j])
-        flat = SCMap(prevertices=(-1.0, 0.0, 1.0), exponents=(0.0, 0.0, 0.0),
-                     prefactor=1.0 + 0j, base_point=0j, polygon=poly)
-        assert schwarzian_zx_at_z(flat, 0.4 + 1.1j) == 0
-
     def test_near_vertex_limit(self, square_map):
-        # (x-a)^2 {z,x} -> (1 - pi^2/alpha^2)/2, Richardson-checked
-        verts = square_map.polygon.vertex_array()
-        a = verts[1]
+        # (x-a)^2 {z,x} -> (1 - pi^2/alpha^2)/2 with {z,x} = -{x,z}/x'(z)^2,
+        # at points z_1 + w whose images lie at |x - a| of 1e-3 and 1e-4
+        a = square_map.polygon.vertices[1]
         alpha = square_map.polygon.angles[1]
         expect = (1 - np.pi**2 / alpha**2) / 2
-        inward = np.exp(1j * (np.angle(verts[2] - a) + alpha / 2))
+        near = _NearVertex(square_map, 1, from_right=True)
         vals = []
         for eps in [1e-3, 1e-4]:
-            x = a + eps * inward
-            vals.append((x - a) ** 2 * schwarzian_zx(square_map, x))
+            z = square_map.prevertices[1] + near.w_of_eps(eps) * np.exp(0.5j * np.pi)
+            x = map_forward(square_map, z)
+            szx = -schwarzian_xz(square_map, z) / sc_derivative(square_map, z) ** 2
+            vals.append((x - a) ** 2 * szx)
         # leading correction is O(eps^{pi/alpha}) = O(eps^2) here
         assert abs(vals[1] - expect) < 1e-6
         assert abs(vals[1] - expect) < abs(vals[0] - expect)
@@ -309,59 +256,37 @@ class TestSchwarzian:
 
 class TestVertexExpansion:
     def test_leading_coefficient_closed_form(self, rect_map):
+        # D_i of x'(z) ~ D_i w^(alpha_i/pi - 1): from the right of z_i,
+        # D_i = C prod_{k != i} (z_i - z_k)^{g_k} on the UHP branch, and from
+        # the left e^{i pi g_i} times that
         zk = rect_map.prevertex_array()
         g = np.asarray(rect_map.exponents)
         for i in range(rect_map.n):
-            ve = vertex_expansion(rect_map, i, order=3)
-            # C_i = (pi/alpha_i) C prod_{k != i} (z_i - z_k)^{g_k}, UHP branch
             s = 0j
             for k in range(rect_map.n):
                 if k == i:
                     continue
                 d = zk[i] - zk[k]
                 s += g[k] * (np.log(abs(d)) + 1j * np.pi * (d < 0))
-            closed = (np.pi / rect_map.polygon.angles[i]) * rect_map.prefactor * np.exp(s)
-            assert abs(ve.leading - closed) < 1e-10 * abs(closed)
-            assert abs(ve.derivative_leading - derivative_prefactor(rect_map, i)) < 1e-12
-
-    def test_expansion_matches_map(self, tri_map):
-        for i in range(3):
-            ve = vertex_expansion(tri_map, i, order=4)
-            zi = tri_map.prevertices[i]
-            xi = tri_map.polygon.vertices[i]
-            for w in [1e-3 * np.exp(0.4j), 1e-3]:
-                ex = xi + ve.evaluate(w)
-                fw = map_forward(tri_map, zi + w)
-                assert abs(ex - fw) < 1e-9 * abs(fw - xi) + 1e-13
-
-    def test_invariant_tolerance(self, square_map):
-        ve = vertex_expansion(square_map, 2, order=3)
-        w = 1e-3 * np.exp(1j * 0.8)
-        ex = square_map.polygon.vertices[2] + ve.evaluate(w)
-        fw = map_forward(square_map, square_map.prevertices[2] + w)
-        assert abs(ex - fw) / abs(fw - square_map.polygon.vertices[2]) < 1e-8
+            closed = rect_map.prefactor * np.exp(s)
+            right = _NearVertex(rect_map, i, from_right=True).D
+            left = _NearVertex(rect_map, i, from_right=False).D
+            assert abs(right - closed) < 1e-10 * abs(closed)
+            assert abs(left - np.exp(1j * np.pi * g[i]) * closed) < 1e-10 * abs(closed)
 
     def test_order0_truncation_slope(self, square_map):
+        # x(z_i + w) - x_i = (pi/alpha) D_i w^(alpha/pi) (1 + O(w)), off the axis
         i = 2
-        ve = vertex_expansion(square_map, i, order=4)
-        apio = ve.alpha / np.pi
+        near = _NearVertex(square_map, i, from_right=True)
         rs = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
         errs = []
         for r in rs:
             w = r * np.exp(0.9j)
-            lead = ve.leading * np.exp(apio * np.log(w))
-            fw = map_forward(square_map, ve.prevertex + w) - square_map.polygon.vertices[i]
+            lead = (np.pi / near.alpha) * near.D * np.exp(near.apio * np.log(w))
+            fw = map_forward(square_map, near.zi + w) - square_map.polygon.vertices[i]
             errs.append(abs(lead - fw))
         slope = np.polyfit(np.log(rs), np.log(errs), 1)[0]
-        assert abs(slope - (apio + 1)) < 0.05
-
-    def test_circle_too_large(self, square_map):
-        with pytest.raises(CircleTooLarge):
-            vertex_expansion(square_map, 2, order=3, radius=0.9)
-
-    def test_order_capped(self, square_map):
-        with pytest.raises(ValidationFailure):
-            vertex_expansion(square_map, 2, order=9)
+        assert abs(slope - (near.apio + 1)) < 0.05
 
 
 class TestGaugeRobustness:

@@ -5,7 +5,6 @@ from polydet.errors import GridTooCoarse, MapDegenerate, ValidationFailure
 from polydet.smoothwz import (
     SmoothDomain,
     alvarez_logdet,
-    curvature_identity_check,
     disk,
     domain_from_json_dict,
     wz_variation,
@@ -132,15 +131,3 @@ class TestWZvsAlvarez:
         formula, fd = wz_vs_alvarez_fd(disk(1.0), [0.0, 1.0], eps=1e-4)
         assert formula == pytest.approx(-1 / 3, abs=1e-6)
         assert fd == pytest.approx(-1 / 3, abs=1e-6)
-
-
-class TestCurvatureIdentity:
-    def test_disk_exact(self):
-        assert curvature_identity_check(disk(1.0)) == 0.0
-
-    def test_perturbed(self):
-        assert curvature_identity_check(SmoothDomain((0.0, 1.0, 0.1))) < 1e-12
-
-    def test_higher_order(self):
-        d = SmoothDomain((0.0, 1.0, 0.0, 0.2, 0.05))
-        assert curvature_identity_check(d) < 1e-11

@@ -5,13 +5,30 @@ from polydet.errors import TailNotConverged, ValidationFailure
 from polydet.eigensolve import rectangle_spectrum
 from polydet.geometry import build_polygon
 from polydet.zetadet import (
+    HeatCoefficients,
     ZetaConfig,
+    _logdet_value,
     heat_coefficients,
-    rectangle_logdet_bruteforce,
     rectangle_logdet_exact,
     scaling_variation,
     zeta_logdet,
 )
+
+
+def rectangle_logdet_bruteforce(a, b, tau0=0.01, decay=36.0):
+    """Brute-force check value: raw double-sum spectrum, no tail model.
+
+    Truncates at lambda_max = decay/tau0 and Richardson-extrapolates the
+    truncation by doubling lambda_max.  Used as an independent oracle for
+    rectangle_logdet_exact in tests.
+    """
+    h = HeatCoefficients(a1=a * b / (4 * np.pi), a2=-2 * (a + b) / 8.0, b1=0.25)
+    lam_max = decay / tau0
+    vals = []
+    for lm in (lam_max, 2 * lam_max):
+        eigs = rectangle_spectrum(a, b, lm).eigenvalue_array()
+        vals.append(_logdet_value(eigs, h, tau0, lm, tail=False))
+    return 2 * vals[1] - vals[0]
 
 
 class TestHeatCoefficients:
