@@ -15,12 +15,12 @@ from pathlib import Path
 
 from . import validation
 from .config import RunConfig, Report, Timer, config_from_file
-from .eigensolve import Spectrum, dirichlet_eigenvalues, polygon_hash, weyl_count_check
+from .eigensolve import checked_spectrum, dirichlet_eigenvalues, polygon_hash
 from .errors import NumericalFailure, ValidationFailure
 from .geometry import field_from_json_dict, polygon_from_json_dict
 from .scmap import checked_map, solve_parameter_problem
 from .smoothwz import alvarez_logdet, domain_from_json_dict, wz_variation
-from .varform import contour_shift_integral, main_formula
+from .varform import contour_route_applies, contour_shift_integral, main_formula
 from .zetadet import heat_coefficients, zeta_logdet
 
 _FD_STEP = 5e-3     # t of the `var --route fd` Richardson difference
@@ -50,25 +50,21 @@ def _load_polygon(path):
     return polygon_from_json_dict(_load_json(path))
 
 
-def _solve_map_cached(p, cache):
-    """The SC map of p and whether it came from the cache.  The entry is
-    keyed by the polygon alone, since no config value enters the SC solve.
-    It holds prevertices and is used only if checked_map accepts them for
-    p; otherwise (or when it cannot be read) the map is solved again and the
-    entry rewritten."""
-    f = Path(cache) / f"scmap_{polygon_hash(p)}.json" if cache else None
-    if f is not None and f.exists():
+def _cached(path, load, compute, dump):
+    """A value and whether it came from the JSON cache entry at path.
+
+    load rebuilds the value through the check a computed value passes, and
+    raises if the entry is unreadable, incomplete or fails it; the value is
+    then computed and the entry rewritten whole.  A None path caches nothing."""
+    if path is not None and path.exists():
         try:
-            d = json.loads(f.read_text())
-            return checked_map(p, d["prevertices"], float(d["residual"])), True
+            return load(json.loads(path.read_text())), True
         except (ValueError, KeyError, TypeError, NumericalFailure):
             pass
-    m = solve_parameter_problem(p)
-    if f is not None:
-        d = m.to_json_dict()
-        d["residual"] = m.residual
-        _write_replacing(f, json.dumps(d))
-    return m, False
+    value = compute()
+    if path is not None:
+        _write_replacing(path, json.dumps(dump(value)))
+    return value, False
 
 
 def _write_replacing(path, text):
@@ -84,58 +80,34 @@ def _write_replacing(path, text):
         raise
 
 
-def _load_spectrum(csv_f, side_f, p):
-    """The cached spectrum, or None unless both files exist and parse, the
-    CSV is complete (ends in a newline, two fields a row), its row count and
-    polygon hash match the sidecar and its eigenvalues pass the Weyl count
-    check (the sidecar's stored check is not trusted)."""
-    if not (csv_f.exists() and side_f.exists()):
-        return None
-    text = csv_f.read_text()
-    rows = [line.split(",") for line in text.splitlines()[1:] if line]
-    try:
-        side = json.loads(side_f.read_text())
-        if (not text.endswith("\n") or any(len(r) != 2 for r in rows)
-                or side["n_eigs"] != len(rows) or side["polygon_hash"] != polygon_hash(p)):
-            return None
-        lam_max = float(side["lambda_max"])
-        eigs = [float(r[0]) for r in rows]
-        errs = [float(r[1]) for r in rows]
-    except (ValueError, KeyError, TypeError):
-        return None
-    check = weyl_count_check(p, eigs, lam_max)
-    if not check["ok"]:
-        return None
-    return Spectrum(eigenvalues=tuple(eigs),
-                    errors=tuple(errs),
-                    lambda_max=lam_max,
-                    count_check=check,
-                    polygon_hash=side["polygon_hash"],
-                    meta=side.get("meta", {}))
+def _solve_map_cached(p, cache):
+    """The SC map of p and whether it came from the cache.  The entry is
+    keyed by the polygon alone, since no config value enters the SC solve,
+    and is used only if checked_map accepts its prevertices for p."""
+    path = Path(cache) / f"scmap_{polygon_hash(p)}.json" if cache else None
+    return _cached(path, lambda d: checked_map(p, d["prevertices"], float(d["residual"])),
+                   lambda: solve_parameter_problem(p), lambda m: m.to_json_dict())
 
 
 def _spectrum_cached(p, lam_max, cfg, cache):
-    key = f"spectrum_{polygon_hash(p)}_{cfg.hash()}"
-    if cache:
-        csv_f = Path(cache) / (key + ".csv")
-        side_f = Path(cache) / (key + ".json")
-        spec = _load_spectrum(csv_f, side_f, p)
-        if spec is not None:
-            return spec, True
-    spec = dirichlet_eigenvalues(p, lam_max, cfg.eig)
-    if cache:
-        lines = ["lambda,error_estimate"]
-        lines += [f"{l!r},{e!r}" for l, e in zip(spec.eigenvalues, spec.errors)]
-        _write_replacing(csv_f, "\n".join(lines) + "\n")
-        _write_replacing(side_f, json.dumps({
-            "polygon_hash": spec.polygon_hash,
-            "n_eigs": len(spec.eigenvalues),
-            "lambda_max": spec.lambda_max,
-            "count_check": spec.count_check,
-            "meta": spec.meta,
-            "config_hash": cfg.hash(),
-        }))
-    return spec, False
+    """The spectrum of p below lam_max and whether it came from the cache.
+    The entry is keyed by the polygon and the config; one stored for another
+    polygon or failing the Weyl count check is a miss."""
+    path = Path(cache) / f"spectrum_{polygon_hash(p)}_{cfg.hash()}.json" if cache else None
+
+    def load(d):
+        spec = checked_spectrum(p, d["eigenvalues"], d["errors"], float(d["lambda_max"]),
+                                d["meta"])
+        if d["polygon_hash"] != spec.polygon_hash or not spec.count_check["ok"]:
+            raise ValueError("cached spectrum is another polygon's or fails its Weyl check")
+        return spec
+
+    def dump(spec):
+        return {"polygon_hash": spec.polygon_hash, "lambda_max": spec.lambda_max,
+                "eigenvalues": spec.eigenvalues, "errors": spec.errors,
+                "meta": spec.meta, "config_hash": cfg.hash()}
+
+    return _cached(path, load, lambda: dirichlet_eigenvalues(p, lam_max, cfg.eig), dump)
 
 
 def cmd_scmap(args, cfg):
@@ -146,12 +118,7 @@ def cmd_scmap(args, cfg):
     return Report(
         command=["scmap", args.polygon],
         config_hash=cfg.hash(),
-        payload={
-            "prevertices": list(m.prevertices),
-            "C": [m.prefactor.real, m.prefactor.imag],
-            "base": [m.base_point.real, m.base_point.imag],
-            "residual": m.residual,
-        },
+        payload=m.to_json_dict(),
         diagnostics={"cache_hit": hit},
         timings=timer.marks,
     )
@@ -193,13 +160,8 @@ def cmd_var(args, cfg):
             "route": dv.route,
         }
         diagnostics["formula"] = dv.residual_diagnostics
-        # the interior-contour route applies to pure parallel shifts
-        if all(abs(c1) * L < 1e-12 for (c0, c1), L in
-               zip(f.side_normal_velocity, p.side_lengths)):
-            active = [j for j, (c0, c1) in enumerate(f.side_normal_velocity)
-                      if abs(c0) > 1e-12]
-            if active and all(j < p.n - 1 for j in active):
-                payload["formula"]["contour_route"] = contour_shift_integral(m, f)
+        if contour_route_applies(p, f):
+            payload["formula"]["contour_route"] = contour_shift_integral(m, f)
         timer.mark("formula")
     if args.route in ("fd", "both"):
         lam_max, zcfg = cfg.pipeline_zeta(p)

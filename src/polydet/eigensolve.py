@@ -116,6 +116,29 @@ def weyl_count_check(p, eigs, lambda_max):
     return {"max_abs_dev": worst, "band": band, "ok": bool(worst <= band)}
 
 
+def checked_spectrum(p, eigs, errs, lambda_max, meta):
+    """The Spectrum of polygon p below lambda_max: eigenvalues sorted with
+    their errors, keyed by polygon_hash(p), with their Weyl count check.
+
+    Sweeps, healed sweeps, exact rectangle spectra and cache entries are all
+    built here; one failing the check has count_check["ok"] false, and
+    zeta_logdet refuses it."""
+    eigs = np.asarray(eigs, dtype=float)
+    errs = np.asarray(errs, dtype=float)
+    if eigs.ndim != 1 or errs.shape != eigs.shape:
+        raise ValidationFailure(f"{eigs.size} eigenvalues with {errs.size} error estimates")
+    order = np.argsort(eigs, kind="stable")
+    eigs, errs = eigs[order], errs[order]
+    return Spectrum(
+        eigenvalues=tuple(float(x) for x in eigs),
+        errors=tuple(float(e) for e in errs),
+        lambda_max=float(lambda_max),
+        count_check=weyl_count_check(p, eigs, lambda_max),
+        polygon_hash=polygon_hash(p),
+        meta=meta,
+    )
+
+
 def rectangle_spectrum(a, b, lambda_max):
     """Exact Dirichlet spectrum of the a x b rectangle below lambda_max."""
     if a <= 0 or b <= 0 or lambda_max <= 0:
@@ -129,16 +152,9 @@ def rectangle_spectrum(a, b, lambda_max):
         n_max = int(np.floor(b * np.sqrt(rem) / np.pi))
         for n in range(1, n_max + 1):
             lams.append((np.pi * m / a) ** 2 + (np.pi * n / b) ** 2)
-    lams = np.sort(np.asarray(lams))
     p = build_polygon([0, a, a + 1j * b, 1j * b])
-    return Spectrum(
-        eigenvalues=tuple(float(x) for x in lams),
-        errors=tuple(0.0 for _ in lams),
-        lambda_max=float(lambda_max),
-        count_check=weyl_count_check(p, lams, lambda_max),
-        polygon_hash=polygon_hash(p),
-        meta={"source": "rectangle_exact", "a": a, "b": b},
-    )
+    return checked_spectrum(p, lams, np.zeros(len(lams)), lambda_max,
+                            {"source": "rectangle_exact", "a": a, "b": b})
 
 
 # ---------------------------------------------------------------------------
@@ -522,17 +538,12 @@ class MPSSolver:
 
         # the grid owns the time no decorated stage claimed
         self.stage_s["grid"] += time.perf_counter() - t0 - (self._claimed - claimed)
-        return Spectrum(
-            eigenvalues=tuple(float(x) for x in eigs),
-            errors=tuple(float(e) for e in errs),
-            lambda_max=self.lambda_max,
-            count_check=check,
-            polygon_hash=polygon_hash(self.p),
-            meta={"source": "mps", "orders": list(self.orders),
-                  "n_boundary": int(self.m_b), "n_interior": int(len(self.ipts)),
-                  "seed": int(self.cfg.seed), "sigma_evals": dict(self.sigma_evals),
-                  "stage_s": dict(self.stage_s)},
-        )
+        return checked_spectrum(
+            self.p, eigs, errs, self.lambda_max,
+            {"source": "mps", "orders": list(self.orders),
+             "n_boundary": int(self.m_b), "n_interior": int(len(self.ipts)),
+             "seed": int(self.cfg.seed), "sigma_evals": dict(self.sigma_evals),
+             "stage_s": dict(self.stage_s)})
 
     @_stage("refine")
     def _refine_checked(self, a, b, c, fa, fb, fc):

@@ -15,7 +15,7 @@ variables, which keeps the ordering built in and is robust against mild
 crowding.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -32,7 +32,10 @@ _MIN_GAP = 1e-12        # smallest prevertex gap the map resolves
 
 @dataclass(frozen=True)
 class SCMap:
-    """Solved Schwarz-Christoffel map (immutable after construction)."""
+    """Solved Schwarz-Christoffel map, built by checked_map.
+
+    vertex_images are the prevertex images checked against the polygon;
+    side_integrals keeps varform's per-side integrals as fields need them."""
 
     prevertices: tuple
     exponents: tuple          # alpha_k/pi - 1, in (-1, 0) for convex targets
@@ -40,6 +43,8 @@ class SCMap:
     base_point: complex       # image of prevertices[0], i.e. the first vertex
     polygon: Polygon
     residual: float = 0.0
+    vertex_images: np.ndarray = field(default=None, compare=False, repr=False)
+    side_integrals: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self):
@@ -60,6 +65,7 @@ class SCMap:
             "prevertices": list(self.prevertices),
             "C": [self.prefactor.real, self.prefactor.imag],
             "base": [self.base_point.real, self.base_point.imag],
+            "residual": self.residual,
         }
 
 
@@ -257,8 +263,7 @@ def checked_map(p, prevertices, residual=0.0):
     resolves (PrevertexCrowding).  One pass over the prevertex intervals
     fixes the prefactor and base point from the first side [x_1, x_2] and
     gives every vertex image; these must match the polygon's vertices
-    (NoConvergence otherwise).  The images seed the cache that map_forward
-    reads.
+    (NoConvergence otherwise) and are kept as the map's vertex_images.
     """
     zk = np.asarray(prevertices, dtype=float)
     if zk.shape != (p.n,):
@@ -269,25 +274,20 @@ def checked_map(p, prevertices, residual=0.0):
     g = np.asarray(p.angles) / np.pi - 1.0
     segs = _interval_integrals(zk, g)
     verts = p.vertex_array()
-    m = SCMap(
-        prevertices=tuple(float(z) for z in zk),
-        exponents=tuple(float(x) for x in g),
-        prefactor=complex((verts[1] - verts[0]) / segs[0]),
-        base_point=complex(verts[0]),
-        polygon=p,
-        residual=residual,
-    )
-    xk = _vertex_chain(m.base_point, m.prefactor, segs)
+    C, base = complex((verts[1] - verts[0]) / segs[0]), complex(verts[0])
+    xk = _vertex_chain(base, C, segs)
     err = np.max(np.abs(xk - verts)) / max(1.0, float(np.max(np.abs(verts))))
     if not err <= _VERTEX_TOL:
         raise NoConvergence(f"mapped vertices off by {err:.3e}", residual=err)
-    object.__setattr__(m, "_vimages", xk)
-    return m
-
-
-def _mapped_vertices(m):
-    segs = _interval_integrals(m.prevertex_array(), np.asarray(m.exponents))
-    return _vertex_chain(m.base_point, m.prefactor, segs)
+    return SCMap(
+        prevertices=tuple(float(z) for z in zk),
+        exponents=tuple(float(x) for x in g),
+        prefactor=C,
+        base_point=base,
+        polygon=p,
+        residual=residual,
+        vertex_images=xk,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +308,11 @@ def map_forward(m, z, start=None):
     g = np.asarray(m.exponents)
     if start is None:
         start = int(np.argmin(np.abs(zk - z)))
-    xk = _vertex_images(m)
+    xk = m.vertex_images
     if z == zk[start]:
         return complex(xk[start])
     seg = integrate_sc_segment(zk, g, zk[start], z, sing_index=start)
     return complex(xk[start] + m.prefactor * seg)
-
-
-def _vertex_images(m):
-    got = m.__dict__.get("_vimages")
-    if got is None:
-        got = _mapped_vertices(m)
-        object.__setattr__(m, "_vimages", got)
-    return got
 
 
 # ---------------------------------------------------------------------------

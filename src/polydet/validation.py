@@ -5,7 +5,6 @@ pass flag; the CLI renders them as a table and the test suite asserts them.
 Suites: geometry, scmap, eigs, det, var, wz, all.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -14,15 +13,15 @@ from . import varform
 from .eigensolve import (
     EigConfig,
     MPSSolver,
+    checked_spectrum,
     dirichlet_eigenvalues,
     hadamard_eigenvalue_variation,
     rectangle_spectrum,
-    weyl_count_check,
 )
 from .errors import MissedEigenvalue
 from .geometry import build_polygon, field_from_vertex_velocities, move_polygon
-from .scmap import map_forward, solve_parameter_problem, _mapped_vertices
-from .smoothwz import SmoothDomain, alvarez_logdet, disk, wz_variation, wz_vs_alvarez_fd
+from .scmap import map_forward, solve_parameter_problem
+from .smoothwz import SmoothDomain, disk, wz_variation, wz_vs_alvarez_fd
 from .varform import (
     contour_shift_integral,
     corner_constant,
@@ -215,11 +214,9 @@ def _aligned_spectra(p, f, ts, lam_max, cfg=None):
             lam_pred * (1 - 0.02), lam_pred * (1 + 0.02), list(old.eigenvalues))
         if not new:
             return False
-        pairs = sorted(list(zip(old.eigenvalues, old.errors)) + new)
-        eigs = [float(e) for e, _ in pairs]
-        out[t_bad] = dataclasses.replace(
-            old, eigenvalues=tuple(eigs), errors=tuple(float(r) for _, r in pairs),
-            count_check=weyl_count_check(pt, eigs, lam_max))
+        out[t_bad] = checked_spectrum(pt, list(old.eigenvalues) + [e for e, _ in new],
+                                      list(old.errors) + [r for _, r in new],
+                                      lam_max, old.meta)
         return True
 
     # an interior miss shows as a persistent index shift against the location
@@ -388,7 +385,7 @@ def check_scmap_invariants(seed=6):
     for _ in range(20):
         p = _random_convex(rng)
         m = solve_parameter_problem(p)
-        xk = _mapped_vertices(m)
+        xk = m.vertex_images
         L = np.asarray(p.side_lengths)[: p.n - 1]
         worst_side = max(worst_side, np.max(np.abs(np.abs(np.diff(xk)) - L) / L))
         j = int(rng.integers(0, p.n - 1))

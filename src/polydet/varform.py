@@ -114,7 +114,6 @@ from scipy.special import zeta as hurwitz_zeta
 from .quadrature import gl_nodes, jacgauss, leggauss, panel_nodes
 from .scmap import (
     _local_regular_factor,
-    _vertex_images,
     cumulative_images,
     sc_derivative,
     schwarzian_xz,
@@ -323,7 +322,7 @@ class _NearVertex:
         integral is subtracted.
         """
         w = np.atleast_1d(np.asarray(w, dtype=float))
-        base = _vertex_images(self.m)[self.i]
+        base = self.m.vertex_images[self.i]
         arc = self.D * (np.pi / self.alpha) * w**self.apio * self.rho(w)
         return base + arc if self.from_right else base - arc
 
@@ -524,14 +523,10 @@ def _integrate_side(m, j):
 
 def _side_integrals(m, j):
     """_integrate_side(m, j), computed the first time a field moves side j
-    and kept on the map (like its vertex images)."""
-    memo = m.__dict__.get("_side_integrals")
-    if memo is None:
-        memo = {}
-        object.__setattr__(m, "_side_integrals", memo)
-    if j not in memo:
-        memo[j] = _integrate_side(m, j)
-    return memo[j]
+    and kept in the map's side_integrals."""
+    if j not in m.side_integrals:
+        m.side_integrals[j] = _integrate_side(m, j)
+    return m.side_integrals[j]
 
 
 def hadamard_boundary_integral(m, f):
@@ -553,10 +548,7 @@ def hadamard_boundary_integral(m, f):
     per_vertex_resid = []
     worst_d2 = 0.0
 
-    for j, (c0, c1) in enumerate(f.side_normal_velocity):
-        L = p.side_lengths[j]
-        if abs(c0) + abs(c1) * L < _FIELD_TOL:
-            continue
+    for j, c0, c1, L in _moved_sides(p, f):
         side = _side_integrals(m, j)
         start, end = np.array([c0, c1]), np.array([c0 + c1 * L, -c1])
         far = side.far @ start
@@ -621,30 +613,38 @@ def main_formula(p, m, f):
     )
 
 
-def contour_shift_integral(m, f):
-    """Shift-route value of d(log det) for a pure parallel-shift field.
+def _moved_sides(p, f):
+    """(j, c0, c1, L) of every side j of length L whose normal velocity
+    c0 + c1 s the field does not leave below _FIELD_TOL."""
+    for j, ((c0, c1), L) in enumerate(zip(f.side_normal_velocity, p.side_lengths)):
+        if not abs(c0) + abs(c1) * L < _FIELD_TOL:
+            yield j, c0, c1, L
 
-    The field must be constant on each active side ((A.nu) = c0, c1 = 0) and
-    every active side must have a finite prevertex interval.  Near each
-    active vertex the boundary integral is cut at the image of an arc of
-    radius eps around the prevertex and the divergent piece is replaced by
-    the interior contour integral of {z,x} along that arc.
+
+def contour_route_applies(p, f):
+    """Whether contour_shift_integral takes field f: every side that f moves
+    is shifted in parallel ((A.nu) = c0, c1 = 0) and has a finite prevertex
+    interval, so it is not the last side."""
+    return all(abs(c1) * L <= 1e-10 * max(1.0, abs(c0)) and j < p.n - 1
+               for j, c0, c1, L in _moved_sides(p, f))
+
+
+def contour_shift_integral(m, f):
+    """Shift-route value of d(log det) for a field that
+    contour_route_applies to.
+
+    Near each vertex of a moved side the boundary integral is cut at the
+    image of an arc of radius eps around the prevertex and the divergent
+    piece is replaced by the interior contour integral of {z,x} along that
+    arc.
     """
     p = m.polygon
-    n = p.n
+    if not contour_route_applies(p, f):
+        raise ValidationFailure("the contour route takes parallel shifts of sides with a finite "
+                                "prevertex interval; relabel the polygon if the last side moves")
     zk = m.prevertex_array()
     total = 0.0
-
-    for j in range(n):
-        c0, c1 = f.side_normal_velocity[j]
-        L = p.side_lengths[j]
-        if abs(c0) + abs(c1) * L < _FIELD_TOL:
-            continue
-        if abs(c1) * L > 1e-10 * max(1.0, abs(c0)):
-            raise ValidationFailure("contour route requires pure parallel shifts")
-        if j == n - 1:
-            raise ValidationFailure("shift the polygon labeling so the active side "
-                                    "has a finite prevertex interval")
+    for j, c0, _, _ in _moved_sides(p, f):
         nu_hat = p.side_normal(j)
         tau = p.side_tangent(j)
         theta_s = np.angle(tau)
@@ -668,7 +668,7 @@ def contour_shift_integral(m, f):
         arc_s = _arc_integral(m, j, eps_s)
         arc_e = _arc_integral(m, j + 1, eps_e)
         a_s = p.angles[j]
-        a_e = p.angles[(j + 1) % n]
+        a_e = p.angles[j + 1]
         total -= c0 * (np.exp(1j * a_s) * np.exp(1j * theta_s) * arc_s).imag / (
             6 * np.pi * np.sin(a_s))
         total += c0 * (np.exp(-1j * a_e) * np.exp(1j * theta_s) * arc_e).imag / (

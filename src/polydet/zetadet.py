@@ -34,7 +34,6 @@ import numpy as np
 from scipy.special import erfc, exp1
 
 from .errors import TailNotConverged, ValidationFailure
-from .eigensolve import Spectrum
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -107,12 +106,10 @@ def _tail_integral(tau0, lam_max, area, perimeter):
     return t_area - t_perim
 
 
-def _logdet_value(eigs, h, tau0, lam_max, tail=True):
+def _logdet_value(eigs, h, tau0, lam_max):
     val = h.a1 / tau0 + 2 * h.a2 / np.sqrt(np.pi * tau0) - h.b1 * (np.log(tau0) + EULER_GAMMA)
     val -= float(np.sum(exp1(np.asarray(eigs) * tau0)))
-    if tail:
-        val -= _tail_integral(tau0, lam_max, h.area, h.perimeter)
-    return val
+    return val - _tail_integral(tau0, lam_max, h.area, h.perimeter)
 
 
 def zeta_logdet(spectrum, h, cfg):

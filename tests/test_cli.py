@@ -272,50 +272,39 @@ class TestDetCommand:
 
     def test_truncated_cache_is_recomputed(self, square_file, det_cfg_file, tmp_path,
                                            capsys):
-        from polydet.cli import _load_polygon, _load_spectrum
-        from polydet.geometry import build_polygon
+        # a truncated entry, another polygon's entry and an entry lacking a
+        # key are misses, recomputed and rewritten whole.  Entries are
+        # compared by eigenvalues and errors: meta.stage_s holds wall times.
+        from polydet.eigensolve import rectangle_spectrum
 
         cache = tmp_path / "cache"
         args = ["--cfg", det_cfg_file, "--cache-dir", str(cache), "det", square_file]
         code, out = run_cli(args, capsys)
         assert code == 0
-        n_eigs = json.loads(out)["payload"]["n_eigs"]
-        (csv_f,) = cache.glob("spectrum_*.csv")
-        side_f = csv_f.with_suffix(".json")
-        text = csv_f.read_text()
-        csv_f.write_text("".join(text.splitlines(keepends=True)[:-3]))
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        rep = json.loads(out)
-        assert not rep["diagnostics"]["cache_hit"]
-        assert rep["payload"]["n_eigs"] == n_eigs
-        assert csv_f.read_text() == text
-        assert not list(cache.glob("*.tmp"))
-        # a row cut in the middle, or another polygon's files, are not loaded
-        square = _load_polygon(square_file)
-        assert len(_load_spectrum(csv_f, side_f, square).eigenvalues) == n_eigs
-        csv_f.write_text(text[:-4])
-        assert _load_spectrum(csv_f, side_f, square) is None
-        csv_f.write_text(text)
-        assert _load_spectrum(csv_f, side_f, build_polygon([0, 1, 1 + 1.1j, 1.1j])) is None
-        # a sidecar that is not whole JSON, or lacks a key, is a miss too
-        side = json.loads(side_f.read_text())
-        del side["lambda_max"]
-        side_f.write_text(json.dumps(side))
-        assert _load_spectrum(csv_f, side_f, square) is None
-        side_f.write_text(side_f.read_text()[:30])
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        rep = json.loads(out)
-        assert not rep["diagnostics"]["cache_hit"]
-        assert rep["payload"]["n_eigs"] == n_eigs
-        assert json.loads(side_f.read_text())["n_eigs"] == n_eigs
-        assert not list(cache.glob("*.tmp"))
+        payload = json.loads(out)["payload"]
+        (f,) = cache.glob("spectrum_*.json")
+        text = f.read_text()
+        entry = json.loads(text)
+        other = rectangle_spectrum(1.0, 1.1, entry["lambda_max"])
+        assert other.count_check["ok"]
+        other_entry = dict(entry, polygon_hash=other.polygon_hash, eigenvalues=other.eigenvalues,
+                           errors=other.errors)
+        missing = {k: v for k, v in entry.items() if k != "lambda_max"}
+        for bad in (text[:-40], json.dumps(other_entry), json.dumps(missing)):
+            f.write_text(bad)
+            code, out = run_cli(args, capsys)
+            assert code == 0
+            rep = json.loads(out)
+            assert not rep["diagnostics"]["cache_hit"]
+            assert rep["payload"] == payload
+            got = json.loads(f.read_text())
+            assert (got["eigenvalues"], got["errors"]) == (entry["eigenvalues"], entry["errors"])
+            assert not list(cache.glob("*.tmp"))
 
     def test_cache_failing_the_weyl_check_is_recomputed(self, square_file, det_cfg_file,
                                                          tmp_path, capsys):
-        # doubled eigenvalues keep the sidecar's row count and polygon hash,
-        # but their counting function is far off the Weyl law
+        # doubled eigenvalues keep the entry's polygon hash, but their
+        # counting function is far off the Weyl law
         cache = tmp_path / "cache"
         args = ["--cfg", det_cfg_file, "--cache-dir", str(cache), "det", square_file]
         code, out = run_cli(args, capsys)
@@ -325,17 +314,17 @@ class TestDetCommand:
         assert counts["grid"] > 0 and counts["refine"] > 0
         stage_s = rep["diagnostics"]["stage_s"]
         assert set(stage_s) == set(counts) and min(stage_s.values()) >= 0
-        (csv_f,) = cache.glob("spectrum_*.csv")
-        text = csv_f.read_text()
-        header, *rows = text.splitlines()
-        doubled = [f"{2 * float(lam)!r},{err}" for lam, err in (r.split(",") for r in rows)]
-        csv_f.write_text("\n".join([header, *doubled]) + "\n")
+        (f,) = cache.glob("spectrum_*.json")
+        entry = json.loads(f.read_text())
+        f.write_text(json.dumps(dict(entry, eigenvalues=[2 * lam for lam in entry["eigenvalues"]])))
         code, out = run_cli(args, capsys)
         assert code == 0
         rep2 = json.loads(out)
         assert not rep2["diagnostics"]["cache_hit"]
         assert rep2["payload"] == rep["payload"]
-        assert csv_f.read_text() == text
+        got = json.loads(f.read_text())
+        assert (got["eigenvalues"], got["errors"]) == (entry["eigenvalues"], entry["errors"])
+        assert not list(cache.glob("*.tmp"))
 
     def test_tail_not_converged_exit_3(self, square_file, tmp_path, capsys):
         f = tmp_path / "badcfg.json"
@@ -362,6 +351,35 @@ class TestVarCommand:
         code, out = run_cli(["var", square_file, str(f)], capsys)
         rep = json.loads(out)
         assert abs(rep["payload"]["formula"]["total"]) < 1e-8
+
+    @pytest.mark.parametrize("vx, applies", [
+        ((-1e-13, 1, 1, -1e-13), False),    # the last side moves, by 1e-13
+        ((0, 1, 1 + 5e-11, 0), True),       # a tilt within the parallel-shift tolerance
+        ((0, 1, 1, 0), True),               # a pure shift of side 1
+    ])
+    def test_contour_route_reported_exactly_when_it_applies(self, vx, applies, square_file,
+                                                           tmp_path, capsys):
+        from polydet.cli import _load_polygon
+        from polydet.geometry import field_from_json_dict
+        from polydet.scmap import solve_parameter_problem
+        from polydet.varform import contour_shift_integral
+
+        d = {"vertex_velocities": [[x, 0] for x in vx]}
+        field_file = tmp_path / "field.json"
+        field_file.write_text(json.dumps(d))
+        code, out = run_cli(["var", square_file, str(field_file)], capsys)
+        assert code == 0
+        formula = json.loads(out)["payload"]["formula"]
+        p = _load_polygon(square_file)
+        f = field_from_json_dict(p, d)
+        if applies:
+            assert formula["contour_route"] == contour_shift_integral(
+                solve_parameter_problem(p), f)
+            assert formula["contour_route"] == pytest.approx(formula["total"], abs=1e-6)
+        else:
+            assert "contour_route" not in formula
+            with pytest.raises(ValidationFailure):
+                contour_shift_integral(solve_parameter_problem(p), f)
 
     def test_fd_route_reports_a_missed_eigenvalue(self, square_file, dilation_file,
                                                   monkeypatch, capsys):

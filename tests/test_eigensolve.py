@@ -446,26 +446,48 @@ class TestWeylCheck:
         assert np.max(np.abs(eigs - exact) / exact) < 1e-8
 
 
-def test_alignment_failure_names_the_defect(monkeypatch):
-    # stretched 1.3 x 1 rectangles have exact, simple low spectra; the
-    # t = -2e-3 one loses index 2 and healing is made to fail, so the error
-    # must say where the miss is
-    from polydet import validation
+def _sweep_missing_index_2(p, lam_max, cfg=None):
+    """Exact spectra of stretched 1.3 x 1 rectangles, which are simple at
+    the bottom; the t = -2e-3 one loses index 2 and carries no polygon
+    hash, like a Spectrum built outside the library."""
     from polydet.eigensolve import Spectrum
+
+    a = p.side_lengths[0]
+    spec = rectangle_spectrum(a, 1.0, lam_max)
+    if abs(a - (1.3 - 2e-3)) < 1e-9:
+        eigs = np.delete(spec.eigenvalue_array(), 2)
+        spec = Spectrum(tuple(eigs), tuple(0.0 for _ in eigs), lam_max, spec.count_check)
+    return spec
+
+
+def test_alignment_failure_names_the_defect(monkeypatch):
+    # healing is made to fail, so the error must say where the miss is
+    from polydet import validation
     from polydet.errors import MissedEigenvalue
 
-    def sweep(p, lam_max, cfg=None):
-        a = p.side_lengths[0]
-        spec = rectangle_spectrum(a, 1.0, lam_max)
-        if abs(a - (1.3 - 2e-3)) < 1e-9:
-            eigs = np.delete(spec.eigenvalue_array(), 2)
-            spec = Spectrum(tuple(eigs), tuple(0.0 for _ in eigs), lam_max, spec.count_check)
-        return spec
-
-    monkeypatch.setattr(validation, "dirichlet_eigenvalues", sweep)
+    monkeypatch.setattr(validation, "dirichlet_eigenvalues", _sweep_missing_index_2)
     monkeypatch.setattr(MPSSolver, "search_window", lambda self, lo, hi, eigs: [])
     rect = build_polygon([0, 1.3, 1.3 + 1j, 1j])
     f = field_from_vertex_velocities(rect, [0, 1, 1, 0])
     with pytest.raises(MissedEigenvalue, match=r"t = -2\.000e-03 lacks eigenvalue index 2 "
                                                r"\(0-based\), predicted lambda 45\.3"):
         validation._aligned_spectra(rect, f, (4e-3, -4e-3, 2e-3, -2e-3), 150.0)
+
+
+def test_alignment_heals_the_missed_eigenvalue(monkeypatch):
+    # the window search finds the lost eigenvalue, and the healed spectrum
+    # is sorted, Weyl-checked and keyed by its own polygon
+    from polydet import validation
+
+    monkeypatch.setattr(validation, "dirichlet_eigenvalues", _sweep_missing_index_2)
+    rect = build_polygon([0, 1.3, 1.3 + 1j, 1j])
+    f = field_from_vertex_velocities(rect, [0, 1, 1, 0])
+    healed = validation._aligned_spectra(rect, f, (4e-3, -4e-3, 2e-3, -2e-3), 150.0)[-2e-3]
+    pt = move_polygon(rect, f, -2e-3)
+    eigs = healed.eigenvalue_array()
+    exact = rectangle_spectrum(1.298, 1, 150).eigenvalue_array()
+    assert len(eigs) == len(exact)
+    assert np.max(np.abs(eigs - exact)) < 1e-8
+    assert np.all(np.diff(eigs) > 0)
+    assert healed.count_check == weyl_count_check(pt, eigs, 150)
+    assert healed.polygon_hash == polygon_hash(pt)

@@ -10,7 +10,6 @@ from polydet.scmap import (
     schwarzian_xz,
     solve_parameter_problem,
     _log_uhp,
-    _mapped_vertices,
     _panel_breaks,
     _unnormalized_derivative,
     integrate_sc_segment,
@@ -41,14 +40,14 @@ class TestParameterProblem:
         assert tri_map.residual == 0.0
 
     def test_square_side_lengths(self, square_map):
-        xk = _mapped_vertices(square_map)
+        xk = square_map.vertex_images
         sides = np.abs(np.diff(xk))
         assert np.all(np.abs(sides - 1.0) < 1e-10)
         # exact gauge value for the square: interior prevertex at 1/3
         assert square_map.prevertices[2] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_rectangle_ratio(self, rect_map):
-        xk = _mapped_vertices(rect_map)
+        xk = rect_map.vertex_images
         sides = np.abs(np.diff(xk))
         assert sides[0] / sides[1] == pytest.approx(2.0, rel=1e-10)
         assert sides[2] / sides[1] == pytest.approx(2.0, rel=1e-10)
@@ -77,7 +76,7 @@ class TestParameterProblem:
         p = square_map.polygon
         m = checked_map(p, square_map.prevertices, square_map.residual)
         assert (m.prefactor, m.base_point) == (square_map.prefactor, square_map.base_point)
-        assert np.array_equal(m.__dict__["_vimages"], square_map.__dict__["_vimages"])
+        assert np.array_equal(m.vertex_images, square_map.vertex_images)
         with pytest.raises(NoConvergence):
             checked_map(p, (-1.0, 0.0, 0.4, 1.0))
         with pytest.raises(ValidationFailure):
@@ -91,8 +90,8 @@ class TestParameterProblem:
             checked_map(square_map.polygon, (-1.0, 0.0, 1.0 - 1e-13, 1.0))
 
     def test_checked_vertex_images_are_reused(self, monkeypatch):
-        # the images checked after the solve seed the cache that map_forward
-        # reads, so no second pass over the intervals is made
+        # the images checked after the solve are kept on the map for
+        # map_forward, so no second pass over the intervals is made
         from polydet import scmap
 
         calls = []
@@ -105,7 +104,9 @@ class TestParameterProblem:
         monkeypatch.setattr(scmap, "_interval_integrals", spy)
         m = solve_parameter_problem(build_polygon([0, 1, 0.3 + 0.8j]))
         assert len(calls) == 1
-        assert np.array_equal(m.__dict__["_vimages"], _mapped_vertices(m))
+        segs = real(m.prevertex_array(), np.asarray(m.exponents))
+        assert np.array_equal(m.vertex_images,
+                              scmap._vertex_chain(m.base_point, m.prefactor, segs))
 
     def test_exponent_range(self, square_map):
         for e in square_map.exponents:
@@ -115,7 +116,7 @@ class TestParameterProblem:
         for _ in range(20):
             p = random_convex_polygon(rng)
             m = solve_parameter_problem(p)
-            xk = _mapped_vertices(m)
+            xk = m.vertex_images
             L = np.asarray(p.side_lengths)[: p.n - 1]
             rel = np.abs(np.abs(np.diff(xk)) - L) / L
             assert rel.max() < 1e-10
