@@ -11,6 +11,14 @@ Each dip of the sweep is refined by fitting sigma^2 as a parabola in lambda
 (see MPSSolver._refine_checked).  The sigma evaluations of a sweep are
 counted per stage into Spectrum.meta["sigma_evals"].
 
+sigma comes at two grades.  Scans (the grid, rescans, cover probes, audit
+scans, window searches and sibling brackets) only ask whether sigma is below
+a threshold, and take the k smallest eigenvalues of the Gram matrix
+Q_B^T Q_B as sigma_k^2: good to about 1e-16 absolute, so sigma is good to
+about 1e-8 near a dip, at about a third of the cost of an SVD.  Refinement,
+the multiplicity count, the sibling probe's slope and the eigenfunctions
+need sigma down to its noise floor (about 1e-14) and take the SVD of Q_B.
+
 Counting is validated against the two-term Weyl law plus the heat-trace
 constant b1; a failed check raises MissedEigenvalue rather than silently
 returning a thinned spectrum.
@@ -438,8 +446,8 @@ class MPSSolver:
         return dict.fromkeys(_STAGES, 0.0)
 
     # -- subspace angles ----------------------------------------------------
-    def _boundary_svd(self, lam, vectors=False, A=None):
-        """SVD of the boundary rows of the orthonormalized basis at lam.
+    def _boundary_svd(self, lam, vectors=False, A=None, scan=None):
+        """SVD of the boundary rows Q_B of the orthonormalized basis at lam.
 
         The columns are normalized, orthonormalized by pivoted QR and
         truncated at the numerical rank (_RTOL).  Returns the singular
@@ -447,6 +455,12 @@ class MPSSolver:
         (Vh, R, piv, cutoff, norms, good), which map right singular vectors
         back to basis coefficients.  ``A`` is the basis matrix at lam, if
         already assembled.
+
+        With ``scan`` = k, only the k smallest, at scan grade: the square
+        roots of the k smallest eigenvalues of Q_B^T Q_B.  Q has orthonormal
+        columns, so their absolute error is about 1e-16 and sigma is good to
+        about 1e-8 near a dip, enough to say whether one is there but not to
+        refine it.
         """
         if A is None:
             A = self.basis.matrix(lam, self.pts, local=self._local_pts, sines=self._sines)
@@ -458,30 +472,37 @@ class MPSSolver:
         Q, R, piv = la.qr(A, mode="economic", pivoting=True)
         r = np.abs(np.diag(R))
         cutoff = int((r > r[0] * _RTOL).sum())
+        QB = Q[: self.m_b, :cutoff]
+        if scan:
+            # the Gram matrix is a temporary, and finite since Q is
+            w = la.eigvalsh(QB.T @ QB, subset_by_index=[0, min(scan, cutoff) - 1],
+                            overwrite_a=True, check_finite=False)
+            return np.sqrt(np.maximum(w, 0.0))
         if not vectors:
-            return la.svd(Q[: self.m_b, :cutoff], compute_uv=False)[::-1]
-        _, s, Vh = la.svd(Q[: self.m_b, :cutoff])
+            return la.svd(QB, compute_uv=False)[::-1]
+        _, s, Vh = la.svd(QB)
         return s[::-1], (Vh, R, piv, cutoff, norms, good)
 
-    def sigmas(self, lam, count=2, A=None):
-        """The ``count`` smallest singular values at lam; ``A`` as in
-        _boundary_svd."""
+    def sigmas(self, lam, count=2, A=None, scan=False):
+        """The ``count`` smallest singular values at lam, at scan grade with
+        ``scan``; ``A`` as in _boundary_svd."""
         self.sigma_evals[self._stage] += 1
-        return self._boundary_svd(lam, A=A)[:count]
+        return self._boundary_svd(lam, A=A, scan=count if scan else None)[:count]
 
     def sigma(self, lam):
         return float(self.sigmas(lam, count=1)[0])
 
     def _sigmas_at(self, lams, count=1):
-        """sigmas(lam, count) at every lam of a scan, (len(lams), count).
-        The basis matrices are assembled a block of lambdas at a time, a
-        block holding at most _BLOCK_ENTRIES entries (or one lambda)."""
+        """sigmas(lam, count) at scan grade at every lam of a scan,
+        (len(lams), count).  The basis matrices are assembled a block of
+        lambdas at a time, a block holding at most _BLOCK_ENTRIES entries
+        (or one lambda)."""
         size = max(1, _BLOCK_ENTRIES // (len(self.pts) * sum(self.orders)))
         out = []
         for s in range(0, len(lams), size):
             block = lams[s:s + size]
             mats = self.basis.matrices(block, self._local_pts, self._sines)
-            out.extend(self.sigmas(lam, count, A) for lam, A in zip(block, mats))
+            out.extend(self.sigmas(lam, count, A, scan=True) for lam, A in zip(block, mats))
         return np.array(out).reshape(len(lams), count)
 
     def _sigma_batch(self, lams):
@@ -508,6 +529,8 @@ class MPSSolver:
         return np.pi * 5.783185962946785 / self.p.area
 
     def solve(self):
+        if self.lambda_max < self.faber_krahn_bound():
+            return self._spectrum([], [])       # no eigenvalue lies below it
         t0, claimed = time.perf_counter(), self._claimed
         grid = np.arange(self._lam_lo, self.lambda_max + self.step, self.step)
         vals = self._sigma_batch(grid)
@@ -519,8 +542,8 @@ class MPSSolver:
         eigs, errs = self._cover_low_intervals(grid, vals, eigs, errs)
         # a located dip can shadow a second one closer than the grid step
         eigs, errs = self._find_siblings(eigs, errs)
-        # local Weyl audit: a deficit of ~1 between consecutive found
-        # eigenvalues pinpoints a miss that the global band cannot see
+        # local Weyl audit: scan every gap wider than about half a mean gap,
+        # for a miss that the global band cannot see
         eigs, errs = self._audit_gaps(eigs, errs)
 
         order = np.argsort(eigs)
@@ -538,6 +561,10 @@ class MPSSolver:
 
         # the grid owns the time no decorated stage claimed
         self.stage_s["grid"] += time.perf_counter() - t0 - (self._claimed - claimed)
+        return self._spectrum(eigs, errs)
+
+    def _spectrum(self, eigs, errs):
+        """The checked Spectrum of a sweep, with its sizes and counters."""
         return checked_spectrum(
             self.p, eigs, errs, self.lambda_max,
             {"source": "mps", "orders": list(self.orders),
@@ -724,7 +751,8 @@ class MPSSolver:
             slope = self.sigma(lam + 0.01 * self.step) / (0.01 * self.step)
         # delta small enough that lam's own V stays below the sibling's
         delta = min(0.02 * self.step, 0.25 * s0 / slope)
-        lo, hi = self._sigmas_at([lam - delta, lam + delta], count=k + 1)[:, k]
+        # full grade: the slope is a difference of two nearby values
+        lo, hi = (self.sigmas(x, count=k + 1)[k] for x in (lam - delta, lam + delta))
         s2 = abs(hi - lo) / (2 * delta)
         if s2 <= 0:
             return 0
@@ -806,16 +834,19 @@ class MPSSolver:
 
     @_stage("audit")
     def _audit_gaps(self, eigs, errs):
-        """Scan gaps whose local Weyl count falls short by about one.
+        """Scan every gap that the two-term Weyl count puts at least 0.55
+        eigenvalues in.
 
-        The two-term Weyl count between consecutive located eigenvalues
-        fluctuates by well under one, so a deficit close to one pinpoints a
-        miss (for example the second member of a tight pair shadowed by its
-        sibling) that the global alarm band cannot resolve.  A located
-        eigenvalue at either end of such a gap whose next singular value puts
-        a dip within two sub-intervals of the scan's ends is probed for a
-        sibling first, since a dip in the first or last sub-interval is seen
-        by no three-point pattern.
+        The deficit of a gap is W(b) - W(a) less the located eigenvalues
+        strictly inside it.  Between consecutive located eigenvalues none
+        lies inside, so the deficit is the gap measured in mean gaps, and
+        every gap wider than 0.55 mean gaps gets a 26-point scan, not only
+        one short by about one eigenvalue.  The first gap starts at _lam_lo
+        and the last ends at lambda_max.  A located eigenvalue at either end
+        of a scanned gap whose next singular value puts a dip within two
+        sub-intervals of the scan's ends is probed for a sibling first,
+        since a dip in the first or last sub-interval is seen by no
+        three-point pattern.
         """
         eigs, errs = list(eigs), list(errs)
         for _ in range(2):
@@ -950,7 +981,8 @@ def hadamard_eigenvalue_variation(p, f, j, cfg=None):
 
     Requires lambda_j simple within _GAP_TOL; for clusters the caller
     should sum the variation over the cluster (DegenerateEigenvalue is
-    raised here).
+    raised here).  A sweep that holds fewer than j + 1 eigenvalues, so that
+    lambda_{j+1} cannot be checked, raises MissedEigenvalue.
     """
     # sweep a bit beyond the Weyl estimate for lambda_{j+1}
     lam_max = _weyl_kth(p, j + 2) * 1.25
@@ -962,11 +994,13 @@ def hadamard_eigenvalue_variation(p, f, j, cfg=None):
         solver = MPSSolver(p, lam_max, cfg)
         spec = solver.solve()
         eigs = spec.eigenvalue_array()
+    if len(eigs) < j + 1:
+        # the simplicity check needs lambda_{j+1}
+        raise MissedEigenvalue(
+            f"polygon {[complex(v) for v in p.vertices]}: {len(eigs)} eigenvalue(s) below "
+            f"lambda_max {lam_max:.6g}, but lambda_{j} and lambda_{j + 1} are needed")
     lam = eigs[j - 1]
-    gap = min(
-        lam - eigs[j - 2] if j >= 2 else np.inf,
-        eigs[j] - lam if j < len(eigs) else np.inf,
-    )
+    gap = min(lam - eigs[j - 2] if j >= 2 else np.inf, eigs[j] - lam)
     if gap < _GAP_TOL:
         raise DegenerateEigenvalue(
             f"lambda_{j} = {lam:.6f} has neighbor gap {gap:.2e} < {_GAP_TOL}; "

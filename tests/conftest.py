@@ -1,3 +1,10 @@
+import os
+
+# BLAS is pinned before numpy loads, as in the benchmark: the sigma problems
+# are small enough that a second OpenBLAS thread costs more than it gains
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

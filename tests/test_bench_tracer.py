@@ -2,11 +2,14 @@
 
 A renamed or folded function makes its install raise, which only the
 benchmark's own checks would otherwise show; this test installs it and
-checks that uninstall puts every patched name back.
+checks that uninstall puts every patched name back.  The test session also
+runs with BLAS pinned as the benchmark pins it, read the way the benchmark
+reads it.
 """
 
 import importlib
 import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -44,3 +47,16 @@ def test_tracer_installs_and_uninstall_restores_every_name(monkeypatch):
         now = vars(owner)
         assert now.keys() == saved.keys()
         assert all(now[k] is v for k, v in saved.items()), owner.__name__
+
+
+def test_session_runs_with_blas_pinned(monkeypatch):
+    # importing the benchmark's runner sets these; monkeypatch restores them
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "POLYDET_CACHE"):
+        if name in os.environ:
+            monkeypatch.setenv(name, os.environ[name])
+        else:
+            monkeypatch.delenv(name, raising=False)
+    monkeypatch.syspath_prepend(str(BENCH))
+    want = int(os.environ["OPENBLAS_NUM_THREADS"])
+    threads = importlib.import_module("run").blas_threads()
+    assert all(int(n) == want for n in threads.values()), threads

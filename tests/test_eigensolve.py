@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import jv, jvp
 
 from polydet import eigensolve
-from polydet.errors import DegenerateEigenvalue, ValidationFailure
+from polydet.errors import DegenerateEigenvalue, MissedEigenvalue, ValidationFailure
 from polydet.eigensolve import (
     EigConfig,
     MPSSolver,
@@ -204,6 +204,72 @@ def test_scans_assemble_within_the_entry_budget(monkeypatch):
     assert {"grid", "siblings", "audit"} <= set(stages)
     assert max(n * m * k for n, m, k in blocks) <= eigensolve._BLOCK_ENTRIES
     assert max(n for n, _, _ in blocks) > 1
+
+
+def _moved_triangle():
+    tri = build_polygon([0, 1, 0.3 + 0.8j])
+    return move_polygon(tri, field_from_vertex_velocities(tri, [0, 0, 1]), -2e-3)
+
+
+class TestScanGrade:
+    """Scans take sigma from the Gram eigenvalues of Q_B, everything that
+    needs it near its noise floor from the SVD."""
+
+    @pytest.mark.parametrize("shape, lam_max", [("square", 350.0), ("triangle", 1100.0)])
+    def test_gram_eigenvalues_agree_with_the_svd(self, shape, lam_max):
+        p = build_polygon([0, 1, 1 + 1j, 1j]) if shape == "square" else _moved_triangle()
+        solver = MPSSolver(p, lam_max)
+        for lam in np.linspace(solver._lam_lo, lam_max, 40):
+            scan = solver.sigmas(lam, count=4, scan=True)
+            full = solver.sigmas(lam, count=4)
+            assert scan.shape == full.shape == (4,)
+            assert np.max(np.abs(scan**2 - full**2)) <= 1e-14
+
+    def test_scans_use_the_gram_and_refinements_the_svd(self, monkeypatch):
+        solver = MPSSolver(build_polygon([0, 1, 1 + 1j, 1j]), 350.0)
+        calls = []              # (routine, stage, made by _sigmas_at)
+        scanning = [False]
+        real_la, sigmas_at = eigensolve.la, MPSSolver._sigmas_at
+
+        class CountingLinalg:
+            def __getattr__(self, name):
+                fn = getattr(real_la, name)
+                if name not in ("svd", "eigvalsh"):
+                    return fn
+
+                def counted(*args, **kwargs):
+                    calls.append((name, solver._stage, scanning[0]))
+                    return fn(*args, **kwargs)
+                return counted
+
+        def flagged_sigmas_at(self, lams, count=1):
+            scanning[0] = True
+            try:
+                return sigmas_at(self, lams, count)
+            finally:
+                scanning[0] = False
+
+        monkeypatch.setattr(eigensolve, "la", CountingLinalg())
+        monkeypatch.setattr(MPSSolver, "_sigmas_at", flagged_sigmas_at)
+        spec = solver.solve()
+        assert len(spec.eigenvalues) == 22
+        assert len(calls) == sum(spec.meta["sigma_evals"].values())
+        refine = [name for name, stage, _ in calls if stage == "refine"]
+        scans = [name for name, _, scan in calls if scan]
+        assert len(refine) == spec.meta["sigma_evals"]["refine"] > 0
+        assert set(refine) == {"svd"}
+        assert len(scans) >= spec.meta["sigma_evals"]["grid"] > 0
+        assert set(scans) == {"eigvalsh"}
+
+
+def test_no_sweep_below_the_faber_krahn_bound(unit_square_p):
+    # lambda_1 of the unit square is 2 pi^2 ~ 19.74, above pi j_01^2 ~ 18.17;
+    # at lambda_max 10 the sweep's grid would be empty
+    for lam_max in (10.0, 15.0):
+        spec = dirichlet_eigenvalues(unit_square_p, lam_max)
+        assert spec.eigenvalues == ()
+        assert spec.count_check["ok"]
+        assert sum(spec.meta["sigma_evals"].values()) == 0
 
 
 def test_stage_wall_times_add_up_to_the_solve():
@@ -413,6 +479,22 @@ class TestHadamardVariation:
         assert hadamard_eigenvalue_variation(unit_square_p, f, 1) == pytest.approx(
             -2 * np.pi**2, rel=1e-6)
         assert len(calls) == unit_square_p.n
+
+    @pytest.mark.parametrize("factor, j, held", [(0.1, 1, 0), (0.3, 2, 1), (0.2, 1, 1)])
+    def test_too_short_a_sweep_is_a_missed_eigenvalue(self, unit_square_p, monkeypatch,
+                                                      factor, j, held):
+        # the sweep and its 1.6x re-sweep hold fewer than j + 1 eigenvalues,
+        # so lambda_j or the simplicity check's lambda_{j+1} is missing
+        w3 = factor * eigensolve._weyl_kth(unit_square_p, 3)
+        lam_max = 1.6 * 1.25 * w3           # the re-sweep's cutoff
+        assert len(rectangle_spectrum(1, 1, lam_max).eigenvalues) == held
+        monkeypatch.setattr(eigensolve, "_weyl_kth", lambda p, k: w3)
+        f = field_from_vertex_velocities(unit_square_p, [0, 1, 1, 0])
+        with pytest.raises(MissedEigenvalue,
+                           match=rf"polygon \[0j, \(1\+0j\), \(1\+1j\), 1j\]: {held} "
+                                 rf"eigenvalue\(s\) below lambda_max {lam_max:.6g}, "
+                                 rf"but lambda_{j} and lambda_{j + 1} are needed"):
+            hadamard_eigenvalue_variation(unit_square_p, f, j)
 
     def test_degenerate_rejected(self, unit_square_p):
         f = dilation_field(unit_square_p)
