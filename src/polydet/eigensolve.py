@@ -7,12 +7,21 @@ variant is the subspace-angle one (Betcke and Trefethen, SIAM Review 47,
 collocation, smallest singular value sigma(lambda) of the boundary block of
 the orthonormalized basis swept over lambda.
 
-Each dip of the sweep is refined by fitting sigma^2 as a parabola in lambda
-(see MPSSolver._refine_checked).  The sigma evaluations of a sweep are
-counted per stage into Spectrum.meta["sigma_evals"].
+The solver holds the eigenvalues it has located (MPSSolver.eigs and .errs),
+and each stage of a sweep only picks where to sample: the grid, the quarter
+points of low grid intervals (cover), the gaps that the Weyl law says are
+too wide (audit) and a 4x finer grid (rescan).  All of them go through one
+scan, MPSSolver._scan, which divides the located V-shapes out of the samples
+and refines every minimum below a threshold by fitting sigma^2 as a parabola
+in lambda (MPSSolver._refine_checked).  One rule, MPSSolver._may_shadow,
+decides which located eigenvalue is probed for a sibling too close for the
+samples to separate.  MPSSolver.find_in(lo, hi, n) searches one window; the
+audit and the heal step of validation's aligned spectra call it.  The sigma
+evaluations of a sweep are counted per stage into
+Spectrum.meta["sigma_evals"].
 
-sigma comes at two grades.  Scans (the grid, rescans, cover probes, audit
-scans, window searches and sibling brackets) only ask whether sigma is below
+sigma comes at two grades.  Scans (the grid, rescans, cover probes, find_in
+windows and sibling brackets) only ask whether sigma is below
 a threshold, and take the k smallest eigenvalues of the Gram matrix
 Q_B^T Q_B as sigma_k^2: good to about 1e-16 absolute, so sigma is good to
 about 1e-8 near a dip, at about a third of the cost of an SVD.  Refinement,
@@ -430,20 +439,15 @@ class MPSSolver:
         self._lam_lo = 0.95 * self.faber_krahn_bound()
         # grid step: the mean eigenvalue gap 4 pi / area over _GRID_PER_GAP
         self.step = 4 * np.pi / p.area / _GRID_PER_GAP
+        # located eigenvalues, once per multiplicity, with their error estimates
+        self.eigs, self.errs = [], []
         self._dips = {}         # located eigenvalue -> (V slope, next sigma)
         self._probed = set()    # located eigenvalues already probed for a sibling
         self._stage = "grid"
         self.sigma_evals = dict.fromkeys(_STAGES, 0)
-
-    # made on first use, so that a solver built without __init__ (the
-    # refiner's synthetic tests) still times its stages
-    _claimed = 0.0              # wall time of the stages run inside the current one
-
-    @functools.cached_property
-    def stage_s(self):
-        """Wall time per stage; a stage owns the time that no stage it
-        calls claims."""
-        return dict.fromkeys(_STAGES, 0.0)
+        # wall time per stage; a stage owns the time that no stage it calls claims
+        self.stage_s = dict.fromkeys(_STAGES, 0.0)
+        self._claimed = 0.0     # wall time of the stages run inside the current one
 
     # -- subspace angles ----------------------------------------------------
     def _boundary_svd(self, lam, vectors=False, A=None, scan=None):
@@ -489,9 +493,6 @@ class MPSSolver:
         self.sigma_evals[self._stage] += 1
         return self._boundary_svd(lam, A=A, scan=count if scan else None)[:count]
 
-    def sigma(self, lam):
-        return float(self.sigmas(lam, count=1)[0])
-
     def _sigmas_at(self, lams, count=1):
         """sigmas(lam, count) at scan grade at every lam of a scan,
         (len(lams), count).  The basis matrices are assembled a block of
@@ -530,43 +531,40 @@ class MPSSolver:
 
     def solve(self):
         if self.lambda_max < self.faber_krahn_bound():
-            return self._spectrum([], [])       # no eigenvalue lies below it
+            return self._spectrum()             # no eigenvalue lies below it
         t0, claimed = time.perf_counter(), self._claimed
         grid = np.arange(self._lam_lo, self.lambda_max + self.step, self.step)
         vals = self._sigma_batch(grid)
-        eigs, errs = [], []
-        self._scan(grid, vals, eigs, errs)
+        self._scan(grid, vals)
 
         # low grid values not explained by a located dip can hide one between
-        # samples (clusters tighter than the grid); bisect such intervals
-        eigs, errs = self._cover_low_intervals(grid, vals, eigs, errs)
+        # samples (clusters tighter than the grid); scan such intervals finer
+        self._cover_low_intervals(grid, vals)
         # a located dip can shadow a second one closer than the grid step
-        eigs, errs = self._find_siblings(eigs, errs)
+        self._find_siblings()
         # local Weyl audit: scan every gap wider than about half a mean gap,
         # for a miss that the global band cannot see
-        eigs, errs = self._audit_gaps(eigs, errs)
+        self._audit_gaps()
 
-        order = np.argsort(eigs)
-        eigs, errs = np.asarray(eigs)[order], np.asarray(errs)[order]
-
-        check = weyl_count_check(self.p, eigs, self.lambda_max)
+        check = weyl_count_check(self.p, self.eigs, self.lambda_max)
         rescans = 0
         while not check["ok"] and rescans < _MAX_RESCANS:
             rescans += 1
-            eigs, errs = self._rescan(grid, eigs, errs)
-            check = weyl_count_check(self.p, eigs, self.lambda_max)
+            self._rescan(grid)
+            check = weyl_count_check(self.p, self.eigs, self.lambda_max)
         if not check["ok"]:
             raise MissedEigenvalue(
                 f"Weyl count deviates by {check['max_abs_dev']:.2f} (band {check['band']})")
 
         # the grid owns the time no decorated stage claimed
         self.stage_s["grid"] += time.perf_counter() - t0 - (self._claimed - claimed)
-        return self._spectrum(eigs, errs)
+        return self._spectrum()
 
-    def _spectrum(self, eigs, errs):
-        """The checked Spectrum of a sweep, with its sizes and counters."""
+    def _spectrum(self):
+        """The checked Spectrum of the located eigenvalues, with the sweep's
+        sizes and counters."""
         return checked_spectrum(
-            self.p, eigs, errs, self.lambda_max,
+            self.p, self.eigs, self.errs, self.lambda_max,
             {"source": "mps", "orders": list(self.orders),
              "n_boundary": int(self.m_b), "n_interior": int(len(self.ipts)),
              "seed": int(self.cfg.seed), "sigma_evals": dict(self.sigma_evals),
@@ -653,85 +651,84 @@ class MPSSolver:
         return b - phi * (b - a) if b - a > c - b else b + phi * (c - b)
 
     @_stage("cover")
-    def _cover_low_intervals(self, grid, vals, eigs, errs):
-        """Probe grid intervals with low sigma that carry no located dip.
+    def _cover_low_intervals(self, grid, vals):
+        """Scan every grid interval with a low end and no located dip again,
+        at its quarter points.
 
-        Quarter-point probes catch dips sitting near an interval edge, which
-        the strict local-minimum pattern on the grid can miss when clusters
-        are tighter than the grid.
+        The strict local-minimum pattern on the grid can miss a dip near an
+        interval edge when clusters are tighter than the grid.  The probes
+        are scanned together with the grid samples on either side, so that a
+        dip in the first or last quarter is still an interior minimum.
         """
-        eigs, errs = list(eigs), list(errs)
         for k in range(len(grid) - 1):
             if min(vals[k], vals[k + 1]) >= _DIP_THRESHOLD:
                 continue
-            if any(grid[k] <= e <= grid[k + 1] for e in eigs):
+            if any(grid[k] <= e <= grid[k + 1] for e in self.eigs):
                 continue
             probes = grid[k] + (grid[k + 1] - grid[k]) * np.array([0.25, 0.5, 0.75])
-            v_probes = self._sigmas_at(probes)[:, 0]
-            j = int(np.argmin(v_probes))
-            if min(v_probes[j], vals[k], vals[k + 1]) >= _DIP_THRESHOLD:
-                continue
-            # an innocent interval (pure slope of some outside dip) is affine
-            # in lambda; curvature in the five samples flags a hidden dip
-            xs = np.array([grid[k], *probes, grid[k + 1]])
-            ys = np.array([vals[k], *v_probes, vals[k + 1]])
-            fit = np.polyval(np.polyfit(xs, ys, 1), xs)
-            if np.max(np.abs(ys - fit)) < 0.1 * (ys.max() - ys.min()) + 1e-4:
-                continue
-            self._admit(self._refine_checked(grid[k], probes[j], grid[k + 1],
-                                             vals[k], v_probes[j], vals[k + 1]),
-                        eigs, errs)
-        return eigs, errs
+            lo, hi = max(k - 1, 0), min(k + 3, len(grid))
+            self._scan(np.concatenate([grid[lo:k + 1], probes, grid[k + 1:hi]]),
+                       np.concatenate([vals[lo:k + 1], self._sigmas_at(probes)[:, 0],
+                                       vals[k + 1:hi]]))
 
-    def _admit(self, found, eigs, errs):
-        """Append a dip found by _refine_checked, with the singular values it
-        sampled there, to (eigs, errs) once per multiplicity.
+    def _admit(self, found):
+        """Add a dip found by _refine_checked, with the singular values it
+        sampled there, to the located eigenvalues once per multiplicity.
 
         None, a point outside [lam_lo, lambda_max], a point where no singular
         value falls below _MULT_TOL and a dip already located are
         rejected.  Records the V slope and the next singular value above the
-        multiplicity, which _find_siblings reads.  Returns the copies added.
+        multiplicity, which _may_shadow reads.  Returns the copies added.
         """
         if found is None:
             return 0
         lam, err, slope, sig = found
-        if not self._lam_lo <= lam <= self.lambda_max or _is_duplicate(lam, err, eigs, errs):
+        if not self._lam_lo <= lam <= self.lambda_max \
+                or _is_duplicate(lam, err, self.eigs, self.errs):
             return 0
         mult = int((sig < _MULT_TOL).sum())
         if mult:
             self._dips[lam] = (slope, float(sig[mult]) if mult < len(sig) else np.inf)
-        eigs.extend([lam] * mult)
-        errs.extend([err] * mult)
+        self.eigs.extend([lam] * mult)
+        self.errs.extend([err] * mult)
         return mult
 
-    @_stage("siblings")
-    def _find_siblings(self, eigs, errs):
-        """Probe every located dip whose next singular value is too small.
+    def _may_shadow(self, lam, reach):
+        """Whether the located eigenvalue lam may shadow an unlocated one
+        closer than ``reach``: the one rule for probing a sibling.
 
         At a simple eigenvalue lam the second singular value is about
         s2 * d, where d is the distance to the nearest other eigenvalue and
         s2 ~ slope is that eigenvalue's V slope (over the spectrum of the
         criterion-7 triangle at t = -2e-3 the ratio (sigma_next / slope) / d
-        stays in 0.4-0.9).  A ratio far below that against the nearest
-        *located* eigenvalue, at a distance the grid cannot resolve, means a
-        shadowed sibling.
+        stays in 0.4-0.9).  An estimate sigma_next / slope below ``reach``
+        and far below the distance to the nearest *located* eigenvalue means
+        a shadowed sibling.  An eigenvalue probed before is not probed
+        again; one with no recorded sigma_next (located by another sweep) is
+        always probed.
         """
-        eigs, errs = list(eigs), list(errs)
+        if lam in self._probed:
+            return False
+        if lam not in self._dips:
+            return True
+        slope, s_next = self._dips[lam]
+        dist = min((abs(e - lam) for e in self.eigs if e != lam), default=np.inf)
+        d_est = s_next / slope
+        return d_est < reach and d_est < 0.3 * dist
+
+    @_stage("siblings")
+    def _find_siblings(self):
+        """Probe every located dip that may shadow a sibling within the grid
+        step, until a round of probes finds none."""
         pending = True
         while pending:
             pending = False
-            for lam in sorted(set(eigs)):
-                if lam in self._probed or lam not in self._dips:
-                    continue
-                slope, s_next = self._dips[lam]
-                dist = min((abs(e - lam) for e in eigs if e != lam), default=np.inf)
-                d_est = s_next / slope
-                if d_est < self.step and d_est < 0.3 * dist:
-                    pending = self._probe_sibling(lam, eigs, errs) > 0 or pending
-        return eigs, errs
+            for lam in sorted(set(self.eigs)):
+                if self._may_shadow(lam, self.step):
+                    pending = self._probe_sibling(lam) > 0 or pending
 
     @_stage("siblings")
-    def _probe_sibling(self, lam, eigs, errs):
+    def _probe_sibling(self, lam):
         """Look for an unlocated eigenvalue next to the located one at lam.
 
         Near two close eigenvalues lam and lam2 the two smallest singular
@@ -743,12 +740,12 @@ class MPSSolver:
         copies added.
         """
         self._probed.add(lam)
-        k = sum(1 for e in eigs if e == lam)
+        k = self.eigs.count(lam)
         if lam in self._dips:
             slope, s0 = self._dips[lam]
         else:
             s0 = self.sigmas(lam, count=k + 1)[k]
-            slope = self.sigma(lam + 0.01 * self.step) / (0.01 * self.step)
+            slope = self.sigmas(lam + 0.01 * self.step, count=1)[0] / (0.01 * self.step)
         # delta small enough that lam's own V stays below the sibling's
         delta = min(0.02 * self.step, 0.25 * s0 / slope)
         # full grade: the slope is a difference of two nearby values
@@ -766,30 +763,30 @@ class MPSSolver:
             return 0
         if side < 0:
             a, fa, c, fc = c, fc, a, fa
-        added = self._admit(self._refine_checked(a, b, c, fa, fb, fc), eigs, errs)
+        added = self._admit(self._refine_checked(a, b, c, fa, fb, fc))
         if added:
             # probing the sibling would refine back onto lam
-            self._probed.add(eigs[-1])
+            self._probed.add(self.eigs[-1])
         return added
 
-    def _scan(self, xs, vals, eigs, errs):
+    def _scan(self, xs, vals):
         """Refine the local minima of the sigma values ``vals`` sampled at the
         sorted points ``xs`` that fall below _DIP_THRESHOLD.
 
         The V-shapes of the eigenvalues located within one scan width of the
         samples are divided out first, so a dip next to a located eigenvalue
-        is not shadowed by its slope.  Minima of the raw values are refined
-        by _refine_checked.  A minimum of the divided values only, where the
-        raw values slope down to a located eigenvalue, and a refinement that
-        lands on one, probe that eigenvalue for a sibling instead.  Returns
-        the copies added.
+        is not shadowed by its slope.  A minimum of the divided values only,
+        where the raw values slope down to a located eigenvalue not yet
+        probed, probes that eigenvalue for a sibling; every other minimum is
+        refined by _refine_checked, and a refinement that lands on a located
+        eigenvalue probes it instead.  Returns the copies added.
         """
         lo, hi = xs[0], xs[-1]
         width = hi - lo
         # each factor is scaled by the width so a full-range scan past many
         # located eigenvalues neither overflows nor underflows
         defl = np.ones_like(vals)
-        for e in eigs:
+        for e in self.eigs:
             if lo - width < e < hi + width:
                 defl *= np.maximum(np.abs(xs - e), 1e-3 * width) / width
         dvals = vals / defl
@@ -798,99 +795,76 @@ class MPSSolver:
             if not (dvals[k] <= dvals[k - 1] and dvals[k] <= dvals[k + 1]
                     and vals[k] < _DIP_THRESHOLD):
                 continue
-            if vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1]:
-                found = self._refine_checked(
-                    xs[k - 1], xs[k], xs[k + 1], vals[k - 1], vals[k], vals[k + 1])
-                n_new = self._admit(found, eigs, errs)
-                if n_new == 0 and found is not None:
-                    lam, err = found[:2]
-                    twins = [e for e, r in zip(eigs, errs)
-                             if e not in self._probed and _is_duplicate(lam, err, [e], [r])]
-                    if twins:
-                        n_new = self._probe_sibling(twins[0], eigs, errs)
-            else:
+            near = []
+            if not (vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1]):
                 down = xs[k - 1] if vals[k - 1] < vals[k + 1] else xs[k + 1]
-                near = [e for e in eigs if e not in self._probed
+                near = [e for e in self.eigs if e not in self._probed
                         and abs(e - down) < xs[k + 1] - xs[k - 1]]
-                n_new = self._probe_sibling(min(near, key=lambda e: abs(e - down)),
-                                            eigs, errs) if near else 0
+            if near:
+                added += self._probe_sibling(min(near, key=lambda e: abs(e - down)))
+                continue
+            found = self._refine_checked(
+                xs[k - 1], xs[k], xs[k + 1], vals[k - 1], vals[k], vals[k + 1])
+            n_new = self._admit(found)
+            if n_new == 0 and found is not None:
+                lam, err = found[:2]
+                twins = [e for e, r in zip(self.eigs, self.errs)
+                         if e not in self._probed and _is_duplicate(lam, err, [e], [r])]
+                if twins:
+                    n_new = self._probe_sibling(twins[0])
             added += n_new
         return added
 
-    def search_window(self, lo, hi, eigs):
-        """Eigenvalues in [lo, hi] missing from the list ``eigs``.
+    def find_in(self, lo, hi, n):
+        """Locate the eigenvalues in [lo, hi] that are still missing, and
+        return the copies added.
 
-        Every eigenvalue of ``eigs`` inside the window is probed for a
-        sibling, then the window is scanned with those V-shapes divided out.
-        Returns the new (eigenvalue, error) pairs.
+        Every located eigenvalue in [lo, hi] that may shadow one within two
+        sample spacings (_may_shadow) is probed for a sibling first, since
+        a dip in the first or last sample interval is seen by no three-point
+        pattern.  Then n points, inset 0.3 % from each end, are scanned with
+        the located V-shapes divided out (_scan).
         """
-        found, errs = list(eigs), [0.0] * len(eigs)
-        for lam in sorted(set(e for e in eigs if lo <= e <= hi)):
-            if lam not in self._probed:
-                self._probe_sibling(lam, found, errs)
-        xs = np.linspace(lo, hi, 13)
-        self._scan(xs, self._sigmas_at(xs)[:, 0], found, errs)
-        return list(zip(found[len(eigs):], errs[len(eigs):]))
+        inset = 0.003 * (hi - lo)
+        xs = np.linspace(lo + inset, hi - inset, n)
+        added = 0
+        for lam in sorted(set(e for e in self.eigs if lo <= e <= hi)):
+            if self._may_shadow(lam, 2 * (xs[1] - xs[0])):
+                added += self._probe_sibling(lam)
+        return added + self._scan(xs, self._sigmas_at(xs)[:, 0])
 
     @_stage("audit")
-    def _audit_gaps(self, eigs, errs):
-        """Scan every gap that the two-term Weyl count puts at least 0.55
-        eigenvalues in.
+    def _audit_gaps(self):
+        """Search every gap between consecutive located eigenvalues that the
+        two-term Weyl count puts at least 0.55 eigenvalues in.
 
-        The deficit of a gap is W(b) - W(a) less the located eigenvalues
-        strictly inside it.  Between consecutive located eigenvalues none
-        lies inside, so the deficit is the gap measured in mean gaps, and
-        every gap wider than 0.55 mean gaps gets a 26-point scan, not only
-        one short by about one eigenvalue.  The first gap starts at _lam_lo
-        and the last ends at lambda_max.  A located eigenvalue at either end
-        of a scanned gap whose next singular value puts a dip within two
-        sub-intervals of the scan's ends is probed for a sibling first,
-        since a dip in the first or last sub-interval is seen by no
-        three-point pattern.
+        W(b) - W(a) is the gap measured in mean gaps, so every gap wider
+        than 0.55 mean gaps gets find_in with 26 points, not only one short
+        by about one eigenvalue.  The first gap starts at _lam_lo and the
+        last ends at lambda_max.  A pass that finds an eigenvalue is
+        followed by one more.
         """
-        eigs, errs = list(eigs), list(errs)
         for _ in range(2):
-            e_sorted = sorted(eigs)
-            bounds = [self._lam_lo] + e_sorted + [self.lambda_max]
+            bounds = [self._lam_lo] + sorted(self.eigs) + [self.lambda_max]
             found_new = False
             for a, b in zip(bounds[:-1], bounds[1:]):
-                if b - a < 1e-9 * self.lambda_max:
-                    continue
-                deficit = float(weyl_two_term(self.p, b) - weyl_two_term(self.p, a)) \
-                    - sum(1 for e in e_sorted if a < e < b)
-                if deficit < 0.55:
-                    continue
-                for edge in (a, b):
-                    # a sibling within two sub-intervals of the scan's ends
-                    if edge in self._dips and edge not in self._probed \
-                            and self._dips[edge][1] / self._dips[edge][0] < 0.08 * (b - a):
-                        found_new = self._probe_sibling(edge, eigs, errs) > 0 or found_new
-                xs = np.linspace(a + 0.003 * (b - a), b - 0.003 * (b - a), 26)
-                found_new = self._scan(xs, self._sigmas_at(xs)[:, 0], eigs, errs) > 0 \
-                    or found_new
+                if weyl_two_term(self.p, b) - weyl_two_term(self.p, a) >= 0.55:
+                    found_new = self.find_in(a, b, 26) > 0 or found_new
             if not found_new:
                 break
-        return eigs, errs
 
     @_stage("rescan")
-    def _rescan(self, grid, eigs, errs):
+    def _rescan(self, grid):
         """Second pass on a 4x finer grid over the full sweep range."""
         step = (grid[1] - grid[0]) / 4
         fine = np.arange(grid[0], self.lambda_max + step, step)
-        eigs, errs = list(eigs), list(errs)
-        self._scan(fine, self._sigma_batch(fine), eigs, errs)
-        order = np.argsort(eigs)
-        return np.asarray(eigs)[order], np.asarray(errs)[order]
+        self._scan(fine, self._sigma_batch(fine))
 
     # -- eigenfunction data ---------------------------------------------------
     def eigenfunction(self, lam):
-        """Callable evaluating the (un-normalized) eigenfunction(s) at points."""
-        C, _ = self._nullspace_coeffs(lam)
-
-        def func(pts):
-            return self.basis.matrix(lam, np.asarray(pts)) @ C
-
-        return func, C
+        """Basis coefficients of the (un-normalized) eigenfunction(s) at lam,
+        one column each: u = basis.matrix(lam, pts) @ C."""
+        return self._nullspace_coeffs(lam)[0]
 
     def normal_derivative_sq_integrals(self, lam, C, weight_fns):
         """Per-side graded-quadrature integrals of (d_nu u)^2 * weight, for
@@ -914,12 +888,12 @@ class MPSSolver:
                 row += (dn**2 * (w_nodes * weight_fn(j, s_nodes))[:, None]).sum(axis=0)
         return total
 
-    def rellich_weight(self, origin=None):
+    def rellich_weight(self):
         """The weight x . nu of the Rellich identity
-        2 lam int u^2 = oint (x . nu) (d_nu u)^2 dl, x taken from ``origin``
-        (default the vertex centroid)."""
+        2 lam int u^2 = oint (x . nu) (d_nu u)^2 dl, x taken from the vertex
+        centroid."""
         p = self.p
-        origin = origin if origin is not None else p.vertex_array().mean()
+        origin = p.vertex_array().mean()
 
         def weight(j, s):
             pts = p.vertices[j] + p.side_tangent(j) * s
@@ -1005,7 +979,7 @@ def hadamard_eigenvalue_variation(p, f, j, cfg=None):
         raise DegenerateEigenvalue(
             f"lambda_{j} = {lam:.6f} has neighbor gap {gap:.2e} < {_GAP_TOL}; "
             "sum the variation over the cluster instead")
-    _, C = solver.eigenfunction(lam)
+    C = solver.eigenfunction(lam)
     if C.shape[1] != 1:
         raise DegenerateEigenvalue(f"lambda_{j} carries multiplicity {C.shape[1]}")
 

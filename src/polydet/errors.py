@@ -74,10 +74,6 @@ class ContourThroughVertex(ValidationFailure):
     pass
 
 
-class PoleOnContour(ValidationFailure):
-    pass
-
-
 class AngleSumViolation(ValidationFailure):
     pass
 

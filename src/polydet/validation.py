@@ -204,19 +204,17 @@ def _aligned_spectra(p, f, ts, lam_max, cfg=None):
     def heal(t_bad, lam_pred):
         """Add the eigenvalue that the sweep at t_bad lacks near lam_pred.
 
-        The window is searched for a dip that is not already in the
-        spectrum: its located eigenvalues are stepped past (divided out of
-        the scan and probed for a shadowed sibling), so a refinement cannot
-        return one of them again."""
+        A solver holding the sweep's eigenvalues and errors searches the
+        window with find_in: the located eigenvalues are stepped past
+        (divided out of the scan and probed for a shadowed sibling), so a
+        refinement cannot return one of them again."""
         pt = move_polygon(p, f, t_bad)
         old = out[t_bad]
-        new = MPSSolver(pt, lam_max, cfg).search_window(
-            lam_pred * (1 - 0.02), lam_pred * (1 + 0.02), list(old.eigenvalues))
-        if not new:
+        solver = MPSSolver(pt, lam_max, cfg)
+        solver.eigs, solver.errs = list(old.eigenvalues), list(old.errors)
+        if not solver.find_in(lam_pred * (1 - 0.02), lam_pred * (1 + 0.02), 13):
             return False
-        out[t_bad] = checked_spectrum(pt, list(old.eigenvalues) + [e for e, _ in new],
-                                      list(old.errors) + [r for _, r in new],
-                                      lam_max, old.meta)
+        out[t_bad] = checked_spectrum(pt, solver.eigs, solver.errs, lam_max, old.meta)
         return True
 
     # an interior miss shows as a persistent index shift against the location

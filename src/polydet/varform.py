@@ -104,7 +104,6 @@ from .errors import (
     AngleSumViolation,
     ContourThroughVertex,
     CountertermMismatch,
-    PoleOnContour,
     RegularizationResidual,
     ValidationFailure,
 )
@@ -155,22 +154,20 @@ def corner_constant(beta):
     return (beta / (2 * np.pi) - 2 * np.pi / beta) / (6 * beta)
 
 
-def corner_constant_by_contour(beta, order=20, x_cross=None):
+def corner_constant_by_contour(beta):
     """Contour-integral evaluation of the cone-angle constant.
 
     Integrates cot(theta/2) / sin^2(pi theta / beta) along two contours that
     run from -/+ pi - i*inf to -/+ pi + i*inf.  Near the real axis each
-    contour swings inward and crosses at +/- x_cross with
-    x_cross = min(beta, pi)/2, which keeps every pole of the integrand except
-    theta = 0 outside the enclosed strip for all beta in (0, 4 pi).  The
-    result is (int_L - int_R) / (4 i beta^2), real up to quadrature noise.
+    contour swings inward and crosses at +/- xc with xc = min(beta, pi)/2,
+    which keeps every pole of the integrand except theta = 0 outside the
+    enclosed strip, and at least xc from the contour, for all beta in
+    (0, 4 pi).  The result is (int_L - int_R) / (4 i beta^2), real up to
+    quadrature noise; each path panel takes 20 Gauss-Legendre nodes.
     """
     if not 0 < beta < 4 * np.pi:
         raise ValidationFailure(f"beta = {beta} outside (0, 4 pi)")
-    xc = x_cross if x_cross is not None else min(beta, np.pi) / 2
-    poles = beta * np.arange(0, int(np.ceil(8 * np.pi / beta)) + 2)
-    if np.min(np.abs(poles - xc)) < 1e-3 * beta:
-        raise PoleOnContour(f"crossing {xc} too close to a pole of csc^2; shift x_cross")
+    xc = min(beta, np.pi) / 2
 
     def f(th):
         return (np.cos(th / 2) / np.sin(th / 2)) / np.sin(np.pi * th / beta) ** 2
@@ -186,7 +183,7 @@ def corner_constant_by_contour(beta, order=20, x_cross=None):
             for k in range(n):
                 z0 = a + (b - a) * k / n
                 z1 = a + (b - a) * (k + 1) / n
-                th, w = gl_nodes(z0, z1, order)
+                th, w = gl_nodes(z0, z1, 20)
                 total += np.sum(w * f(th))
         return total
 

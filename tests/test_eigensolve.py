@@ -322,10 +322,32 @@ class TestCloseEigenvalues:
         # next to 625.3744, which a plain refinement returns again
         eigs = spec.eigenvalue_array()
         sibling = eigs[(eigs > 625.7) & (eigs < 626.5)][0]
-        thinned = [e for e in eigs if e != sibling]
-        new = MPSSolver(moved, 1100.0).search_window(626.506 * 0.98, 626.506 * 1.02, thinned)
-        assert len(new) == 1
-        assert new[0][0] == pytest.approx(sibling, rel=1e-8)
+        kept = eigs != sibling
+        solver = MPSSolver(moved, 1100.0)
+        solver.eigs = list(eigs[kept])
+        solver.errs = list(np.asarray(spec.errors)[kept])
+        assert solver.find_in(626.506 * 0.98, 626.506 * 1.02, 13) == 1
+        assert solver.eigs[-1] == pytest.approx(sibling, rel=1e-8)
+
+
+def test_cover_leaves_the_audit_nothing_to_admit(monkeypatch):
+    # the cover scans a low grid interval with the grid samples on either
+    # side and the located V-shapes divided out, so it finds 1131.8977 on
+    # the moved criterion-7 triangle; the audit used to, and then ran twice
+    admitted = []               # (stage, eigenvalue) of every admission
+    admit = MPSSolver._admit
+
+    def spy(self, found):
+        added = admit(self, found)
+        if added:
+            admitted.append((self._stage, found[0]))
+        return added
+
+    monkeypatch.setattr(MPSSolver, "_admit", spy)
+    spec = dirichlet_eigenvalues(_moved_triangle(), 1500.0)
+    assert len(spec.eigenvalues) == 40
+    assert [lam for stage, lam in admitted if stage == "audit"] == []
+    assert [stage for stage, lam in admitted if abs(lam - 1131.8977) < 1e-4] == ["cover"]
 
 
 class _SyntheticSigma(MPSSolver):
@@ -335,6 +357,8 @@ class _SyntheticSigma(MPSSolver):
     def __init__(self, curve):
         self.cfg = EigConfig()
         self._stage = "grid"
+        self.stage_s = dict.fromkeys(eigensolve._STAGES, 0.0)
+        self._claimed = 0.0
         self.curve = curve
         self.evals = []
         self.golden_at = []     # evaluations made before each bracket step
@@ -420,7 +444,7 @@ class TestNormalization:
         solver = MPSSolver(unit_square_p, 60.0)
         spec = solver.solve()
         lam = spec.eigenvalues[0]
-        func, C = solver.eigenfunction(lam)
+        C = solver.eigenfunction(lam)
         norm_rellich = solver.normal_derivative_sq_integrals(
             lam, C, [solver.rellich_weight()])[0][0] / (2 * lam)
 
@@ -430,7 +454,7 @@ class TestNormalization:
         ws = 0.5 * w
         X, Y = np.meshgrid(xs, xs)
         pts = (X + 1j * Y).ravel()
-        vals = func(pts)[:, 0]
+        vals = (solver.basis.matrix(lam, pts) @ C)[:, 0]
         norm_grid = float(np.sum((ws[:, None] * ws[None, :]).ravel() * vals**2))
         assert norm_rellich == pytest.approx(norm_grid, rel=1e-8)
 
@@ -523,7 +547,9 @@ class TestWeylCheck:
         kept = np.delete(exact, removed)
         solver = MPSSolver(unit_square_p, 450.0)
         grid = np.arange(solver._lam_lo, 450.0 + solver.step, solver.step)
-        eigs, _ = solver._rescan(grid, list(kept), [1e-10] * len(kept))
+        solver.eigs, solver.errs = list(kept), [1e-10] * len(kept)
+        solver._rescan(grid)
+        eigs = np.sort(solver.eigs)
         assert len(eigs) == len(exact)
         assert np.max(np.abs(eigs - exact) / exact) < 1e-8
 
@@ -548,7 +574,7 @@ def test_alignment_failure_names_the_defect(monkeypatch):
     from polydet.errors import MissedEigenvalue
 
     monkeypatch.setattr(validation, "dirichlet_eigenvalues", _sweep_missing_index_2)
-    monkeypatch.setattr(MPSSolver, "search_window", lambda self, lo, hi, eigs: [])
+    monkeypatch.setattr(MPSSolver, "find_in", lambda self, lo, hi, n: 0)
     rect = build_polygon([0, 1.3, 1.3 + 1j, 1j])
     f = field_from_vertex_velocities(rect, [0, 1, 1, 0])
     with pytest.raises(MissedEigenvalue, match=r"t = -2\.000e-03 lacks eigenvalue index 2 "
@@ -557,7 +583,7 @@ def test_alignment_failure_names_the_defect(monkeypatch):
 
 
 def test_alignment_heals_the_missed_eigenvalue(monkeypatch):
-    # the window search finds the lost eigenvalue, and the healed spectrum
+    # find_in finds the lost eigenvalue, and the healed spectrum
     # is sorted, Weyl-checked and keyed by its own polygon
     from polydet import validation
 

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from polydet.errors import (
     AngleSumViolation,
-    PoleOnContour,
     PrevertexCrowding,
     RegularizationResidual,
     ValidationFailure,
@@ -85,10 +84,6 @@ class TestCornerConstant:
             corner_constant(-1.0)
         with pytest.raises(ValidationFailure):
             corner_constant(13.0)
-
-    def test_pole_on_contour(self):
-        with pytest.raises(PoleOnContour):
-            corner_constant_by_contour(3.0, x_cross=3.0)
 
 
 class TestCornerTerm:
