@@ -23,8 +23,6 @@ from .smoothwz import alvarez_logdet, domain_from_json_dict, wz_variation
 from .varform import contour_route_applies, contour_shift_integral, main_formula
 from .zetadet import heat_coefficients, zeta_logdet
 
-_FD_STEP = 5e-3     # t of the `var --route fd` Richardson difference
-
 
 def _load_json(path):
     with open(path) as fh:
@@ -165,8 +163,7 @@ def cmd_var(args, cfg):
         timer.mark("formula")
     if args.route in ("fd", "both"):
         lam_max, zcfg = cfg.pipeline_zeta(p)
-        payload["fd"] = validation.fd_logdet_derivative(p, f, lam_max, zcfg,
-                                                        t=_FD_STEP, cfg=cfg.eig)
+        payload["fd"] = validation.fd_logdet_derivative(p, f, lam_max, zcfg, cfg=cfg.eig)
         timer.mark("fd")
     if args.route == "both":
         payload["discrepancy"] = abs(payload["formula"]["total"] - payload["fd"])

@@ -49,7 +49,7 @@ from .errors import (
     ValidationFailure,
 )
 from .geometry import build_polygon
-from .quadrature import leggauss
+from .quadrature import graded_breaks, leggauss, panel_nodes
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,10 @@ _DIP_THRESHOLD = 0.35           # grid values below this may hide a dip
 _SIGMA_NOISE = 1e-14            # absolute noise of a computed sigma
 _MAX_REFINE_STEPS = 40
 _BLOCK_ENTRIES = 1 << 16        # basis entries a scan assembles at once
+_BESSEL_PANEL = 1.2             # width in u of a Bessel-table panel
+_BESSEL_DEGREE = 14             # Chebyshev degree on each panel
+_SIDE_FIRST_PANEL = 2.0**-15    # first panel of the side rule, fraction of the side
+_SIDE_ORDER = 12                # Gauss-Legendre nodes per panel of the side rule
 
 
 @dataclass(frozen=True)
@@ -190,11 +194,11 @@ class _BesselTable:
     back at evaluation time (for fractional nu the raw function is not
     analytic at 0 and plain interpolation there loses ~8 digits)."""
 
-    def __init__(self, nus, u_max, panel=1.2, degree=14):
+    def __init__(self, nus, u_max):
         self.nus = np.asarray(nus, dtype=float)
-        n_panels = max(4, int(np.ceil(u_max / panel)))
+        n_panels = max(4, int(np.ceil(u_max / _BESSEL_PANEL)))
         self.edges = np.linspace(0.0, u_max * 1.02, n_panels + 1)
-        self.degree = degree
+        degree = _BESSEL_DEGREE
         xc = np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
         # (panel, Chebyshev degree, order)
         coef = np.empty((n_panels, degree + 1, len(self.nus)))
@@ -242,10 +246,10 @@ class _BesselTable:
         starts = np.searchsorted(idx, np.arange(n_panels + 1))
         a, b = self.edges[idx], self.edges[idx + 1]
         t = (2.0 * us - (a + b)) / (b - a)
-        T = np.empty((self.degree + 1, len(u)))         # T_k(t), row k
+        T = np.empty((_BESSEL_DEGREE + 1, len(u)))      # T_k(t), row k
         T[0], T[1] = 1.0, t
         t2 = 2.0 * t
-        for k in range(2, self.degree + 1):
+        for k in range(2, _BESSEL_DEGREE + 1):
             np.multiply(t2, T[k - 1], out=T[k])
             T[k] -= T[k - 2]
         out = np.empty((len(u), len(self.nus)))
@@ -493,36 +497,21 @@ class MPSSolver:
         self.sigma_evals[self._stage] += 1
         return self._boundary_svd(lam, A=A, scan=count if scan else None)[:count]
 
-    def _sigmas_at(self, lams, count=1):
-        """sigmas(lam, count) at scan grade at every lam of a scan,
-        (len(lams), count).  The basis matrices are assembled a block of
-        lambdas at a time, a block holding at most _BLOCK_ENTRIES entries
-        (or one lambda)."""
+    def _sigmas_at(self, lams):
+        """The smallest singular value at scan grade at every lam of a scan.
+        The basis matrices are assembled a block of lambdas at a time, a
+        block holding at most _BLOCK_ENTRIES entries (or one lambda)."""
         size = max(1, _BLOCK_ENTRIES // (len(self.pts) * sum(self.orders)))
         out = []
         for s in range(0, len(lams), size):
             block = lams[s:s + size]
             mats = self.basis.matrices(block, self._local_pts, self._sines)
-            out.extend(self.sigmas(lam, count, A, scan=True) for lam, A in zip(block, mats))
-        return np.array(out).reshape(len(lams), count)
+            out.extend(self.sigmas(lam, 1, A, scan=True)[0] for lam, A in zip(block, mats))
+        return np.array(out)
 
     def _sigma_batch(self, lams):
         """sigma at every lambda of a grid pass."""
-        return self._sigmas_at(lams)[:, 0]
-
-    def _nullspace_coeffs(self, lam):
-        """Coefficient vectors of the (near-)null space at an eigenvalue."""
-        s, (Vh, R, piv, cutoff, norms, good) = self._boundary_svd(lam, vectors=True)
-        mult = int((s < _MULT_TOL).sum())
-        if mult == 0:
-            raise DegenerateEigenvalue(
-                f"lambda={lam:.8e} is not an eigenvalue to tolerance (sigma={s[0]:.2e})")
-        y = la.solve_triangular(R[:cutoff, :cutoff], Vh[-mult:].T)
-        C = np.zeros((int(good.sum()), mult))
-        C[piv[:cutoff]] = y
-        full = np.zeros((len(norms), mult))
-        full[good] = C / norms[good][:, None]
-        return full, s
+        return self._sigmas_at(lams)
 
     # -- sweep --------------------------------------------------------------
     def faber_krahn_bound(self):
@@ -668,7 +657,7 @@ class MPSSolver:
             probes = grid[k] + (grid[k + 1] - grid[k]) * np.array([0.25, 0.5, 0.75])
             lo, hi = max(k - 1, 0), min(k + 3, len(grid))
             self._scan(np.concatenate([grid[lo:k + 1], probes, grid[k + 1:hi]]),
-                       np.concatenate([vals[lo:k + 1], self._sigmas_at(probes)[:, 0],
+                       np.concatenate([vals[lo:k + 1], self._sigmas_at(probes),
                                        vals[k + 1:hi]]))
 
     def _admit(self, found):
@@ -758,7 +747,7 @@ class MPSSolver:
             return 0
         side = 1.0 if hi < lo else -1.0
         a, b, c = (lam + side * 0.5 * d, lam + side * d, lam + side * 1.5 * d)
-        fa, fb, fc = self._sigmas_at([a, b, c])[:, 0]
+        fa, fb, fc = self._sigmas_at([a, b, c])
         if not (fb <= fa and fb <= fc):
             return 0
         if side < 0:
@@ -831,7 +820,7 @@ class MPSSolver:
         for lam in sorted(set(e for e in self.eigs if lo <= e <= hi)):
             if self._may_shadow(lam, 2 * (xs[1] - xs[0])):
                 added += self._probe_sibling(lam)
-        return added + self._scan(xs, self._sigmas_at(xs)[:, 0])
+        return added + self._scan(xs, self._sigmas_at(xs))
 
     @_stage("audit")
     def _audit_gaps(self):
@@ -863,8 +852,19 @@ class MPSSolver:
     # -- eigenfunction data ---------------------------------------------------
     def eigenfunction(self, lam):
         """Basis coefficients of the (un-normalized) eigenfunction(s) at lam,
-        one column each: u = basis.matrix(lam, pts) @ C."""
-        return self._nullspace_coeffs(lam)[0]
+        one column per singular value below _MULT_TOL, from the
+        (near-)null space of Q_B: u = basis.matrix(lam, pts) @ C."""
+        s, (Vh, R, piv, cutoff, norms, good) = self._boundary_svd(lam, vectors=True)
+        mult = int((s < _MULT_TOL).sum())
+        if mult == 0:
+            raise DegenerateEigenvalue(
+                f"lambda={lam:.8e} is not an eigenvalue to tolerance (sigma={s[0]:.2e})")
+        y = la.solve_triangular(R[:cutoff, :cutoff], Vh[-mult:].T)
+        C = np.zeros((int(good.sum()), mult))
+        C[piv[:cutoff]] = y
+        full = np.zeros((len(norms), mult))
+        full[good] = C / norms[good][:, None]
+        return full
 
     def normal_derivative_sq_integrals(self, lam, C, weight_fns):
         """Per-side graded-quadrature integrals of (d_nu u)^2 * weight, for
@@ -876,8 +876,12 @@ class MPSSolver:
         """
         p = self.p
         total = np.zeros((len(weight_fns), C.shape[1]))
+        wg = leggauss(_SIDE_ORDER)[1]
         for j in range(p.n):
-            s_nodes, w_nodes = _graded_side_rule(p.side_lengths[j])
+            L = p.side_lengths[j]
+            h = L * _SIDE_FIRST_PANEL
+            s_nodes, half = panel_nodes(graded_breaks(0.0, L, h, h), _SIDE_ORDER)
+            s_nodes, w_nodes = s_nodes.ravel(), (half[:, None] * wg).ravel()
             a = p.vertices[j]
             tau = p.side_tangent(j)
             pts = a + tau * s_nodes
@@ -924,23 +928,6 @@ def _is_duplicate(lam, err, eigs, errs):
         if abs(lam - e) < tol:
             return True
     return False
-
-
-def _graded_side_rule(L, n_panels_half=14, order=12, grade=0.5):
-    """Arclength nodes/weights on (0, L), geometrically graded into both ends."""
-    left = L / 2 * grade ** np.arange(n_panels_half, 0, -1)
-    breaks = np.concatenate([[0.0], left, [L / 2]])
-    x, w = leggauss(order)
-    nodes, weights = [], []
-    segs = list(zip(breaks[:-1], breaks[1:]))
-    segs += [(L - b, L - a) for a, b in reversed(segs)]
-    for a, b in segs:
-        if b <= a:
-            continue
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def dirichlet_eigenvalues(p, lambda_max, cfg=None):

@@ -28,6 +28,8 @@ _QUAD_ORDER = 24        # Gauss order of every SC segment quadrature
 _VERTEX_TOL = 1e-8      # mapped vertices against the polygon, relative to its size
 _SOLVER_MAX_ITER = 200  # least-squares evaluations per unknown prevertex
 _MIN_GAP = 1e-12        # smallest prevertex gap the map resolves
+_PANEL_FRAC = 0.45      # panel length over its distance to a singular point
+_PANEL_MAX_DEPTH = 48   # bisections of a segment into panels
 
 
 @dataclass(frozen=True)
@@ -107,12 +109,13 @@ def _unnormalized_derivative(zk, g, z):
 # compound quadrature of x' along a straight segment
 # ---------------------------------------------------------------------------
 
-def _panel_breaks(a, b, sing_pts, anchored, order_frac=0.45, max_depth=48):
+def _panel_breaks(a, b, sing_pts, anchored):
     """Breakpoints 0 = t0 < ... < tM = |b-a| for panels along [a, b].
 
-    Each panel must be shorter than ``order_frac`` times its distance to the
-    nearest singular point.  The panel touching t = 0 ignores the anchored
-    singularity there, since a Gauss-Jacobi weight absorbs it exactly.
+    Each panel must be shorter than _PANEL_FRAC times its distance to the
+    nearest singular point, unless _PANEL_MAX_DEPTH bisections made it.  The
+    panel touching t = 0 ignores the anchored singularity there, since a
+    Gauss-Jacobi weight absorbs it exactly.
     """
     T = abs(b - a)
     u = (b - a) / T
@@ -125,7 +128,8 @@ def _panel_breaks(a, b, sing_pts, anchored, order_frac=0.45, max_depth=48):
         if anchored is not None and t0 == 0.0:
             d[anchored] = np.inf
         dist = max(float(d.min()) - 0.5 * (t1 - t0), 0.0)
-        if (t1 - t0) <= order_frac * dist or depth >= max_depth or (t1 - t0) < 1e-15 * T:
+        if ((t1 - t0) <= _PANEL_FRAC * dist or depth >= _PANEL_MAX_DEPTH
+                or (t1 - t0) < 1e-15 * T):
             accepted.append((t0, t1))
         else:
             mid_t = 0.5 * (t0 + t1)

@@ -88,61 +88,63 @@ def _check_grid(n_grid):
         raise ValidationFailure("n_grid must be a power of two >= 256")
 
 
-def _grid_checked(value, n_grid, check, what):
-    """value(n_grid); with check, value(2 n_grid) once the doubling has moved
-    it by at most 1e-10 (1 + |v|), else GridTooCoarse naming what moved."""
+def _grid_checked(value, n_grid, what):
+    """value(2 n_grid), once the doubling has moved value(n_grid) by at most
+    1e-10 (1 + |v|); else GridTooCoarse naming what moved."""
     _check_grid(n_grid)
-    v = value(n_grid)
-    if check:
-        v2 = value(2 * n_grid)
-        if abs(v2 - v) > 1e-10 * (1 + abs(v)):
-            raise GridTooCoarse(f"doubling n_grid moves {what} by {abs(v2 - v):.2e}")
-        v = v2
-    return float(v)
+    v, v2 = value(n_grid), value(2 * n_grid)
+    if abs(v2 - v) > 1e-10 * (1 + abs(v)):
+        raise GridTooCoarse(f"doubling n_grid moves {what} by {abs(v2 - v):.2e}")
+    return float(v2)
 
 
-def alvarez_logdet(d, n_grid=512, check=True):
+def _alvarez_sum(d, n):
+    """The trapezoid sum of alvarez_logdet on n points of the circle."""
+    t, w = _circle(n)
+    zp = d.dz(w)
+    phi = np.log(np.abs(zp))
+    dr_phi = (w * d.d2z(w) / zp).real
+    dt = 2 * np.pi / n
+    return (-1.0 / (12 * np.pi)) * (np.sum(phi * dr_phi) + 2 * np.sum(phi)) * dt
+
+
+def alvarez_logdet(d, n_grid=512):
     """Boundary comparison value of log det (additive constant omitted).
 
     phi = log |z'| on the unit circle and its radial derivative
     d_r phi = Re(w z''/z') enter the two circle integrals; the trapezoid rule
-    on the periodic analytic integrand converges spectrally.
+    on the periodic analytic integrand converges spectrally, and the value
+    is taken on 2 n_grid points once doubling n_grid has moved it by at most
+    1e-10 (1 + |v|).
     """
-    def value(n):
-        t, w = _circle(n)
-        zp = d.dz(w)
-        phi = np.log(np.abs(zp))
-        dr_phi = (w * d.d2z(w) / zp).real
-        dt = 2 * np.pi / n
-        return (-1.0 / (12 * np.pi)) * (np.sum(phi * dr_phi) + 2 * np.sum(phi)) * dt
-
-    return _grid_checked(value, n_grid, check, "the Alvarez value")
+    return _grid_checked(lambda n: _alvarez_sum(d, n), n_grid, "the Alvarez value")
 
 
-def wz_variation(d, V, n_grid=512, check=True):
+def _wz_sum(d, V, n):
+    """The trapezoid sum of wz_variation on n points of the circle."""
+    V = np.asarray(V, dtype=complex)
+    t, w = _circle(n)
+    zp, zpp, zppp = d.dz(w), d.d2z(w), d.d3z(w)
+    s_zw = zppp / zp - 1.5 * (zpp / zp) ** 2        # {z, w}
+    s_wz = -s_zw / zp**2                             # {w, z}
+    nu = w * zp / np.abs(zp)                         # = |w'| w / w'
+    curv = (1.0 + (w * zpp / zp)).real / np.abs(zp)  # k = |w'| Re(1 + w z''/z')
+    v_vals = np.polynomial.polynomial.polyval(w, V)
+    integrand = v_vals * np.conj(nu) * ((nu**2 * s_wz).real - curv**2)
+    # |dz| = |z'| dt
+    dt = 2 * np.pi / n
+    return (1.0 / (6 * np.pi)) * np.sum(integrand * np.abs(zp)).real * dt
+
+
+def wz_variation(d, V, n_grid=512):
     """d(log det)/d eps at eps = 0 for the deformation z -> z + eps V.
 
     Evaluates (1/6 pi) Re int_Gamma V(w(z)) conj(nu) (Re(nu^2 {w,z}) - k^2) |dz|
     on the circle, with nu = |w'| w / w', k = |w'| Re(1 + w z''/z'), and
     {w,z} = -{z,w} / z'^2 from the Schwarzian chain rule (no inverse map is
-    ever constructed).
+    ever constructed).  The grid is checked by doubling as in alvarez_logdet.
     """
-    V = np.asarray(V, dtype=complex)
-
-    def value(n):
-        t, w = _circle(n)
-        zp, zpp, zppp = d.dz(w), d.d2z(w), d.d3z(w)
-        s_zw = zppp / zp - 1.5 * (zpp / zp) ** 2        # {z, w}
-        s_wz = -s_zw / zp**2                             # {w, z}
-        nu = w * zp / np.abs(zp)                         # = |w'| w / w'
-        curv = (1.0 + (w * zpp / zp)).real / np.abs(zp)  # k = |w'| Re(1 + w z''/z')
-        v_vals = np.polynomial.polynomial.polyval(w, V)
-        integrand = v_vals * np.conj(nu) * ((nu**2 * s_wz).real - curv**2)
-        # |dz| = |z'| dt
-        dt = 2 * np.pi / n
-        return (1.0 / (6 * np.pi)) * np.sum(integrand * np.abs(zp)).real * dt
-
-    return _grid_checked(value, n_grid, check, "the variation")
+    return _grid_checked(lambda n: _wz_sum(d, V, n), n_grid, "the variation")
 
 
 def wz_vs_alvarez_fd(d, V, eps=1e-4, n_grid=512):

@@ -37,6 +37,17 @@ from .zetadet import (
 )
 
 
+_FD_STEP = 4e-3     # t of the determinant's Richardson difference (crit 7, `var --route fd`)
+
+
+def richardson_derivative(fn, h):
+    """Richardson-extrapolated central difference of fn at 0 from the steps
+    h and h/2: (4 D(h/2) - D(h)) / 3, with D(h) = (fn(h) - fn(-h)) / (2 h)."""
+    d1 = (fn(h) - fn(-h)) / (2 * h)
+    d2 = (fn(h / 2) - fn(-h / 2)) / h
+    return (4 * d2 - d1) / 3
+
+
 def _record(name, value, tol, detail=""):
     return {
         "criterion": name,
@@ -81,15 +92,15 @@ def _random_convex(rng, n_min=3, n_max=8):
         return p
 
 
-def _side_shift(p, j, speed=1.0):
-    """Outward parallel shift of side j; its endpoints slide along the
+def _side_shift(p, j):
+    """Unit outward parallel shift of side j; its endpoints slide along the
     adjacent sides, so every angle is kept."""
     n = p.n
     vel = [0j] * n
     nu = p.side_normal(j)
     for vtx, other in ((j, (j - 1) % n), ((j + 1) % n, (j + 1) % n)):
         tau_o = p.side_tangent(other)
-        vel[vtx] = speed * tau_o / (np.conj(nu) * tau_o).real
+        vel[vtx] = tau_o / (np.conj(nu) * tau_o).real
     return field_from_vertex_velocities(p, vel)
 
 
@@ -129,7 +140,7 @@ def check_wz_alvarez():
 def check_corner_constant():
     """Criterion 3: contour evaluation matches the closed form."""
     worst = 0.0
-    for beta in (np.pi / 2, np.pi, 3.0, 2 * np.pi, 3 * np.pi):
+    for beta in (0.01, 0.05, 0.1, np.pi / 2, np.pi, 3.0, 2 * np.pi, 3 * np.pi):
         worst = max(worst, abs(corner_constant_by_contour(beta) - corner_constant(beta)))
     return [_record("3 corner constant contour vs closed form", worst, 1e-8)]
 
@@ -156,10 +167,7 @@ def check_main_vs_rectangle_derivative():
     m = solve_parameter_problem(p)
     f = _side_shift(p, 1)
     dv = main_formula(p, m, f)
-    h = 1e-4
-    d1 = (rectangle_logdet_exact(1 + h, 1) - rectangle_logdet_exact(1 - h, 1)) / (2 * h)
-    d2 = (rectangle_logdet_exact(1 + h / 2, 1) - rectangle_logdet_exact(1 - h / 2, 1)) / h
-    deriv = (4 * d2 - d1) / 3
+    deriv = richardson_derivative(lambda h: rectangle_logdet_exact(1 + h, 1), 1e-4)
     return [_record("5 main formula vs exact rectangle derivative",
                     abs(dv.total - deriv), 1e-5,
                     f"formula {dv.total:.10f} exact {deriv:.10f} "
@@ -268,20 +276,18 @@ def _describe_defects(defects):
                      f"(0-based), predicted lambda {lam:.6f}" for t, i, lam in defects)
 
 
-def fd_logdet_derivative(p, f, lam_max, zcfg, t=4e-3, cfg=None):
+def fd_logdet_derivative(p, f, lam_max, zcfg, cfg=None):
     """Richardson central difference of the determinant pipeline along f,
-    with defect-checked spectra.  ``zcfg`` sets the zeta completion and
-    ``cfg`` the eigensolver of every moved polygon."""
-    ts = (t, -t, t / 2, -t / 2)
-    specs = _aligned_spectra(p, f, ts, lam_max, cfg)
+    with step _FD_STEP and defect-checked spectra.  ``zcfg`` sets the zeta
+    completion and ``cfg`` the eigensolver of every moved polygon."""
+    t = _FD_STEP
+    specs = _aligned_spectra(p, f, (t, -t, t / 2, -t / 2), lam_max, cfg)
 
     def ld(tt):
         pt = move_polygon(p, f, tt)
         return zeta_logdet(specs[tt], heat_coefficients(pt), zcfg).value
 
-    d1 = (ld(t) - ld(-t)) / (2 * t)
-    d2 = (ld(t / 2) - ld(-t / 2)) / t
-    return (4 * d2 - d1) / 3
+    return richardson_derivative(ld, t)
 
 
 def check_corner_term_activation():

@@ -110,7 +110,7 @@ from .errors import (
 from scipy.special import psi
 from scipy.special import zeta as hurwitz_zeta
 
-from .quadrature import gl_nodes, jacgauss, leggauss, panel_nodes
+from .quadrature import graded_breaks, jacgauss, leggauss, panel_nodes
 from .scmap import (
     _local_regular_factor,
     cumulative_images,
@@ -125,8 +125,10 @@ ZETA_PRIME_M1 = -0.1654211437004509292   # zeta'(-1) = 1/12 - log(Glaisher's A)
 
 
 _MATCH_FRAC = 0.25      # near-zone radius, fraction of the prevertex gap
+_MATCH_CAP = 0.35       # ... and at most this fraction of the side's interval
 _EPS_FRAC = 1e-3        # Hadamard eps, fraction of the min side length
 _ARC_FRAC = 0.1         # contour-shift arc radius, fraction of the gap
+_ARC_CAP = 0.3          # ... and at most this fraction of the side's interval
 _GL_ORDER = 20          # Gauss-Legendre panels of the far parts and eps values
 _FP_ORDER = 48          # closed-form finite part rules
 _COUNTERTERM_TOL = 1e-5
@@ -163,7 +165,13 @@ def corner_constant_by_contour(beta):
     which keeps every pole of the integrand except theta = 0 outside the
     enclosed strip, and at least xc from the contour, for all beta in
     (0, 4 pi).  The result is (int_L - int_R) / (4 i beta^2), real up to
-    quadrature noise; each path panel takes 20 Gauss-Legendre nodes.
+    quadrature noise; each leg of a path is cut into panels of at most
+    min(beta, pi)/2 with 20 Gauss-Legendre nodes each.
+
+    Off the axis the integrand decays like e^{-2 pi |Im theta| / beta}, so
+    the heights scale with beta: the knee at min(2, 20 beta) and the ends at
+    most 7 beta above it.  pi |Im theta| / beta then stays below 27 pi, and
+    sin^2(pi theta / beta) within the double range, for every beta.
     """
     if not 0 < beta < 4 * np.pi:
         raise ValidationFailure(f"beta = {beta} outside (0, 4 pi)")
@@ -172,19 +180,15 @@ def corner_constant_by_contour(beta):
     def f(th):
         return (np.cos(th / 2) / np.sin(th / 2)) / np.sin(np.pi * th / beta) ** 2
 
-    y_max = 6.2 * beta + 8.0
-    y_knee = 2.0
+    y_knee = min(2.0, 20.0 * beta)
+    y_max = min(6.2 * beta + 8.0, y_knee + 7.0 * beta)
 
     def integrate_path(points):
         total = 0.0 + 0.0j
         for a, b in zip(points[:-1], points[1:]):
-            seg = abs(b - a)
-            n = max(2, int(np.ceil(seg / (0.5 * min(beta, np.pi)))))
-            for k in range(n):
-                z0 = a + (b - a) * k / n
-                z1 = a + (b - a) * (k + 1) / n
-                th, w = gl_nodes(z0, z1, 20)
-                total += np.sum(w * f(th))
+            n = max(2, int(np.ceil(abs(b - a) / (0.5 * min(beta, np.pi)))))
+            th, half = panel_nodes(a + (b - a) * np.arange(n + 1) / n, 20)
+            total += np.sum(half[:, None] * leggauss(20)[1] * f(th))
         return total
 
     def contour(sign):
@@ -247,27 +251,26 @@ def _local_regular_factor_left(m, i, w):
 
 class _NearVertex:
     """Everything needed to integrate the boundary integrand near one vertex,
-    approached along one of its two sides."""
+    approached along one of its two sides: from the right of its prevertex,
+    z = z_i + w (sign +1), or from the left, z = z_i - w (sign -1).  The side
+    picks the sign and the regular factor; every method is the same for
+    both."""
 
     def __init__(self, m, i, from_right):
         self.m = m
         self.i = i
-        self.from_right = from_right
+        self.sign = 1.0 if from_right else -1.0
+        self._factor = _local_regular_factor if from_right else _local_regular_factor_left
         self.alpha = m.polygon.angles[i]
         self.apio = self.alpha / np.pi
         self.zi = m.prevertices[i]
-        if from_right:
-            self.D = complex(_local_regular_factor(m, i, np.array(0.0 + 0.0j)))
-        else:
-            self.D = complex(_local_regular_factor_left(m, i, np.array(0.0 + 0.0j)))
+        self.D = complex(self._factor(m, i, np.array(0.0 + 0.0j)))
         self.C_abs = abs(self.D) * np.pi / self.alpha
         self.m0 = (np.pi**2 - self.alpha**2) / (2 * np.pi**2)
         self._rho_rule = jacgauss(24, 0.0, self.apio - 1.0)
 
     def regular_factor(self, w):
-        f = (_local_regular_factor(self.m, self.i, w + 0j) if self.from_right
-             else _local_regular_factor_left(self.m, self.i, w + 0j))
-        return (f / self.D).real
+        return (self._factor(self.m, self.i, w + 0j) / self.D).real
 
     def schwarz_w2(self, w):
         """w^2 {x,z}(z_i +/- w) for real w > 0, cancellation-free.
@@ -283,17 +286,16 @@ class _NearVertex:
         w = np.asarray(w, dtype=float)
         zk = self.m.prevertex_array()
         gp = -np.asarray(self.m.exponents)
-        sgn = 1.0 if self.from_right else -1.0
         gpi = gp[self.i]
         T = np.zeros_like(w)
         U = np.zeros_like(w)
         for k in range(self.m.n):
             if k == self.i:
                 continue
-            d = self.zi - zk[k] + sgn * w
+            d = self.zi - zk[k] + self.sign * w
             T += gp[k] / d
             U += gp[k] / d**2
-        return gpi * (1 - gpi / 2) - sgn * gpi * T * w + w**2 * (U - T**2 / 2)
+        return gpi * (1 - gpi / 2) - self.sign * gpi * T * w + w**2 * (U - T**2 / 2)
 
     def rho(self, w):
         """s(w) / (|C| w^{a/pi}): analytic, real, rho(0) = 1.
@@ -316,12 +318,11 @@ class _NearVertex:
         """x(z_i +/- w) for real w > 0 (vector), from the local structure.
 
         From the left x(z_i - w) = x_i - int_0^w x'(z_i - u) du, so the
-        integral is subtracted.
+        integral enters with the sign.
         """
         w = np.atleast_1d(np.asarray(w, dtype=float))
-        base = self.m.vertex_images[self.i]
         arc = self.D * (np.pi / self.alpha) * w**self.apio * self.rho(w)
-        return base + arc if self.from_right else base - arc
+        return self.m.vertex_images[self.i] + self.sign * arc
 
     def w_of_eps(self, eps):
         """w with arclength |x(w) - x_i| = eps (fixed point on rho).
@@ -406,23 +407,6 @@ def _aitken_limit(v1, v2, v3):
 # per-side integration
 # ---------------------------------------------------------------------------
 
-def _graded_breaks(a, b, h0a, h0b, ratio=2.0):
-    """Breakpoints on [a, b] with panels growing geometrically from both ends."""
-    if b <= a:
-        return np.array([a, b])
-    left = [a]
-    h = h0a
-    while left[-1] + h < 0.5 * (a + b):
-        left.append(left[-1] + h)
-        h *= ratio
-    right = [b]
-    h = h0b
-    while right[-1] - h > 0.5 * (a + b):
-        right.append(right[-1] - h)
-        h *= ratio
-    return np.unique(np.concatenate([left, [0.5 * (a + b)], right[::-1]]))
-
-
 def _far_part(m, j, breaks, z_of, jac, sxz_of, nu_hat, x_anchor):
     """Integral of the dz integrand -{x,z}(z) (A.nu)(s) nuhat / x'(z) of
     side j over the parameter panels ``breaks``, with z = z_of(t),
@@ -442,8 +426,8 @@ def _far_part(m, j, breaks, z_of, jac, sxz_of, nu_hat, x_anchor):
 
 def _far_part_finite_side(m, j, zl, zr, nu_hat, x_left_anchor):
     """Far part over [zl, zr] inside side j's prevertex interval."""
-    breaks = _graded_breaks(zl, zr, 0.5 * (zl - m.prevertices[j]),
-                            0.5 * (m.prevertices[j + 1] - zr))
+    breaks = graded_breaks(zl, zr, 0.5 * (zl - m.prevertices[j]),
+                           0.5 * (m.prevertices[j + 1] - zr))
     return _far_part(m, j, breaks, lambda t: t, lambda t: 1.0,
                      lambda t: schwarzian_xz(m, t), nu_hat, x_left_anchor)
 
@@ -458,7 +442,7 @@ def _far_part_infinite_side(m, zl_w, zr_w, nu_hat, x_anchor_right):
     """
     t_hi = 1.0 / (1.0 + zl_w)
     t_lo = -1.0 / (1.0 + zr_w)
-    breaks = _graded_breaks(t_lo, t_hi, 0.3 * zr_w, 0.3 * zl_w)[::-1]  # t decreasing
+    breaks = graded_breaks(t_lo, t_hi, 0.3 * zr_w, 0.3 * zl_w)[::-1]  # t decreasing
     return _far_part(m, m.n - 1, breaks, lambda t: 1.0 / t, lambda t: -1.0 / t**2,
                      lambda t: schwarzian_xz_inverted(m, t), nu_hat, x_anchor_right)
 
@@ -485,25 +469,29 @@ def _eps_triplet(p):
     return (eps0, 0.5 * eps0, 0.25 * eps0)
 
 
+def _near_radii(m, j, gap_frac, interval_frac):
+    """Near-zone radii at the start and end prevertex of side j: gap_frac of
+    each prevertex's gap (a gap counts as at most 1), and, on a side with a
+    finite prevertex interval, at most interval_frac of that interval."""
+    radii = [gap_frac * min(m.gap(i), 1.0) for i in (j, (j + 1) % m.n)]
+    if j < m.n - 1:
+        zk = m.prevertex_array()
+        radii = [min(r, interval_frac * (zk[j + 1] - zk[j])) for r in radii]
+    return radii
+
+
 def _integrate_side(m, j):
     """Near-vertex and far-part integrals of side j, both parts at once."""
     p = m.polygon
     n = p.n
     zk = m.prevertex_array()
     nu_hat = p.side_normal(j)
-    i_start, i_end = j, (j + 1) % n
 
     # the start vertex is approached from the right of its prevertex and
     # the end vertex from the left, also for the side through infinity
-    near_s = _NearVertex(m, i_start, from_right=True)
-    near_e = _NearVertex(m, i_end, from_right=False)
-
-    delta_s = _MATCH_FRAC * min(m.gap(i_start), 1.0)
-    delta_e = _MATCH_FRAC * min(m.gap(i_end), 1.0)
-    if j < n - 1:
-        interval = zk[j + 1] - zk[j]
-        delta_s = min(delta_s, 0.35 * interval)
-        delta_e = min(delta_e, 0.35 * interval)
+    near_s = _NearVertex(m, j, from_right=True)
+    near_e = _NearVertex(m, (j + 1) % n, from_right=False)
+    delta_s, delta_e = _near_radii(m, j, _MATCH_FRAC, _MATCH_CAP)
 
     eps_triplet = _eps_triplet(p)
     fp_s, eps_s = _near_contributions(near_s, nu_hat, delta_s, eps_triplet)
@@ -645,11 +633,7 @@ def contour_shift_integral(m, f):
         nu_hat = p.side_normal(j)
         tau = p.side_tangent(j)
         theta_s = np.angle(tau)
-        eps_s = _ARC_FRAC * min(m.gap(j), 1.0)
-        eps_e = _ARC_FRAC * min(m.gap(j + 1), 1.0)
-        interval = zk[j + 1] - zk[j]
-        eps_s = min(eps_s, 0.3 * interval)
-        eps_e = min(eps_e, 0.3 * interval)
+        eps_s, eps_e = _near_radii(m, j, _ARC_FRAC, _ARC_CAP)
 
         # straight piece between the arc feet
         near = _NearVertex(m, j, from_right=True)
@@ -679,7 +663,8 @@ def _arc_integral(m, i, eps):
     i = i % m.n
     if eps >= m.gap(i):
         raise ContourThroughVertex(f"arc radius {eps} reaches a neighboring prevertex")
-    th, w = gl_nodes(np.pi, 0.0, 64)
+    (th,), (half,) = panel_nodes([np.pi, 0.0], 64)
+    w = half * leggauss(64)[1]
     z = m.prevertices[i] + eps * np.exp(1j * th)
     integrand = -schwarzian_xz(m, z) / sc_derivative(m, z) * (1j * eps * np.exp(1j * th))
     return np.sum(w * integrand)

@@ -156,6 +156,41 @@ class TestRunConfig:
                     dead.append(f"{f.stem}.{name}")
         assert not dead, f"defined but never referenced: {dead}"
 
+    def test_every_private_default_is_set_by_a_call(self):
+        # a defaulted parameter of a private function (or of any method of a
+        # private class) that no call in the package sets is a setting without
+        # effect; a module constant says the same in one place
+        trees = [ast.parse(f.read_text())
+                 for f in sorted(Path(polydet.__file__).parent.glob("*.py"))]
+        calls = {}
+        for node in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            calls.setdefault(name, []).append(node)
+        methods = {fn: cls for t in trees for cls in ast.walk(t)
+                   if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        unset = []
+        for fn in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.FunctionDef)):
+            cls = methods.get(fn)
+            if not (re.match(r"_[^_]", fn.name) or cls and cls.name.startswith("_")):
+                continue
+            called_as = cls.name if fn.name == "__init__" else fn.name
+            bound = cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            pos = [a.arg for a in fn.args.args][int(bound):]
+            defaulted = pos[len(pos) - len(fn.args.defaults):] if fn.args.defaults else []
+            defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            for arg in defaulted:
+                index = pos.index(arg) if arg in pos else None
+                if not any(any(k.arg in (arg, None) for k in call.keywords)
+                           or any(isinstance(a, ast.Starred) for a in call.args)
+                           or index is not None and len(call.args) > index
+                           for call in calls.get(called_as, [])):
+                    unset.append(f"{cls.name + '.' if cls else ''}{fn.name}({arg})")
+        assert not unset, f"defaults no call in the package sets: {unset}"
+
     def test_lambda_max_guard(self):
         from polydet.geometry import build_polygon
         p = build_polygon([0, 1, 1 + 1j, 1j])

@@ -185,9 +185,9 @@ def test_scans_assemble_within_the_entry_budget(monkeypatch):
         blocks.append(out.shape)
         return out
 
-    def spy_sigmas_at(self, lams, count=1):
+    def spy_sigmas_at(self, lams):
         before = dict(self.sigma_evals)
-        out = sigmas_at(self, lams, count)
+        out = sigmas_at(self, lams)
         moved = {k: self.sigma_evals[k] - before[k] for k in before}
         assert moved == {k: len(lams) if k == self._stage else 0 for k in before}
         stages.append(self._stage)
@@ -242,10 +242,10 @@ class TestScanGrade:
                     return fn(*args, **kwargs)
                 return counted
 
-        def flagged_sigmas_at(self, lams, count=1):
+        def flagged_sigmas_at(self, lams):
             scanning[0] = True
             try:
-                return sigmas_at(self, lams, count)
+                return sigmas_at(self, lams)
             finally:
                 scanning[0] = False
 

@@ -14,7 +14,7 @@ from polydet.scmap import (
     _unnormalized_derivative,
     integrate_sc_segment,
 )
-from polydet.quadrature import gl_nodes, jacgauss
+from polydet.quadrature import jacgauss, leggauss, panel_nodes
 from polydet.varform import _NearVertex
 from conftest import jittered_initialization, random_convex_polygon
 
@@ -167,8 +167,8 @@ def _segment_per_panel(zk, g, a, b, sing_index, order):
             scale = np.exp((g[sing_index] + 1) * (np.log(0.5 * h) + _log_uhp(np.array(u))[()]))
             total += scale * np.sum(w * val)
         else:
-            zeta, w = gl_nodes(a + u * t0, a + u * t1, order)
-            total += np.sum(w * _unnormalized_derivative(zk, g, zeta))
+            (zeta,), (half,) = panel_nodes([a + u * t0, a + u * t1], order)
+            total += np.sum(half * leggauss(order)[1] * _unnormalized_derivative(zk, g, zeta))
     return total
 
 

@@ -34,6 +34,7 @@ from polydet.varform import (
     hadamard_boundary_integral,
     main_formula,
 )
+from polydet.validation import richardson_derivative
 from polydet.zetadet import EULER_GAMMA, rectangle_logdet_exact, scaling_variation
 from conftest import (
     dilation_field,
@@ -59,11 +60,9 @@ def rect21():
     return p, solve_parameter_problem(p)
 
 
-def exact_rect_derivative(a0=1.0, h=1e-4):
+def exact_rect_derivative(a0=1.0):
     """d/da of the exact rectangle log-determinant at (a0, 1), Richardson."""
-    d1 = (rectangle_logdet_exact(a0 + h, 1) - rectangle_logdet_exact(a0 - h, 1)) / (2 * h)
-    d2 = (rectangle_logdet_exact(a0 + h / 2, 1) - rectangle_logdet_exact(a0 - h / 2, 1)) / h
-    return (4 * d2 - d1) / 3
+    return richardson_derivative(lambda h: rectangle_logdet_exact(a0 + h, 1), 1e-4)
 
 
 class TestCornerConstant:
@@ -73,7 +72,7 @@ class TestCornerConstant:
         assert corner_constant(2 * np.pi / 3) == pytest.approx(-2 / (3 * np.pi), rel=1e-14)
 
     def test_contour_matches_closed_form(self):
-        for beta in (np.pi / 2, np.pi, 3.0, 2 * np.pi, 3 * np.pi):
+        for beta in (0.01, 0.05, 0.1, np.pi / 2, np.pi, 3.0, 2 * np.pi, 3 * np.pi):
             assert abs(corner_constant_by_contour(beta) - corner_constant(beta)) < 1e-10
 
     def test_contour_flat_corner_zero(self):
@@ -256,7 +255,8 @@ class TestSideIntegralsPerMap:
         monkeypatch.setattr(varform, "_integrate_side", spy)
         main_formula(p, m, side_shift_field(p, 2))
         assert integrated == [2]
-        main_formula(p, m, side_shift_field(p, 2, speed=0.5))
+        half_speed = 0.5 * side_shift_field(p, 2).velocity_array()
+        main_formula(p, m, field_from_vertex_velocities(p, half_speed))
         main_formula(p, m, side_shift_field(p, 4))
         assert integrated == [2, 4]
 
