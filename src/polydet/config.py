@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ValidationFailure
-from .eigensolve import EigConfig
+from .eigensolve import EigConfig, faber_krahn_bound
 from .zetadet import ZetaConfig
 
 _LAMBDA_MAX_FACTOR = 28.0   # default lambda_max = factor / tau0
@@ -50,11 +50,11 @@ class RunConfig:
         tau0 = self.zeta.tau0 if self.zeta.tau0 is not None else width**2 / 14.0
         lam_max = self.lambda_max if self.lambda_max is not None \
             else _LAMBDA_MAX_FACTOR / tau0
-        lam1_est = 5.76 * math.pi / p.area
-        if lam_max < 10 * lam1_est:
+        lam1_bound = faber_krahn_bound(p)
+        if lam_max < 10 * lam1_bound:
             raise ValidationFailure(
-                f"lambda_max {lam_max:.1f} below 10x the first-eigenvalue "
-                f"estimate {lam1_est:.1f}")
+                f"lambda_max {lam_max:.1f} below 10x the Faber-Krahn bound "
+                f"{lam1_bound:.1f} on the first eigenvalue")
         return lam_max, dataclasses.replace(self.zeta, tau0=tau0)
 
 

@@ -28,9 +28,7 @@ class ClockwiseInput(ValidationFailure):
 
 # scmap
 class NoConvergence(NumericalFailure):
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    pass
 
 
 class PrevertexCrowding(NumericalFailure):
@@ -43,9 +41,7 @@ class PoleQuery(ValidationFailure):
 
 # eigensolve
 class BasisIllConditioned(NumericalFailure):
-    def __init__(self, message, condition_number=None):
-        super().__init__(message)
-        self.condition_number = condition_number
+    pass
 
 
 class MissedEigenvalue(NumericalFailure):

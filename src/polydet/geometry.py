@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ClockwiseInput, DegenerateVertex, NonConvex, ValidationFailure
 
-ANGLE_SUM_TOL = 1e-12
 COLLINEAR_TOL = 1e-10
 
 
@@ -48,9 +47,6 @@ class Polygon:
         """Complexified outward normal of side j: -1j * tangent."""
         return -1j * self.side_tangent(j)
 
-    def to_json_dict(self):
-        return {"vertices": [[v.real, v.imag] for v in self.vertices]}
-
 
 @dataclass(frozen=True)
 class DeformationField:
@@ -68,9 +64,6 @@ class DeformationField:
 
     def velocity_array(self):
         return np.asarray(self.vertex_velocities, dtype=complex)
-
-    def to_json_dict(self):
-        return {"vertex_velocities": [[v.real, v.imag] for v in self.vertex_velocities]}
 
 
 def _signed_area(v):
@@ -99,13 +92,12 @@ def _segments_intersect(p1, p2, q1, q2):
             and orient(q1, q2, p1) * orient(q1, q2, p2) < 0)
 
 
-def build_polygon(vertices, allow_nonconvex=False, auto_reverse=False):
-    """Validate vertices and assemble a Polygon.
+def build_polygon(vertices):
+    """Validate vertices and assemble a convex, counterclockwise Polygon.
 
-    Raises ClockwiseInput for negatively oriented input unless auto_reverse,
-    DegenerateVertex for repeated/collinear vertices or self-intersections,
-    NonConvex when an interior angle reaches pi (override with
-    allow_nonconvex, needed only for experiments at fixed reflex vertices).
+    Raises ClockwiseInput for negatively oriented input, DegenerateVertex for
+    repeated/collinear vertices or self-intersections, and NonConvex when an
+    interior angle reaches pi.
     """
     v = np.asarray([complex(z) for z in vertices], dtype=complex)
     n = len(v)
@@ -117,11 +109,9 @@ def build_polygon(vertices, allow_nonconvex=False, auto_reverse=False):
     if np.any(d < 1e-14 * scale):
         raise DegenerateVertex("repeated vertices")
 
-    area2 = _signed_area(v)
-    if area2 < 0:
-        if not auto_reverse:
-            raise ClockwiseInput("vertices are clockwise (pass auto_reverse=True to flip)")
-        v = v[::-1]
+    area = _signed_area(v)
+    if area < 0:
+        raise ClockwiseInput("vertices are clockwise")
 
     # collinear triple check via normalized cross products
     for i in range(n):
@@ -140,18 +130,16 @@ def build_polygon(vertices, allow_nonconvex=False, auto_reverse=False):
                 raise DegenerateVertex(f"sides {i} and {j} intersect")
 
     angles = _interior_angles(v)
-    if not allow_nonconvex and np.any(angles >= np.pi):
+    if np.any(angles >= np.pi):
         bad = int(np.argmax(angles))
         raise NonConvex(f"interior angle {angles[bad]:.6f} >= pi at vertex {bad}")
-
-    assert abs(angles.sum() - (n - 2) * np.pi) < ANGLE_SUM_TOL * n * 100 or allow_nonconvex
 
     side_lengths = np.abs(np.roll(v, -1) - v)
     return Polygon(
         vertices=tuple(v),
         angles=tuple(float(a) for a in angles),
         side_lengths=tuple(float(s) for s in side_lengths),
-        area=float(_signed_area(v)),
+        area=area,
         perimeter=float(side_lengths.sum()),
     )
 
@@ -219,7 +207,6 @@ def complexified_normal(p, side_index, s):
     return p.side_normal(side_index)
 
 
-def move_polygon(p, f, t, allow_nonconvex=False):
+def move_polygon(p, f, t):
     """Polygon with vertices displaced by t * vertex_velocities."""
-    v = p.vertex_array() + t * f.velocity_array()
-    return build_polygon(v, allow_nonconvex=allow_nonconvex)
+    return build_polygon(p.vertex_array() + t * f.velocity_array())

@@ -37,14 +37,14 @@ def graded_breaks(a, b, h0a, h0b):
     _GRADE_RATIO times wider, up to the midpoint."""
     if b <= a:
         return np.array([a, b])
-    left = [a]
-    h = h0a
-    while left[-1] + h < 0.5 * (a + b):
-        left.append(left[-1] + h)
-        h *= _GRADE_RATIO
-    right = [b]
-    h = h0b
-    while right[-1] - h > 0.5 * (a + b):
-        right.append(right[-1] - h)
-        h *= _GRADE_RATIO
-    return np.unique(np.concatenate([left, [0.5 * (a + b)], right[::-1]]))
+    mid = 0.5 * (a + b)
+    chains = []
+    for pts, h, sign in (([a], h0a, 1.0), ([b], h0b, -1.0)):
+        while sign * (pts[-1] + sign * h) < sign * mid:
+            pts.append(pts[-1] + sign * h)
+            h *= _GRADE_RATIO
+        # a remainder at the midpoint narrower than half the last panel joins it
+        if len(pts) > 1 and abs(mid - pts[-1]) < 0.5 * h / _GRADE_RATIO:
+            pts.pop()
+        chains.append(pts)
+    return np.array(chains[0] + [mid] + chains[1][::-1])

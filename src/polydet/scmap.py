@@ -139,8 +139,9 @@ def _panel_breaks(a, b, sing_pts, anchored):
     return accepted, u
 
 
-def integrate_sc_segment(zk, g, a, b, sing_index=None, order=_QUAD_ORDER):
-    """Integral of prod (zeta - z_k)^{g_k} along the segment [a, b].
+def integrate_sc_segment(zk, g, a, b, sing_index=None):
+    """Integral of prod (zeta - z_k)^{g_k} along the segment [a, b], with
+    _QUAD_ORDER Gauss nodes per panel.
 
     ``sing_index``: index k such that a == z_k; the (zeta - z_k)^{g_k} factor
     is then absorbed into a Gauss-Jacobi weight on the panel touching a.
@@ -156,7 +157,7 @@ def integrate_sc_segment(zk, g, a, b, sing_index=None, order=_QUAD_ORDER):
         (t0, t1), panels = panels[0], panels[1:]
         h = t1 - t0
         gamma = g[sing_index]
-        x, w = jacgauss(order, 0.0, gamma)
+        x, w = jacgauss(_QUAD_ORDER, 0.0, gamma)
         t = 0.5 * h * (1.0 + x)
         zeta = a + u * t
         others = np.concatenate([zk[:sing_index], zk[sing_index + 1:]])
@@ -167,8 +168,8 @@ def integrate_sc_segment(zk, g, a, b, sing_index=None, order=_QUAD_ORDER):
     if panels:
         # the panels are contiguous: each ends where the next one starts
         ends = np.append([t0 for t0, _ in panels], panels[-1][1])
-        zeta, half = panel_nodes(a + u * ends, order)
-        w = leggauss(order)[1]
+        zeta, half = panel_nodes(a + u * ends, _QUAD_ORDER)
+        w = leggauss(_QUAD_ORDER)[1]
         for s in np.sum(half[:, None] * w * _unnormalized_derivative(zk, g, zeta), axis=-1):
             total += s
     return total
@@ -255,8 +256,7 @@ def solve_parameter_problem(p):
         zk = assemble(sol.x)
         resid = float(np.max(np.abs(sol.fun)))
         if resid > 1e-9:
-            raise NoConvergence(
-                f"parameter problem residual {resid:.3e} above tolerance", residual=resid)
+            raise NoConvergence(f"parameter problem residual {resid:.3e} above tolerance")
     return checked_map(p, zk, resid)
 
 
@@ -282,7 +282,7 @@ def checked_map(p, prevertices, residual=0.0):
     xk = _vertex_chain(base, C, segs)
     err = np.max(np.abs(xk - verts)) / max(1.0, float(np.max(np.abs(verts))))
     if not err <= _VERTEX_TOL:
-        raise NoConvergence(f"mapped vertices off by {err:.3e}", residual=err)
+        raise NoConvergence(f"mapped vertices off by {err:.3e}")
     return SCMap(
         prevertices=tuple(float(z) for z in zk),
         exponents=tuple(float(x) for x in g),
@@ -298,11 +298,11 @@ def checked_map(p, prevertices, residual=0.0):
 # forward evaluation
 # ---------------------------------------------------------------------------
 
-def map_forward(m, z, start=None):
+def map_forward(m, z):
     """Evaluate x(z) for z in the closed upper half-plane.
 
-    Integrates x' along the straight segment from a prevertex (default: the
-    nearest one) to z with compound Gauss-Jacobi/Legendre panels.
+    Integrates x' along the straight segment from the nearest prevertex to z
+    with compound Gauss-Jacobi/Legendre panels.
     """
     z = complex(z)
     if z.imag < -1e-12:
@@ -310,8 +310,7 @@ def map_forward(m, z, start=None):
     z = complex(z.real, max(z.imag, 0.0))
     zk = m.prevertex_array()
     g = np.asarray(m.exponents)
-    if start is None:
-        start = int(np.argmin(np.abs(zk - z)))
+    start = int(np.argmin(np.abs(zk - z)))
     xk = m.vertex_images
     if z == zk[start]:
         return complex(xk[start])
@@ -384,7 +383,7 @@ def _local_regular_factor(m, i, w):
 # side utilities shared with the variational formula
 # ---------------------------------------------------------------------------
 
-def cumulative_images(m, t_nodes, t_start, x_start, z_of=lambda t: t, jac=lambda t: 1.0):
+def cumulative_images(m, t_nodes, t_start, x_start, z_of, jac):
     """Images x(z_of(t)) at the ordered nodes t_nodes, with x_start the image
     at t_start and dz = jac(t) dt.
 

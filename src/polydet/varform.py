@@ -574,9 +574,6 @@ class _HadamardResult:
     finite_part: complex
     diagnostics: dict
 
-    def __complex__(self):
-        return self.value
-
 
 # ---------------------------------------------------------------------------
 # the two routes

@@ -43,6 +43,15 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture
+# the triangle of criterion 7, whose moved copies carry a close eigenvalue pair
+CRIT7_TRIANGLE = (0, 1, 0.3 + 0.8j)
+
+
+@pytest.fixture(scope="session")
 def unit_square():
     return build_polygon([0, 1, 1 + 1j, 1j])
+
+
+@pytest.fixture(scope="session")
+def crit7_triangle():
+    return build_polygon(CRIT7_TRIANGLE)

@@ -157,24 +157,26 @@ class TestRunConfig:
         assert not dead, f"defined but never referenced: {dead}"
 
     def test_every_private_default_is_set_by_a_call(self):
-        # a defaulted parameter of a private function (or of any method of a
-        # private class) that no call in the package sets is a setting without
-        # effect; a module constant says the same in one place
-        trees = [ast.parse(f.read_text())
-                 for f in sorted(Path(polydet.__file__).parent.glob("*.py"))]
+        # a defaulted parameter of a function or method that no call in the
+        # package sets is a setting without effect; a module constant says
+        # the same in one place
+        trees = {f.stem: ast.parse(f.read_text())
+                 for f in sorted(Path(polydet.__file__).parent.glob("*.py"))}
         calls = {}
-        for node in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)):
+        for node in (n for t in trees.values() for n in ast.walk(t)
+                     if isinstance(n, ast.Call)):
             fn = node.func
             name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
             calls.setdefault(name, []).append(node)
-        methods = {fn: cls for t in trees for cls in ast.walk(t)
+        methods = {fn: cls for t in trees.values() for cls in ast.walk(t)
                    if isinstance(cls, ast.ClassDef)
                    for fn in cls.body if isinstance(fn, ast.FunctionDef)}
         unset = []
-        for fn in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.FunctionDef)):
+        for stem, fn in ((stem, n) for stem, t in trees.items() for n in ast.walk(t)
+                         if isinstance(n, ast.FunctionDef)):
+            if (stem, fn.name) == ("cli", "main"):
+                continue        # argv defaults to the process command line
             cls = methods.get(fn)
-            if not (re.match(r"_[^_]", fn.name) or cls and cls.name.startswith("_")):
-                continue
             called_as = cls.name if fn.name == "__init__" else fn.name
             bound = cls is not None and not any(
                 getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)

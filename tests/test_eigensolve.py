@@ -17,17 +17,12 @@ from polydet.eigensolve import (
     weyl_count_check,
 )
 from polydet.geometry import build_polygon, field_from_vertex_velocities, move_polygon
-from conftest import dilation_field, side_shift_field
+from conftest import CRIT7_TRIANGLE, dilation_field, side_shift_field
 
 
 @pytest.fixture(scope="module")
-def unit_square_p():
-    return build_polygon([0, 1, 1 + 1j, 1j])
-
-
-@pytest.fixture(scope="module")
-def square_spec(unit_square_p):
-    return dirichlet_eigenvalues(unit_square_p, 450.0)
+def square_spec(unit_square):
+    return dirichlet_eigenvalues(unit_square, 450.0)
 
 
 class TestRectangleSpectrum:
@@ -47,7 +42,7 @@ class TestRectangleSpectrum:
         s = rectangle_spectrum(1.3, 0.8, lam_max)
         count = sum(1 for m in range(1, 40) for n in range(1, 40)
                     if (np.pi * m / 1.3) ** 2 + (np.pi * n / 0.8) ** 2 <= lam_max)
-        assert s.n_eigs == count
+        assert len(s.eigenvalues) == count
 
     def test_weyl_check_passes(self):
         s = rectangle_spectrum(1, 1, 800.0)
@@ -91,8 +86,8 @@ class TestMPS:
         assert len(s1) == len(s2)
         assert np.max(np.abs(s1 - s2) / s1) < 1e-10
 
-    def test_polygon_hash_stable(self, unit_square_p):
-        assert polygon_hash(unit_square_p) == polygon_hash(build_polygon([0, 1, 1 + 1j, 1j]))
+    def test_polygon_hash_stable(self, unit_square):
+        assert polygon_hash(unit_square) == polygon_hash(build_polygon([0, 1, 1 + 1j, 1j]))
 
 
 class TestBesselTable:
@@ -102,7 +97,7 @@ class TestBesselTable:
 
     @pytest.mark.parametrize("verts, lam_max, integer", [
         ([0, 1, 1 + 1j, 1j], 350.0, True),
-        ([0, 1, 0.3 + 0.8j], 1100.0, False),
+        (CRIT7_TRIANGLE, 1100.0, False),
     ])
     def test_matches_jv_on_every_panel(self, verts, lam_max, integer):
         solver = MPSSolver(build_polygon(verts), lam_max)
@@ -117,7 +112,7 @@ class TestBesselTable:
 
     @pytest.mark.parametrize("verts, lam_max", [
         ([0, 1, 1 + 1j, 1j], 350.0),
-        ([0, 1, 0.3 + 0.8j], 1100.0),
+        (CRIT7_TRIANGLE, 1100.0),
     ])
     def test_derivative_matches_jvp_on_every_panel(self, verts, lam_max):
         solver = MPSSolver(build_polygon(verts), lam_max)
@@ -129,8 +124,8 @@ class TestBesselTable:
             assert np.array_equal(J, table.evaluate(u))
             assert np.max(np.abs(dJ - jvp(table.nus[None, :], u[:, None]))) < 1e-11
 
-    def test_cached_sines_equal_uncached_matrix(self):
-        solver = MPSSolver(build_polygon([0, 1, 0.3 + 0.8j]), 600.0)
+    def test_cached_sines_equal_uncached_matrix(self, crit7_triangle):
+        solver = MPSSolver(crit7_triangle, 600.0)
         for lam in (40.0, 321.5, 600.0):
             cached = solver.basis.matrix(lam, solver.pts, local=solver._local_pts,
                                          sines=solver._sines)
@@ -143,8 +138,8 @@ class TestBatchedAssembly:
     per corner, and the gradient taken from the same tables."""
 
     @pytest.fixture(scope="class")
-    def solver(self):
-        return MPSSolver(build_polygon([0, 1, 0.3 + 0.8j]), 600.0)
+    def solver(self, crit7_triangle):
+        return MPSSolver(crit7_triangle, 600.0)
 
     @pytest.mark.parametrize("n", [3, 8, 26])
     def test_batched_equals_one_at_a_time(self, solver, n):
@@ -195,9 +190,7 @@ def test_scans_assemble_within_the_entry_budget(monkeypatch):
 
     monkeypatch.setattr(eigensolve._CornerBasis, "matrices", spy_matrices)
     monkeypatch.setattr(MPSSolver, "_sigmas_at", spy_sigmas_at)
-    tri = build_polygon([0, 1, 0.3 + 0.8j])
-    moved = move_polygon(tri, field_from_vertex_velocities(tri, [0, 0, 1]), -2e-3)
-    solver = MPSSolver(moved, 1100.0)
+    solver = MPSSolver(_moved_triangle(), 1100.0)
     spec = solver.solve()
     grid = np.arange(solver._lam_lo, 1100.0 + solver.step, solver.step)
     assert spec.meta["sigma_evals"]["grid"] == len(grid)
@@ -207,7 +200,8 @@ def test_scans_assemble_within_the_entry_budget(monkeypatch):
 
 
 def _moved_triangle():
-    tri = build_polygon([0, 1, 0.3 + 0.8j])
+    """The criterion-7 triangle with its apex moved along (0, 0, 1) by -2e-3."""
+    tri = build_polygon(CRIT7_TRIANGLE)
     return move_polygon(tri, field_from_vertex_velocities(tri, [0, 0, 1]), -2e-3)
 
 
@@ -262,11 +256,11 @@ class TestScanGrade:
         assert set(scans) == {"eigvalsh"}
 
 
-def test_no_sweep_below_the_faber_krahn_bound(unit_square_p):
+def test_no_sweep_below_the_faber_krahn_bound(unit_square):
     # lambda_1 of the unit square is 2 pi^2 ~ 19.74, above pi j_01^2 ~ 18.17;
     # at lambda_max 10 the sweep's grid would be empty
     for lam_max in (10.0, 15.0):
-        spec = dirichlet_eigenvalues(unit_square_p, lam_max)
+        spec = dirichlet_eigenvalues(unit_square, lam_max)
         assert spec.eigenvalues == ()
         assert spec.count_check["ok"]
         assert sum(spec.meta["sigma_evals"].values()) == 0
@@ -302,9 +296,7 @@ class TestCloseEigenvalues:
 
     @pytest.fixture(scope="class")
     def moved(self):
-        tri = build_polygon([0, 1, 0.3 + 0.8j])
-        f = field_from_vertex_velocities(tri, [0, 0, 1])
-        return move_polygon(tri, f, -2e-3)
+        return _moved_triangle()
 
     @pytest.fixture(scope="class")
     def spec(self, moved):
@@ -438,10 +430,10 @@ def test_right_isosceles_closed_form():
 
 
 class TestNormalization:
-    def test_l2_norm_against_interior_quadrature(self, unit_square_p):
+    def test_l2_norm_against_interior_quadrature(self, unit_square):
         # Rellich-based norm vs direct interior quadrature of u^2 for the
         # square's ground state
-        solver = MPSSolver(unit_square_p, 60.0)
+        solver = MPSSolver(unit_square, 60.0)
         spec = solver.solve()
         lam = spec.eigenvalues[0]
         C = solver.eigenfunction(lam)
@@ -460,14 +452,14 @@ class TestNormalization:
 
 
 class TestHadamardVariation:
-    def test_square_stretch(self, unit_square_p):
-        f = field_from_vertex_velocities(unit_square_p, [0, 1, 1, 0])
-        dl = hadamard_eigenvalue_variation(unit_square_p, f, 1)
+    def test_square_stretch(self, unit_square):
+        f = field_from_vertex_velocities(unit_square, [0, 1, 1, 0])
+        dl = hadamard_eigenvalue_variation(unit_square, f, 1)
         assert dl == pytest.approx(-2 * np.pi**2, rel=1e-6)
 
-    def test_dilation(self, unit_square_p):
-        f = dilation_field(unit_square_p)
-        dl = hadamard_eigenvalue_variation(unit_square_p, f, 1)
+    def test_dilation(self, unit_square):
+        f = dilation_field(unit_square)
+        dl = hadamard_eigenvalue_variation(unit_square, f, 1)
         assert dl == pytest.approx(-4 * np.pi**2, rel=1e-6)
 
     def test_rectangle_family_exact_derivative(self):
@@ -478,9 +470,9 @@ class TestHadamardVariation:
         dl = hadamard_eigenvalue_variation(p, f, 1)
         assert dl == pytest.approx(-2 * np.pi**2 / a**3, rel=1e-6)
 
-    def test_side_rotation_matches_finite_difference(self, unit_square_p):
+    def test_side_rotation_matches_finite_difference(self, unit_square):
         # tilt the right side about its midpoint
-        p = unit_square_p
+        p = unit_square
         f = field_from_vertex_velocities(p, [0, -0.5, 0.5, 0])
         dl = hadamard_eigenvalue_variation(p, f, 1)
         t = 1e-4
@@ -489,7 +481,7 @@ class TestHadamardVariation:
         fd = (lp - lm) / (2 * t)
         assert dl == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
-    def test_one_gradient_pass_per_side(self, unit_square_p, monkeypatch):
+    def test_one_gradient_pass_per_side(self, unit_square, monkeypatch):
         # the Rellich norm and the field integral share the side gradients
         calls = []
         gradient = eigensolve._CornerBasis.gradient
@@ -499,45 +491,45 @@ class TestHadamardVariation:
             return gradient(self, lam, pts)
 
         monkeypatch.setattr(eigensolve._CornerBasis, "gradient", spy)
-        f = field_from_vertex_velocities(unit_square_p, [0, 1, 1, 0])
-        assert hadamard_eigenvalue_variation(unit_square_p, f, 1) == pytest.approx(
+        f = field_from_vertex_velocities(unit_square, [0, 1, 1, 0])
+        assert hadamard_eigenvalue_variation(unit_square, f, 1) == pytest.approx(
             -2 * np.pi**2, rel=1e-6)
-        assert len(calls) == unit_square_p.n
+        assert len(calls) == unit_square.n
 
     @pytest.mark.parametrize("factor, j, held", [(0.1, 1, 0), (0.3, 2, 1), (0.2, 1, 1)])
-    def test_too_short_a_sweep_is_a_missed_eigenvalue(self, unit_square_p, monkeypatch,
+    def test_too_short_a_sweep_is_a_missed_eigenvalue(self, unit_square, monkeypatch,
                                                       factor, j, held):
         # the sweep and its 1.6x re-sweep hold fewer than j + 1 eigenvalues,
         # so lambda_j or the simplicity check's lambda_{j+1} is missing
-        w3 = factor * eigensolve._weyl_kth(unit_square_p, 3)
+        w3 = factor * eigensolve._weyl_kth(unit_square, 3)
         lam_max = 1.6 * 1.25 * w3           # the re-sweep's cutoff
         assert len(rectangle_spectrum(1, 1, lam_max).eigenvalues) == held
         monkeypatch.setattr(eigensolve, "_weyl_kth", lambda p, k: w3)
-        f = field_from_vertex_velocities(unit_square_p, [0, 1, 1, 0])
+        f = field_from_vertex_velocities(unit_square, [0, 1, 1, 0])
         with pytest.raises(MissedEigenvalue,
                            match=rf"polygon \[0j, \(1\+0j\), \(1\+1j\), 1j\]: {held} "
                                  rf"eigenvalue\(s\) below lambda_max {lam_max:.6g}, "
                                  rf"but lambda_{j} and lambda_{j + 1} are needed"):
-            hadamard_eigenvalue_variation(unit_square_p, f, j)
+            hadamard_eigenvalue_variation(unit_square, f, j)
 
-    def test_degenerate_rejected(self, unit_square_p):
-        f = dilation_field(unit_square_p)
+    def test_degenerate_rejected(self, unit_square):
+        f = dilation_field(unit_square)
         with pytest.raises(DegenerateEigenvalue):
-            hadamard_eigenvalue_variation(unit_square_p, f, 2)  # 5 pi^2 is double
+            hadamard_eigenvalue_variation(unit_square, f, 2)  # 5 pi^2 is double
 
 
 class TestWeylCheck:
-    def test_thinned_spectrum_flagged(self, unit_square_p):
+    def test_thinned_spectrum_flagged(self, unit_square):
         full = rectangle_spectrum(1, 1, 800.0).eigenvalue_array()
         thinned = np.delete(full, np.arange(3, len(full), 4))
-        check = weyl_count_check(unit_square_p, thinned, 800.0)
+        check = weyl_count_check(unit_square, thinned, 800.0)
         assert not check["ok"]
 
-    def test_full_spectrum_ok(self, unit_square_p):
+    def test_full_spectrum_ok(self, unit_square):
         full = rectangle_spectrum(1, 1, 800.0).eigenvalue_array()
-        assert weyl_count_check(unit_square_p, full, 800.0)["ok"]
+        assert weyl_count_check(unit_square, full, 800.0)["ok"]
 
-    def test_rescan_restores_removed_eigenvalues(self, unit_square_p):
+    def test_rescan_restores_removed_eigenvalues(self, unit_square):
         # a simple eigenvalue (8 pi^2) and both members of the pair at
         # 10 pi^2 are removed from the exact spectrum below 450
         exact = rectangle_spectrum(1, 1, 450.0).eigenvalue_array()
@@ -545,7 +537,7 @@ class TestWeylCheck:
                              | np.isclose(exact, 10 * np.pi**2))[0]
         assert len(removed) == 3
         kept = np.delete(exact, removed)
-        solver = MPSSolver(unit_square_p, 450.0)
+        solver = MPSSolver(unit_square, 450.0)
         grid = np.arange(solver._lam_lo, 450.0 + solver.step, solver.step)
         solver.eigs, solver.errs = list(kept), [1e-10] * len(kept)
         solver._rescan(grid)

@@ -52,18 +52,14 @@ class TestBuildPolygon:
             assert abs(p.area - shoelace) < 1e-12 * abs(shoelace)
             assert abs(p.perimeter - np.abs(np.roll(v, -1) - v).sum()) < 1e-12 * p.perimeter
 
-    def test_clockwise_rejected_and_reversed(self):
+    def test_clockwise_rejected(self):
         with pytest.raises(ClockwiseInput):
             build_polygon([0, 1j, 1 + 1j, 1])
-        p = build_polygon([0, 1j, 1 + 1j, 1], auto_reverse=True)
-        assert p.area > 0
 
     def test_nonconvex_rejected(self):
         verts = [0, 2, 2 + 2j, 1 + 0.5j, 2j]
         with pytest.raises(NonConvex):
             build_polygon(verts)
-        p = build_polygon(verts, allow_nonconvex=True)
-        assert max(p.angles) > np.pi
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateVertex):

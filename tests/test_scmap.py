@@ -9,6 +9,7 @@ from polydet.scmap import (
     sc_derivative,
     schwarzian_xz,
     solve_parameter_problem,
+    _QUAD_ORDER,
     _log_uhp,
     _panel_breaks,
     _unnormalized_derivative,
@@ -54,20 +55,19 @@ class TestParameterProblem:
 
     def test_vertex_check_uses_quad_order(self, monkeypatch):
         # the solve, the vertex check and map_forward all use the one SC
-        # quadrature order
+        # quadrature order, on the Gauss-Jacobi and the Gauss-Legendre panels
         from polydet import scmap
 
-        orders = []
-        real = scmap.integrate_sc_segment
+        orders = {}
+        for name in ("jacgauss", "leggauss"):
+            def spy(n, *args, real=getattr(scmap, name), name=name):
+                orders.setdefault(name, set()).add(n)
+                return real(n, *args)
 
-        def spy(*args, **kwargs):
-            orders.append(kwargs.get("order", scmap._QUAD_ORDER))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scmap, "integrate_sc_segment", spy)
+            monkeypatch.setattr(scmap, name, spy)
         m = solve_parameter_problem(build_polygon([0, 1, 1 + 1j, 1j]))
         map_forward(m, 0.3 + 0.4j)
-        assert orders and set(orders) == {scmap._QUAD_ORDER} == {24}
+        assert orders == {"jacgauss": {24}, "leggauss": {24}} and scmap._QUAD_ORDER == 24
 
     def test_checked_map_rejects_wrong_prevertices(self, square_map):
         from polydet.errors import NoConvergence
@@ -129,9 +129,12 @@ class TestMapForward:
             assert abs(map_forward(square_map, zk) - verts[k]) < 1e-10
 
     def test_path_independence(self, square_map):
+        # x(z) integrated from each prevertex in turn
+        zk, g = square_map.prevertex_array(), np.asarray(square_map.exponents)
         pts = [0.3 + 0.7j, -0.5 + 1.2j, 0.9 + 0.1j]
         for z in pts:
-            vals = [map_forward(square_map, z, start=k) for k in range(4)]
+            vals = [square_map.vertex_images[k] + square_map.prefactor
+                    * integrate_sc_segment(zk, g, zk[k], z, sing_index=k) for k in range(4)]
             assert max(abs(v - vals[0]) for v in vals) < 1e-10
 
     def test_square_conformal_center(self, square_map):
@@ -181,8 +184,8 @@ class TestSegmentQuadrature:
             for a, b, sing in ((zk[k], mid, k), (zk[k + 1], mid, k + 1),
                                (zk[k], mid + 0.7j, k), (mid + 0.01j, zk[k + 1] + 0.02j, None),
                                (zk[0] - 0.5, zk[-1] + 0.3 + 0.001j, None)):
-                got = integrate_sc_segment(zk, g, a, b, sing_index=sing, order=20)
-                assert got == _segment_per_panel(zk, g, a, b, sing, 20)
+                got = integrate_sc_segment(zk, g, a, b, sing_index=sing)
+                assert got == _segment_per_panel(zk, g, a, b, sing, _QUAD_ORDER)
         # the free segments along the axis need many panels
         assert len(_panel_breaks(zk[0] - 0.5, zk[-1] + 0.3 + 0.001j, zk, None)[0]) > 20
 

@@ -12,6 +12,7 @@ from polydet.errors import (
     ValidationFailure,
 )
 from polydet.geometry import build_polygon, field_from_vertex_velocities
+from polydet.quadrature import graded_breaks
 from polydet import varform
 from polydet.scmap import (
     _local_regular_factor,
@@ -202,6 +203,15 @@ def test_x_at_matches_map_forward(rng):
         z = m.prevertices[i] + (w if from_right else -w)
         ref = np.array([map_forward(m, zz) for zz in z])
         assert np.max(np.abs(near.x_at(w) - ref)) < 1e-11
+
+
+def test_graded_breaks_leave_no_sliver_at_the_midpoint():
+    # the eigenfunction side rule: panels h, 2h, ... from both ends, and the
+    # remainder at the midpoint (h wide) merged into the panel before it
+    h = 2.0**-15
+    w = np.diff(graded_breaks(0.0, 1.0, h, h))
+    assert len(w) == 28 and w[0] == w[-1] == h
+    assert np.max(np.maximum(w[1:] / w[:-1], w[:-1] / w[1:])) < 2.001
 
 
 def _random_field(p, rng):
