@@ -6,7 +6,6 @@ config reproduce the payload bit-identically.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -87,25 +86,27 @@ def _solve_map_cached(p, cache):
                    lambda: solve_parameter_problem(p), lambda m: m.to_json_dict())
 
 
-def _spectrum_cached(p, lam_max, cfg, cache):
+def _spectrum_cached(p, lam_max, cache):
     """The spectrum of p below lam_max and whether it came from the cache.
-    The entry is keyed by the polygon and the config; one stored for another
-    polygon or failing the Weyl count check is a miss."""
-    path = Path(cache) / f"spectrum_{polygon_hash(p)}_{cfg.hash()}.json" if cache else None
+    The entry is keyed by the polygon and lam_max, the only inputs of the
+    sweep; one stored for another polygon or cutoff, or failing the Weyl
+    count check, is a miss."""
+    path = Path(cache) / f"spectrum_{polygon_hash(p)}_{lam_max!r}.json" if cache else None
 
     def load(d):
         spec = checked_spectrum(p, d["eigenvalues"], d["errors"], float(d["lambda_max"]),
                                 d["meta"])
-        if d["polygon_hash"] != spec.polygon_hash or not spec.count_check["ok"]:
-            raise ValueError("cached spectrum is another polygon's or fails its Weyl check")
+        if (d["polygon_hash"] != spec.polygon_hash or spec.lambda_max != lam_max
+                or not spec.count_check["ok"]):
+            raise ValueError("cached spectrum is another polygon's or cutoff's, "
+                             "or fails its Weyl check")
         return spec
 
     def dump(spec):
         return {"polygon_hash": spec.polygon_hash, "lambda_max": spec.lambda_max,
-                "eigenvalues": spec.eigenvalues, "errors": spec.errors,
-                "meta": spec.meta, "config_hash": cfg.hash()}
+                "eigenvalues": spec.eigenvalues, "errors": spec.errors, "meta": spec.meta}
 
-    return _cached(path, load, lambda: dirichlet_eigenvalues(p, lam_max, cfg.eig), dump)
+    return _cached(path, load, lambda: dirichlet_eigenvalues(p, lam_max), dump)
 
 
 def cmd_scmap(args, cfg):
@@ -126,7 +127,7 @@ def cmd_det(args, cfg):
     timer = Timer()
     p = _load_polygon(args.polygon)
     lam_max, zcfg = cfg.pipeline_zeta(p)
-    spec, hit = _spectrum_cached(p, lam_max, cfg, _cache_dir(args))
+    spec, hit = _spectrum_cached(p, lam_max, _cache_dir(args))
     timer.mark("eigensolve")
     ld = zeta_logdet(spec, heat_coefficients(p), zcfg)
     timer.mark("zeta")
@@ -163,7 +164,7 @@ def cmd_var(args, cfg):
         timer.mark("formula")
     if args.route in ("fd", "both"):
         lam_max, zcfg = cfg.pipeline_zeta(p)
-        payload["fd"] = validation.fd_logdet_derivative(p, f, lam_max, zcfg, cfg=cfg.eig)
+        payload["fd"] = validation.fd_logdet_derivative(p, f, lam_max, zcfg)
         timer.mark("fd")
     if args.route == "both":
         payload["discrepancy"] = abs(payload["formula"]["total"] - payload["fd"])
@@ -179,10 +180,10 @@ def cmd_var(args, cfg):
 def cmd_wz(args, cfg):
     timer = Timer()
     d = domain_from_json_dict(_load_json(args.domain))
-    payload = {"alvarez_logdet_upto_constant": alvarez_logdet(d, args.n_grid)}
+    payload = {"alvarez_logdet_upto_constant": alvarez_logdet(d)}
     if args.field:
         V = [complex(x, y) for x, y in _load_json(args.field)["taylor"]]
-        payload["wz_variation"] = wz_variation(d, V, args.n_grid)
+        payload["wz_variation"] = wz_variation(d, V)
     timer.mark("wz")
     return Report(
         command=["wz", args.domain] + (["--field", args.field] if args.field else []),
@@ -221,8 +222,6 @@ def build_parser():
     ap.add_argument("--out", help="write the report to this file")
     ap.add_argument("--format", choices=["json", "csv"], default="json")
     ap.add_argument("--cache-dir", help="cache directory (env POLYDET_CACHE)")
-    ap.add_argument("--seed", type=int,
-                    help="seed for randomized collocation points (overrides eig.seed)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("scmap", help="solve the Schwarz-Christoffel parameter problem")
@@ -236,7 +235,6 @@ def build_parser():
     sp = sub.add_parser("wz", help="smooth-domain (Taylor map) determinant tools")
     sp.add_argument("domain")
     sp.add_argument("--field", help="holomorphic perturbation V as Taylor JSON")
-    sp.add_argument("--n-grid", type=int, default=512)
     sp = sub.add_parser("validate", help="run a validation suite")
     sp.add_argument("suite", choices=sorted(validation.SUITES))
     return ap
@@ -246,8 +244,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_file(args.cfg) if args.cfg else RunConfig()
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, eig=dataclasses.replace(cfg.eig, seed=args.seed))
         if args.command == "validate":
             report, code = cmd_validate(args, cfg)
             _emit(report, args)

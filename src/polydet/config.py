@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ValidationFailure
-from .eigensolve import EigConfig, faber_krahn_bound
+from .eigensolve import faber_krahn_bound
 from .zetadet import ZetaConfig
 
 _LAMBDA_MAX_FACTOR = 28.0   # default lambda_max = factor / tau0
@@ -16,7 +16,6 @@ _LAMBDA_MAX_FACTOR = 28.0   # default lambda_max = factor / tau0
 
 @dataclass(frozen=True)
 class RunConfig:
-    eig: EigConfig = field(default_factory=EigConfig)
     zeta: ZetaConfig = field(default_factory=ZetaConfig)
     lambda_max: float = None      # None: _LAMBDA_MAX_FACTOR / tau0
 
@@ -28,14 +27,10 @@ class RunConfig:
                     f"config key {key} must be finite and positive, not {json.dumps(v)}")
 
     def to_dict(self):
-        return {
-            "eig": dataclasses.asdict(self.eig),
-            "zeta": dataclasses.asdict(self.zeta),
-            "lambda_max": self.lambda_max,
-        }
+        return {"zeta": dataclasses.asdict(self.zeta), "lambda_max": self.lambda_max}
 
     def hash(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=str)
+        blob = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def pipeline_zeta(self, p):
@@ -63,14 +58,9 @@ def config_from_file(path):
     with open(path) as fh:
         raw = json.load(fh)
     raw = _checked(RunConfig, raw, "")
-    for section, cls in (("eig", EigConfig), ("zeta", ZetaConfig)):
-        if section in raw:
-            raw[section] = cls(**_checked(cls, raw[section], f"{section}."))
+    if "zeta" in raw:
+        raw["zeta"] = ZetaConfig(**_checked(ZetaConfig, raw["zeta"], "zeta."))
     return RunConfig(**raw)
-
-
-# JSON value types accepted for each scalar field type (bool is not a number)
-_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer")}
 
 
 def _checked(cls, raw, prefix):
@@ -78,8 +68,8 @@ def _checked(cls, raw, prefix):
     one config hash.
 
     Raises ValidationFailure unless raw is a JSON object whose keys all name
-    fields of the dataclass cls and whose values fit the field types (null
-    only where the default is None).
+    fields of the dataclass cls and whose float fields hold numbers (bool is
+    not one), or null where the default is None.
     """
     if not isinstance(raw, dict):
         where = prefix.rstrip(".") or "file"
@@ -89,17 +79,15 @@ def _checked(cls, raw, prefix):
         raise ValidationFailure(f"unknown config key {prefix}{unknown[0]}")
     out = dict(raw)
     for f in dataclasses.fields(cls):
-        if f.name not in raw or f.type not in _JSON_TYPES:
+        if f.name not in raw or f.type is not float:
             continue
         v = raw[f.name]
-        types, what = _JSON_TYPES[f.type]
         if v is None and f.default is None:
             continue
-        if isinstance(v, bool) or not isinstance(v, types):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValidationFailure(
-                f"config key {prefix}{f.name} must be {what}, not {json.dumps(v)}")
-        if f.type is float:
-            out[f.name] = float(v)
+                f"config key {prefix}{f.name} must be a number, not {json.dumps(v)}")
+        out[f.name] = float(v)
     return out
 
 
@@ -118,7 +106,7 @@ class Report:
             "payload": self.payload,
             "diagnostics": self.diagnostics,
             "timings": self.timings,
-        }, indent=2, sort_keys=True, default=_json_default)
+        }, indent=2, sort_keys=True)
 
     def to_csv(self):
         """Flat key,value dump of the payload (., decimal; \\n endings)."""
@@ -139,14 +127,6 @@ def _flatten(d, prefix=""):
         else:
             out[key] = v
     return out
-
-
-def _json_default(o):
-    if isinstance(o, complex):
-        return [o.real, o.imag]
-    if hasattr(o, "tolist"):
-        return o.tolist()
-    return str(o)
 
 
 class Timer:

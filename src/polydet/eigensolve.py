@@ -50,12 +50,7 @@ from .errors import (
 )
 from .geometry import build_polygon
 from .quadrature import graded_breaks, leggauss, panel_nodes
-
-
-@dataclass(frozen=True)
-class EigConfig:
-    seed: int = 1234                # of the interior collocation points
-
+from .zetadet import heat_coefficients
 
 # basis and collocation sizes
 _POINTS_PER_WAVELENGTH = 8.0
@@ -63,6 +58,7 @@ _BASIS_SAFETY = 1.3
 _BASIS_MIN = 14
 _BASIS_EXTRA = 4                # added on top of the wavenumber estimate
 _INTERIOR_FACTOR = 0.8
+_INTERIOR_SEED = 1234           # of the interior collocation points
 _INTERIOR_MIN = 60
 # sweep, refinement and counting
 _GRID_PER_GAP = 3.0             # sweep points per mean eigenvalue gap
@@ -125,8 +121,6 @@ def weyl_count_check(p, eigs, lambda_max):
     Checked just below and above every eigenvalue and at the cutoff; the
     allowed band is +-(C_W + 3), C_W = _WEYL_CW.
     """
-    from .zetadet import heat_coefficients
-
     b1 = heat_coefficients(p).b1
     eigs = np.sort(np.asarray(eigs, dtype=float))
     k, w = np.arange(len(eigs)), weyl_two_term(p, eigs) + b1
@@ -363,13 +357,13 @@ def _boundary_points(p, n_per_side):
     return np.concatenate(pts)
 
 
-def _interior_points(p, count, seed):
+def _interior_points(p, count):
     """Seeded points from the centroid fan triangulation.
 
     Sampling is affine-equivariant: a rigid motion of the polygon moves the
     points with it, keeping MPS output invariant under rigid motions.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_INTERIOR_SEED)
     v = p.vertex_array()
     c = v.mean()
     tri_areas = np.array([abs(((v[(j + 1) % p.n] - c).conjugate() * (v[j] - c)).imag) / 2
@@ -414,9 +408,8 @@ def _stage(name):
 class MPSSolver:
     """Sweepable MPS eigenproblem for a fixed polygon and lambda range."""
 
-    def __init__(self, p, lambda_max, cfg=None):
+    def __init__(self, p, lambda_max):
         self.p = p
-        self.cfg = cfg or EigConfig()
         self.lambda_max = float(lambda_max)
         rt = np.sqrt(self.lambda_max)
         diam = max(abs(a - b) for a in p.vertices for b in p.vertices)
@@ -434,7 +427,7 @@ class MPSSolver:
                   for L in p.side_lengths]
         self.bpts = _boundary_points(p, n_side)
         n_int = max(_INTERIOR_MIN, int(_INTERIOR_FACTOR * sum(orders)))
-        self.ipts = _interior_points(p, n_int, self.cfg.seed)
+        self.ipts = _interior_points(p, n_int)
         self.pts = np.concatenate([self.bpts, self.ipts])
         self.m_b = len(self.bpts)
         self._local_pts = self.basis._local(self.pts)
@@ -553,8 +546,7 @@ class MPSSolver:
             self.p, self.eigs, self.errs, self.lambda_max,
             {"source": "mps", "orders": list(self.orders),
              "n_boundary": int(self.m_b), "n_interior": int(len(self.ipts)),
-             "seed": int(self.cfg.seed), "sigma_evals": dict(self.sigma_evals),
-             "stage_s": dict(self.stage_s)})
+             "sigma_evals": dict(self.sigma_evals), "stage_s": dict(self.stage_s)})
 
     @_stage("refine")
     def _refine_checked(self, a, b, c, fa, fb, fc):
@@ -927,9 +919,9 @@ def _is_duplicate(lam, err, eigs, errs):
     return False
 
 
-def dirichlet_eigenvalues(p, lambda_max, cfg=None):
+def dirichlet_eigenvalues(p, lambda_max):
     """All Dirichlet eigenvalues of p below lambda_max via the MPS sweep."""
-    solver = MPSSolver(p, lambda_max, cfg)
+    solver = MPSSolver(p, lambda_max)
     return solver.solve()
 
 

@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import GridTooCoarse, MapDegenerate, ValidationFailure
 
-_FD_EPS = 1e-4      # step of the central difference in wz_vs_alvarez_fd
+_FD_EPS = 1e-4          # step of the central difference in wz_vs_alvarez_fd
+_GRID_MIN = 512         # points of the first trapezoid grid on the circle
+_GRID_MAX = 1 << 15     # points of the largest grid the doubling reaches
 
 
 @dataclass(frozen=True)
@@ -79,19 +81,17 @@ def _circle(n_grid):
     return t, np.exp(1j * t)
 
 
-def _check_grid(n_grid):
-    if n_grid < 256 or (n_grid & (n_grid - 1)) != 0:
-        raise ValidationFailure("n_grid must be a power of two >= 256")
-
-
-def _grid_checked(value, n_grid, what):
-    """value(2 n_grid), once the doubling has moved value(n_grid) by at most
-    1e-10 (1 + |v|); else GridTooCoarse naming what moved."""
-    _check_grid(n_grid)
-    v, v2 = value(n_grid), value(2 * n_grid)
-    if abs(v2 - v) > 1e-10 * (1 + abs(v)):
-        raise GridTooCoarse(f"doubling n_grid moves {what} by {abs(v2 - v):.2e}")
-    return float(v2)
+def _grid_checked(value, what):
+    """value(2 n) for the first n = _GRID_MIN, 2 _GRID_MIN, ... whose
+    doubling moves value(n) by at most 1e-10 (1 + |v|); GridTooCoarse naming
+    what moved once the doubled grid would pass _GRID_MAX points."""
+    n, v = _GRID_MIN, value(_GRID_MIN)
+    while 2 * n <= _GRID_MAX:
+        n, v_prev, v = 2 * n, v, value(2 * n)
+        if abs(v - v_prev) <= 1e-10 * (1 + abs(v_prev)):
+            return float(v)
+    raise GridTooCoarse(f"doubling the grid to {n} points moves {what} "
+                        f"by {abs(v - v_prev):.2e}")
 
 
 def _alvarez_sum(d, n):
@@ -104,16 +104,16 @@ def _alvarez_sum(d, n):
     return (-1.0 / (12 * np.pi)) * (np.sum(phi * dr_phi) + 2 * np.sum(phi)) * dt
 
 
-def alvarez_logdet(d, n_grid=512):
+def alvarez_logdet(d):
     """Boundary comparison value of log det (additive constant omitted).
 
     phi = log |z'| on the unit circle and its radial derivative
     d_r phi = Re(w z''/z') enter the two circle integrals; the trapezoid rule
-    on the periodic analytic integrand converges spectrally, and the value
-    is taken on 2 n_grid points once doubling n_grid has moved it by at most
-    1e-10 (1 + |v|).
+    on the periodic analytic integrand converges spectrally, and the grid
+    is doubled from _GRID_MIN points until a doubling moves the value by at
+    most 1e-10 (1 + |v|).
     """
-    return _grid_checked(lambda n: _alvarez_sum(d, n), n_grid, "the Alvarez value")
+    return _grid_checked(lambda n: _alvarez_sum(d, n), "the Alvarez value")
 
 
 def _wz_sum(d, V, n):
@@ -132,7 +132,7 @@ def _wz_sum(d, V, n):
     return (1.0 / (6 * np.pi)) * np.sum(integrand * np.abs(zp)).real * dt
 
 
-def wz_variation(d, V, n_grid=512):
+def wz_variation(d, V):
     """d(log det)/d eps at eps = 0 for the deformation z -> z + eps V.
 
     Evaluates (1/6 pi) Re int_Gamma V(w(z)) conj(nu) (Re(nu^2 {w,z}) - k^2) |dz|
@@ -140,7 +140,7 @@ def wz_variation(d, V, n_grid=512):
     {w,z} = -{z,w} / z'^2 from the Schwarzian chain rule (no inverse map is
     ever constructed).  The grid is checked by doubling as in alvarez_logdet.
     """
-    return _grid_checked(lambda n: _wz_sum(d, V, n), n_grid, "the variation")
+    return _grid_checked(lambda n: _wz_sum(d, V, n), "the variation")
 
 
 def wz_vs_alvarez_fd(d, V):

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import varform
 from .eigensolve import (
-    EigConfig,
     MPSSolver,
     checked_spectrum,
     dirichlet_eigenvalues,
@@ -192,7 +191,7 @@ def check_scaling_law():
     return recs
 
 
-def _aligned_spectra(p, f, ts, lam_max, cfg=None):
+def _aligned_spectra(p, f, ts, lam_max):
     """Spectra of the moved polygons with mutual integrity checks.
 
     A single missed or spurious eigenvalue in one sweep corrupts a finite
@@ -204,10 +203,9 @@ def _aligned_spectra(p, f, ts, lam_max, cfg=None):
     raises MissedEigenvalue naming the t value, the eigenvalue index and the
     predicted lambda.
     """
-    cfg = cfg or EigConfig()
     t_span = max(abs(t) for t in ts)
     drift_tol = 15 * t_span
-    out = {t: dirichlet_eigenvalues(move_polygon(p, f, t), lam_max, cfg) for t in ts}
+    out = {t: dirichlet_eigenvalues(move_polygon(p, f, t), lam_max) for t in ts}
 
     def heal(t_bad, lam_pred):
         """Add the eigenvalue that the sweep at t_bad lacks near lam_pred.
@@ -218,7 +216,7 @@ def _aligned_spectra(p, f, ts, lam_max, cfg=None):
         refinement cannot return one of them again."""
         pt = move_polygon(p, f, t_bad)
         old = out[t_bad]
-        solver = MPSSolver(pt, lam_max, cfg)
+        solver = MPSSolver(pt, lam_max)
         solver.eigs, solver.errs = list(old.eigenvalues), list(old.errors)
         if not solver.find_in(lam_pred * (1 - 0.02), lam_pred * (1 + 0.02), 13):
             return False
@@ -276,12 +274,12 @@ def _describe_defects(defects):
                      f"(0-based), predicted lambda {lam:.6f}" for t, i, lam in defects)
 
 
-def fd_logdet_derivative(p, f, lam_max, zcfg, cfg=None):
+def fd_logdet_derivative(p, f, lam_max, zcfg):
     """Richardson central difference of the determinant pipeline along f,
     with step _FD_STEP and defect-checked spectra.  ``zcfg`` sets the zeta
-    completion and ``cfg`` the eigensolver of every moved polygon."""
+    completion of every moved polygon."""
     t = _FD_STEP
-    specs = _aligned_spectra(p, f, (t, -t, t / 2, -t / 2), lam_max, cfg)
+    specs = _aligned_spectra(p, f, (t, -t, t / 2, -t / 2), lam_max)
 
     def ld(tt):
         pt = move_polygon(p, f, tt)

@@ -11,7 +11,6 @@ import pytest
 import polydet
 from polydet.cli import main
 from polydet.config import RunConfig, config_from_file
-from polydet.eigensolve import EigConfig
 from polydet.errors import ValidationFailure
 from polydet.zetadet import ZetaConfig, rectangle_logdet_exact
 
@@ -46,7 +45,7 @@ def run_cli(args, capsys):
 class TestRunConfig:
     def test_hash_stable(self):
         assert RunConfig().hash() == RunConfig().hash()
-        assert RunConfig().hash() != RunConfig(eig=EigConfig(seed=7)).hash()
+        assert RunConfig().hash() != RunConfig(lambda_max=420.0).hash()
 
     def test_from_file(self, det_cfg_file):
         cfg = config_from_file(det_cfg_file)
@@ -54,11 +53,10 @@ class TestRunConfig:
         assert cfg.lambda_max == 420.0
 
     @pytest.mark.parametrize("raw, key", [({"lambda_mx": 100}, "lambda_mx"),
-                                          ({"eig": {"sead": 3}}, "eig.sead"),
+                                          ({"eig": {"seed": 3}}, "eig"),
                                           ({"threads": 2}, "threads"),
-                                          ({"eig": {"threads": 2}}, "eig.threads"),
-                                          ({"eig": {"dip_threshold": 0.3}},
-                                           "eig.dip_threshold"),
+                                          ({"eig": {"threads": 2}}, "eig"),
+                                          ({"eig": {"dip_threshold": 0.3}}, "eig"),
                                           ({"zeta": {"require_weyl": True}},
                                            "zeta.require_weyl"),
                                           ({"var": {"gl_order": "20"}}, "var"),
@@ -77,7 +75,7 @@ class TestRunConfig:
          "zeta.tau0 must be finite and positive, not -0.05"),
         ({"lambda_max": 350, "zeta": {"tau0": float("nan")}},
          "zeta.tau0 must be finite and positive, not NaN"),
-        ({"eig": {"seed": True}}, "eig.seed must be an integer, not true"),
+        ({"zeta": {"tail_tol": True}}, "zeta.tail_tol must be a number, not true"),
         ({"lambda_max": float("nan")}, "lambda_max must be finite and positive, not NaN"),
         ({"lambda_max": 350, "zeta": {"tau0": 0}},
          "zeta.tau0 must be finite and positive, not 0.0")])
@@ -103,37 +101,24 @@ class TestRunConfig:
                     for k in (keys(v, f"{prefix}{name}.") if isinstance(v, dict)
                               else {prefix + name})}
 
-        assert keys(RunConfig().to_dict()) == {"eig.seed", "zeta.tau0", "zeta.tail_tol",
-                                               "lambda_max"}
+        assert keys(RunConfig().to_dict()) == {"zeta.tau0", "zeta.tail_tol", "lambda_max"}
         f = tmp_path / "cfg.json"
-        f.write_text(json.dumps({"eig": {"seed": 3}, "zeta": {"tau0": 0.05, "tail_tol": 1.0},
-                                 "lambda_max": 350}))
+        f.write_text(json.dumps({"zeta": {"tau0": 0.05, "tail_tol": 1.0}, "lambda_max": 350}))
         cfg = config_from_file(str(f))
-        assert cfg == RunConfig(eig=EigConfig(seed=3), lambda_max=350.0,
-                                zeta=ZetaConfig(tau0=0.05, tail_tol=1.0))
+        assert cfg == RunConfig(lambda_max=350.0, zeta=ZetaConfig(tau0=0.05, tail_tol=1.0))
 
-    def test_seed_overrides_eig(self, square_file, tmp_path, capsys):
-        code, out = run_cli(["--seed", "7", "scmap", square_file], capsys)
-        assert code == 0
-        expected = RunConfig(eig=EigConfig(seed=7)).hash()
-        assert json.loads(out)["config_hash"] == expected != RunConfig().hash()
-        # an override applies only when given: eig.seed from the file stays
-        f = tmp_path / "cfg.json"
-        f.write_text(json.dumps({"eig": {"seed": 3}}))
-        code, out = run_cli(["--cfg", str(f), "scmap", square_file], capsys)
-        assert code == 0
-        assert json.loads(out)["config_hash"] == RunConfig(eig=EigConfig(seed=3)).hash()
-        code, out = run_cli(["--cfg", str(f), "--seed", "7", "scmap", square_file], capsys)
-        assert code == 0
-        assert json.loads(out)["config_hash"] == expected
-        with pytest.raises(SystemExit) as exc:
-            main(["--threads", "2", "scmap", square_file])
-        assert exc.value.code == 2
+    def test_seed_overrides_eig(self, square_file):
+        # the collocation seed is the solver's own constant: neither --seed
+        # nor the removed --threads is an option
+        for flag in (["--seed", "7"], ["--threads", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(flag + ["scmap", square_file])
+            assert exc.value.code == 2
 
     def test_every_config_field_is_read(self):
         # a field that no code reads is a setting without effect
         src = "".join(f.read_text() for f in Path(polydet.__file__).parent.glob("*.py"))
-        for cls in (RunConfig, EigConfig, ZetaConfig):
+        for cls in (RunConfig, ZetaConfig):
             for f in dataclasses.fields(cls):
                 assert re.search(rf"\.{f.name}\b", src), f"{cls.__name__}.{f.name}"
 
@@ -272,21 +257,17 @@ class TestScmapCommand:
     def test_cache_is_keyed_by_the_polygon_alone(self, square_file, tmp_path, capsys):
         # no config value enters the SC solve, so none may change the cache key
         cache = tmp_path / "cache"
-        code, out = run_cli(["--cache-dir", str(cache), "--seed", "1", "scmap", square_file],
-                            capsys)
+        code, out = run_cli(["--cache-dir", str(cache), "scmap", square_file], capsys)
         assert code == 0
         assert not json.loads(out)["diagnostics"]["cache_hit"]
-        cfg_files = []
         for name, raw in (("lam.json", {"lambda_max": 500.0}),
                           ("tau.json", {"zeta": {"tau0": 0.07}})):
-            cfg_files.append(tmp_path / name)
-            cfg_files[-1].write_text(json.dumps(raw))
-        for extra in (["--seed", "2"], ["--cfg", str(cfg_files[0])],
-                      ["--cfg", str(cfg_files[1])]):
-            code, out = run_cli(["--cache-dir", str(cache)] + extra + ["scmap", square_file],
-                                capsys)
+            cfg_file = tmp_path / name
+            cfg_file.write_text(json.dumps(raw))
+            code, out = run_cli(["--cache-dir", str(cache), "--cfg", str(cfg_file),
+                                 "scmap", square_file], capsys)
             assert code == 0
-            assert json.loads(out)["diagnostics"]["cache_hit"], extra
+            assert json.loads(out)["diagnostics"]["cache_hit"], raw
             assert len(list(cache.glob("scmap_*.json"))) == 1
 
 
@@ -363,6 +344,39 @@ class TestDetCommand:
         assert (got["eigenvalues"], got["errors"]) == (entry["eigenvalues"], entry["errors"])
         assert not list(cache.glob("*.tmp"))
 
+    def test_spectrum_cache_is_keyed_by_the_polygon_and_lambda_max(self, square_file,
+                                                                  tmp_path, capsys):
+        # the sweep reads only the polygon and lambda_max, so the zeta
+        # settings share one entry; another cutoff is another entry, and an
+        # entry storing another cutoff than its key is a miss
+        cache = tmp_path / "cache"
+        base = {"lambda_max": 350, "zeta": {"tau0": 0.05}}
+        hits = []
+        for i, raw in enumerate((base, dict(base, zeta={"tau0": 0.05, "tail_tol": 1e-3}),
+                                 dict(base, zeta={"tau0": 0.06}),
+                                 dict(base, lambda_max=360))):
+            cfg_file = tmp_path / f"cfg{i}.json"
+            cfg_file.write_text(json.dumps(raw))
+            code, out = run_cli(["--cfg", str(cfg_file), "--cache-dir", str(cache),
+                                 "det", square_file], capsys)
+            assert code == 0
+            hits.append(json.loads(out)["diagnostics"]["cache_hit"])
+        assert hits == [False, True, True, False]
+        entries = sorted(cache.glob("spectrum_*.json"))
+        assert len(entries) == 2
+        stored = [json.loads(e.read_text()) for e in entries]
+        assert sorted(d["lambda_max"] for d in stored) == [350.0, 360.0]
+        assert all("config_hash" not in d for d in stored)
+        # the lambda_max 360 entry made to store 350, read with the 360 config
+        (f,) = [e for e, d in zip(entries, stored) if d["lambda_max"] == 360.0]
+        d = json.loads(f.read_text())
+        f.write_text(json.dumps(dict(d, lambda_max=350.0)))
+        code, out = run_cli(["--cfg", str(cfg_file), "--cache-dir", str(cache),
+                             "det", square_file], capsys)
+        assert code == 0
+        assert not json.loads(out)["diagnostics"]["cache_hit"]
+        assert json.loads(f.read_text())["lambda_max"] == 360.0
+
     def test_tail_not_converged_exit_3(self, square_file, tmp_path, capsys):
         f = tmp_path / "badcfg.json"
         f.write_text(json.dumps({"zeta": {"tau0": 0.004, "tail_tol": 1e-9},
@@ -431,6 +445,18 @@ class TestVarCommand:
         code = main(["var", square_file, dilation_file, "--route", "fd"])
         assert code == 3
         assert "MissedEigenvalue" in capsys.readouterr().err
+
+    def test_both_routes_on_the_square(self, square_file, dilation_file, tmp_path, capsys):
+        # the dilation of the unit square moves log det by -2 b1 = -1/2;
+        # |fd + 1/2| measures 4.6e-8 at this cutoff
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"lambda_max": 350, "zeta": {"tau0": 0.05}}))
+        code, out = run_cli(["--cfg", str(cfg_file), "var", square_file, dilation_file,
+                             "--route", "both"], capsys)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["discrepancy"] == abs(payload["formula"]["total"] - payload["fd"])
+        assert payload["fd"] == pytest.approx(-0.5, abs=1e-6)
 
     def test_csv_format(self, square_file, dilation_file, tmp_path, capsys):
         out_file = tmp_path / "report.csv"

@@ -8,7 +8,6 @@ from scipy.special import jv, jvp
 from polydet import eigensolve
 from polydet.errors import DegenerateEigenvalue, MissedEigenvalue, ValidationFailure
 from polydet.eigensolve import (
-    EigConfig,
     MPSSolver,
     dirichlet_eigenvalues,
     hadamard_eigenvalue_variation,
@@ -77,12 +76,11 @@ class TestMPS:
         assert spec.eigenvalues[0] == pytest.approx(16 * np.pi**2 / 3, rel=1e-10)
 
     def test_rigid_motion_invariance(self):
-        cfg = EigConfig()
         p1 = build_polygon([0, 1, 1 + 1j, 1j])
         rot = np.exp(0.37j)
         p2 = build_polygon([rot * v + (0.4 - 0.2j) for v in p1.vertices])
-        s1 = dirichlet_eigenvalues(p1, 120.0, cfg).eigenvalue_array()
-        s2 = dirichlet_eigenvalues(p2, 120.0, cfg).eigenvalue_array()
+        s1 = dirichlet_eigenvalues(p1, 120.0).eigenvalue_array()
+        s2 = dirichlet_eigenvalues(p2, 120.0).eigenvalue_array()
         assert len(s1) == len(s2)
         assert np.max(np.abs(s1 - s2) / s1) < 1e-10
 
@@ -347,7 +345,6 @@ class _SyntheticSigma(MPSSolver):
     lambda (the next three stay far from zero), for testing the refiner."""
 
     def __init__(self, curve):
-        self.cfg = EigConfig()
         self._stage = "grid"
         self.stage_s = dict.fromkeys(eigensolve._STAGES, 0.0)
         self._claimed = 0.0
@@ -546,7 +543,7 @@ class TestWeylCheck:
         assert np.max(np.abs(eigs - exact) / exact) < 1e-8
 
 
-def _sweep_missing_index_2(p, lam_max, cfg=None):
+def _sweep_missing_index_2(p, lam_max):
     """Exact spectra of stretched 1.3 x 1 rectangles, which are simple at
     the bottom; the t = -2e-3 one loses index 2 and carries no polygon
     hash, like a Spectrum built outside the library."""

@@ -51,12 +51,6 @@ class TestAlvarez:
         rot = SmoothDomain((0.0, np.exp(1j * th), 0.1 * np.exp(2j * th)))
         assert abs(alvarez_logdet(base) - alvarez_logdet(rot)) < 1e-12
 
-    def test_grid_validation(self):
-        with pytest.raises(ValidationFailure):
-            alvarez_logdet(disk(1.0), n_grid=100)
-        with pytest.raises(ValidationFailure):
-            alvarez_logdet(disk(1.0), n_grid=500)  # not a power of two
-
     def test_spectral_convergence(self):
         d = SmoothDomain((0.0, 1.0, 0.15, 0.05j, 0.02))
         v256 = _alvarez_sum(d, 256)
@@ -68,18 +62,29 @@ class TestAlvarez:
 
 class TestGridDoubling:
     def test_checked_value_is_the_doubled_grid_value(self):
+        # a domain that the first doubling, 512 -> 1024 points, settles
         d = SmoothDomain((0.0, 1.0, 0.15, 0.05j, 0.02))
         V = [0.0, 0.3, 0.5]
-        assert alvarez_logdet(d, 256) == _alvarez_sum(d, 512)
-        assert wz_variation(d, V, 256) == _wz_sum(d, V, 512)
+        assert alvarez_logdet(d) == _alvarez_sum(d, 1024)
+        assert wz_variation(d, V) == _wz_sum(d, V, 1024)
+
+    def test_grid_doubles_until_two_grids_agree(self):
+        # z' = 1 + 0.96 w vanishes just outside the circle: 512 and 1024
+        # points differ by more than 1e-10, 1024 and 2048 do not
+        d = SmoothDomain((0.0, 1.0, 0.48))
+        V = [0.0, 1.0]
+        assert abs(_alvarez_sum(d, 1024) - _alvarez_sum(d, 512)) > 1e-10
+        assert alvarez_logdet(d) == _alvarez_sum(d, 2048)
+        assert abs(_wz_sum(d, V, 1024) - _wz_sum(d, V, 512)) > 1e-10
+        assert wz_variation(d, V) == _wz_sum(d, V, 2048)
 
     def test_coarse_grid_names_the_quantity(self):
-        # z' = 1 + 0.96 w vanishes just outside the circle
-        d = SmoothDomain((0.0, 1.0, 0.48))
+        # z' = 1 + 0.999 w vanishes too close to the circle for 2^15 points
+        d = SmoothDomain((0.0, 1.0, 0.4995))
         with pytest.raises(GridTooCoarse, match="the Alvarez value"):
-            alvarez_logdet(d, 256)
+            alvarez_logdet(d)
         with pytest.raises(GridTooCoarse, match="the variation"):
-            wz_variation(d, [0.0, 1.0], 256)
+            wz_variation(d, [0.0, 1.0])
 
 
 class TestWZVariation:
