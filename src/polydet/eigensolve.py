@@ -15,10 +15,10 @@ scan, MPSSolver._scan, which divides the located V-shapes out of the samples
 and refines every minimum below a threshold by fitting sigma^2 as a parabola
 in lambda (MPSSolver._refine_checked).  One rule, MPSSolver._may_shadow,
 decides which located eigenvalue is probed for a sibling too close for the
-samples to separate.  MPSSolver.find_in(lo, hi, n) searches one window; the
-audit and the heal step of validation's aligned spectra call it.  The sigma
-evaluations of a sweep are counted per stage into
-Spectrum.meta["sigma_evals"].
+samples to separate.  MPSSolver.find_in(lo, hi, n) searches one window for
+the audit.  The located eigenvalues, their errors and the dip records that
+_may_shadow reads are set by MPSSolver._admit alone.  The sigma evaluations
+of a sweep are counted per stage into Spectrum.meta["sigma_evals"].
 
 sigma comes at two grades.  Scans (the grid, rescans, cover probes, find_in
 windows and sibling brackets) only ask whether sigma is below
@@ -29,8 +29,9 @@ the multiplicity count, the sibling probe's slope and the eigenfunctions
 need sigma down to its noise floor (about 1e-14) and take the SVD of Q_B.
 
 Counting is validated against the two-term Weyl law plus the heat-trace
-constant b1; a failed check raises MissedEigenvalue rather than silently
-returning a thinned spectrum.
+constant b1; a failed check raises MissedEigenvalue, naming the polygon and
+the first eigenvalue the count lacks, rather than silently returning a
+thinned spectrum.
 """
 
 import functools
@@ -119,26 +120,37 @@ def weyl_count_check(p, eigs, lambda_max):
     its constant term, W(lam) + b1 (b1 the corner sum of the heat trace).
 
     Checked just below and above every eigenvalue and at the cutoff; the
-    allowed band is +-(C_W + 3), C_W = _WEYL_CW.
+    allowed band is +-(C_W + 3), C_W = _WEYL_CW.  Returns the largest
+    deviation and the lambda where it falls, and k, the 1-based index of the
+    eigenvalue at which the count first leaves the band: N + 1 where N falls
+    below it (the first eigenvalue lacking), N where N rises above it, and
+    None within the band.
     """
     b1 = heat_coefficients(p).b1
     eigs = np.sort(np.asarray(eigs, dtype=float))
-    k, w = np.arange(len(eigs)), weyl_two_term(p, eigs) + b1
-    # N(lam - 0) and N(lam + 0) at every eigenvalue, and N at the cutoff
-    devs = np.concatenate([k - w, k + 1 - w,
-                           [len(eigs) - weyl_two_term(p, lambda_max) - b1]])
+    n = len(eigs)
+    # N(lam - 0) and N(lam + 0) at every eigenvalue, and N at the cutoff,
+    # in the order of lam
+    lams = np.append(np.repeat(eigs, 2), lambda_max)
+    counts = (np.arange(2 * n + 1) + 1) // 2
+    devs = np.append(counts[:-1] - np.repeat(weyl_two_term(p, eigs) + b1, 2),
+                     n - weyl_two_term(p, lambda_max) - b1)
     band = _WEYL_CW + 3.0
-    worst = float(np.max(np.abs(devs)))
-    return {"max_abs_dev": worst, "band": band, "ok": bool(worst <= band)}
+    i = int(np.argmax(np.abs(devs)))
+    worst = float(abs(devs[i]))
+    out = np.flatnonzero(np.abs(devs) > band)
+    k = None if len(out) == 0 else int(counts[out[0]] + (devs[out[0]] < 0))
+    return {"max_abs_dev": worst, "band": band, "ok": bool(worst <= band),
+            "worst_lambda": float(lams[i]), "k": k}
 
 
 def checked_spectrum(p, eigs, errs, lambda_max, meta):
     """The Spectrum of polygon p below lambda_max: eigenvalues sorted with
     their errors, keyed by polygon_hash(p), with their Weyl count check.
 
-    Sweeps, healed sweeps, exact rectangle spectra and cache entries are all
-    built here; one failing the check has count_check["ok"] false, and
-    zeta_logdet refuses it."""
+    Sweeps, exact rectangle spectra and cache entries are all built here;
+    one failing the check has count_check["ok"] false, and zeta_logdet
+    refuses it."""
     eigs = np.asarray(eigs, dtype=float)
     errs = np.asarray(errs, dtype=float)
     if eigs.ndim != 1 or errs.shape != eigs.shape:
@@ -532,8 +544,13 @@ class MPSSolver:
             self._rescan(grid)
             check = weyl_count_check(self.p, self.eigs, self.lambda_max)
         if not check["ok"]:
+            k = check["k"]
             raise MissedEigenvalue(
-                f"Weyl count deviates by {check['max_abs_dev']:.2f} (band {check['band']})")
+                f"polygon {[complex(v) for v in self.p.vertices]}: Weyl count deviates by "
+                f"{check['max_abs_dev']:.2f} (band {check['band']}) at lambda "
+                f"{check['worst_lambda']:.6f}; it leaves the band at eigenvalue {k}, "
+                f"predicted lambda_{k} {_weyl_kth(self.p, k):.6f}; stage rescan gave up "
+                f"after {_MAX_RESCANS} rescans")
 
         # the grid owns the time no decorated stage claimed
         self.stage_s["grid"] += time.perf_counter() - t0 - (self._claimed - claimed)
@@ -682,28 +699,28 @@ class MPSSolver:
         stays in 0.4-0.9).  An estimate sigma_next / slope below ``reach``
         and far below the distance to the nearest *located* eigenvalue means
         a shadowed sibling.  An eigenvalue probed before is not probed
-        again; one with no recorded sigma_next (located by another sweep) is
-        always probed.
+        again.
         """
         if lam in self._probed:
             return False
-        if lam not in self._dips:
-            return True
         slope, s_next = self._dips[lam]
         dist = min((abs(e - lam) for e in self.eigs if e != lam), default=np.inf)
         d_est = s_next / slope
         return d_est < reach and d_est < 0.3 * dist
 
+    def _probe_shadows(self, lams, reach):
+        """Probe every located eigenvalue of lams, in ascending order, that
+        may shadow a sibling closer than ``reach`` (_may_shadow); returns the
+        copies added."""
+        return sum(self._probe_sibling(lam) for lam in sorted(set(lams))
+                   if self._may_shadow(lam, reach))
+
     @_stage("siblings")
     def _find_siblings(self):
         """Probe every located dip that may shadow a sibling within the grid
         step, until a round of probes finds none."""
-        pending = True
-        while pending:
-            pending = False
-            for lam in sorted(set(self.eigs)):
-                if self._may_shadow(lam, self.step):
-                    pending = self._probe_sibling(lam) > 0 or pending
+        while self._probe_shadows(self.eigs, self.step):
+            pass
 
     @_stage("siblings")
     def _probe_sibling(self, lam):
@@ -711,19 +728,15 @@ class MPSSolver:
 
         Near two close eigenvalues lam and lam2 the two smallest singular
         values are about s1 |x - lam| and s2 |x - lam2|.  With k the
-        multiplicity at lam, the k-th singular value sampled at lam and
-        lam +- delta therefore gives the side of lam2 (where it decreases),
-        the slope s2 and the distance d = sigma_k(lam) / s2.  The dip at
-        lam + d is then bracketed away from lam and refined.  Returns the
-        copies added.
+        multiplicity at lam, the k-th singular value recorded at lam when it
+        was admitted and the one sampled at lam +- delta therefore give the
+        side of lam2 (where it decreases), the slope s2 and the distance
+        d = sigma_k(lam) / s2.  The dip at lam + d is then bracketed away
+        from lam and refined.  Returns the copies added.
         """
         self._probed.add(lam)
         k = self.eigs.count(lam)
-        if lam in self._dips:
-            slope, s0 = self._dips[lam]
-        else:
-            s0 = self.sigmas(lam, count=k + 1)[k]
-            slope = self.sigmas(lam + 0.01 * self.step, count=1)[0] / (0.01 * self.step)
+        slope, s0 = self._dips[lam]
         # delta small enough that lam's own V stays below the sibling's
         delta = min(0.02 * self.step, 0.25 * s0 / slope)
         # full grade: the slope is a difference of two nearby values
@@ -798,17 +811,15 @@ class MPSSolver:
         return the copies added.
 
         Every located eigenvalue in [lo, hi] that may shadow one within two
-        sample spacings (_may_shadow) is probed for a sibling first, since
+        sample spacings is probed for a sibling first (_probe_shadows), since
         a dip in the first or last sample interval is seen by no three-point
         pattern.  Then n points, inset 0.3 % from each end, are scanned with
         the located V-shapes divided out (_scan).
         """
         inset = 0.003 * (hi - lo)
         xs = np.linspace(lo + inset, hi - inset, n)
-        added = 0
-        for lam in sorted(set(e for e in self.eigs if lo <= e <= hi)):
-            if self._may_shadow(lam, 2 * (xs[1] - xs[0])):
-                added += self._probe_sibling(lam)
+        added = self._probe_shadows([e for e in self.eigs if lo <= e <= hi],
+                                    2 * (xs[1] - xs[0]))
         return added + self._scan(xs, self._sigmas_at(xs))
 
     @_stage("audit")

@@ -10,13 +10,7 @@ import time
 import numpy as np
 
 from . import varform
-from .eigensolve import (
-    MPSSolver,
-    checked_spectrum,
-    dirichlet_eigenvalues,
-    hadamard_eigenvalue_variation,
-    rectangle_spectrum,
-)
+from .eigensolve import dirichlet_eigenvalues, hadamard_eigenvalue_variation, rectangle_spectrum
 from .errors import MissedEigenvalue
 from .geometry import build_polygon, field_from_vertex_velocities, move_polygon
 from .scmap import map_forward, solve_parameter_problem
@@ -196,77 +190,54 @@ def _aligned_spectra(p, f, ts, lam_max):
 
     A single missed or spurious eigenvalue in one sweep corrupts a finite
     difference far below any counting alarm's resolution, so the spectra of
-    the slightly-moved polygons are matched index by index on a safe range.
-    A defective sweep is healed by a targeted scan at the location the other
-    sweeps predict (linear interpolation in t), which is far more reliable
-    than re-running blind on a finer grid.  A defect that cannot be healed
-    raises MissedEigenvalue naming the t value, the eigenvalue index and the
-    predicted lambda.
+    the slightly-moved polygons are matched index by index on a safe range,
+    each against the location interpolated (linearly in t) from two others.
+    A sweep that lacks an eigenvalue raises MissedEigenvalue naming the t
+    value, the eigenvalue index and the predicted lambda; one that deviates
+    by more than an avoided crossing explains raises it too.
     """
     t_span = max(abs(t) for t in ts)
     drift_tol = 15 * t_span
     out = {t: dirichlet_eigenvalues(move_polygon(p, f, t), lam_max) for t in ts}
 
-    def heal(t_bad, lam_pred):
-        """Add the eigenvalue that the sweep at t_bad lacks near lam_pred.
-
-        A solver holding the sweep's eigenvalues and errors searches the
-        window with find_in: the located eigenvalues are stepped past
-        (divided out of the scan and probed for a shadowed sibling), so a
-        refinement cannot return one of them again."""
-        pt = move_polygon(p, f, t_bad)
-        old = out[t_bad]
-        solver = MPSSolver(pt, lam_max)
-        solver.eigs, solver.errs = list(old.eigenvalues), list(old.errors)
-        if not solver.find_in(lam_pred * (1 - 0.02), lam_pred * (1 + 0.02), 13):
-            return False
-        out[t_bad] = checked_spectrum(pt, solver.eigs, solver.errs, lam_max, old.meta)
-        return True
-
-    # an interior miss shows as a persistent index shift against the location
-    # interpolated (linearly in t) from two other sweeps: every later entry
-    # matches the *next* predicted one.  Isolated deviations are avoided
-    # crossings (curvature of the eigenvalue branches in t), and eigenvalues
-    # drifting across lambda_max at the very top are harmless.
-    for _ in range(6):
-        defects = []
-        blip_max = 0.0
-        ts_sorted = sorted(ts)
-        for t_bad in ts:
-            g1, g2 = [t for t in ts_sorted if t != t_bad][:2]
-            e1 = out[g1].eigenvalue_array()
-            e2 = out[g2].eigenvalue_array()
-            eb = out[t_bad].eigenvalue_array()
-            n = min(len(e1), len(e2), len(eb))
-            pred = e1[:n] + (e2[:n] - e1[:n]) * ((t_bad - g1) / (g2 - g1))
-            dev = np.abs(eb[:n] - pred) / pred
-            bad_idx = np.nonzero(dev > drift_tol)[0]
-            if len(bad_idx) == 0:
-                continue
-            i = int(bad_idx[0])
-            m = min(n - 1 - i, 6)
-            shifted = np.mean(np.abs(eb[i:i + m] - pred[i + 1:i + 1 + m])
-                              / pred[i + 1:i + 1 + m]) if m > 0 else np.inf
-            transposed = (i + 1 < n
-                          and abs(eb[i] - pred[i + 1]) < drift_tol * pred[i + 1]
-                          and abs(eb[i + 1] - pred[i]) < drift_tol * pred[i])
-            if shifted < drift_tol / 2 and not transposed:
-                defects.append((t_bad, i, float(pred[i])))
-            else:
-                blip_max = max(blip_max, float(dev[i]))
-        if not defects:
-            if blip_max > 0.12:
-                raise MissedEigenvalue(
-                    f"eigenvalue branches deviate by {blip_max:.3f} between moved "
-                    "polygons; not explainable as an avoided crossing")
-            return out
-        unhealed = [d for d in defects if not heal(d[0], d[2])]
-        if len(unhealed) == len(defects):
-            raise MissedEigenvalue(
-                "moved-polygon spectra failed to align for the finite difference: "
-                + _describe_defects(unhealed))
-    raise MissedEigenvalue("healing did not converge; still misaligned: "
-                           + _describe_defects(defects))
+    # an interior miss shows as a persistent index shift against the
+    # predicted locations: every later entry matches the *next* predicted
+    # one.  Isolated deviations are avoided crossings (curvature of the
+    # eigenvalue branches in t), and eigenvalues drifting across lambda_max
+    # at the very top are harmless.
+    defects = []
+    blip_max = 0.0
+    ts_sorted = sorted(ts)
+    for t_bad in ts:
+        g1, g2 = [t for t in ts_sorted if t != t_bad][:2]
+        e1 = out[g1].eigenvalue_array()
+        e2 = out[g2].eigenvalue_array()
+        eb = out[t_bad].eigenvalue_array()
+        n = min(len(e1), len(e2), len(eb))
+        pred = e1[:n] + (e2[:n] - e1[:n]) * ((t_bad - g1) / (g2 - g1))
+        dev = np.abs(eb[:n] - pred) / pred
+        bad_idx = np.nonzero(dev > drift_tol)[0]
+        if len(bad_idx) == 0:
+            continue
+        i = int(bad_idx[0])
+        m = min(n - 1 - i, 6)
+        shifted = np.mean(np.abs(eb[i:i + m] - pred[i + 1:i + 1 + m])
+                          / pred[i + 1:i + 1 + m]) if m > 0 else np.inf
+        transposed = (i + 1 < n
+                      and abs(eb[i] - pred[i + 1]) < drift_tol * pred[i + 1]
+                      and abs(eb[i + 1] - pred[i]) < drift_tol * pred[i])
+        if shifted < drift_tol / 2 and not transposed:
+            defects.append((t_bad, i, float(pred[i])))
+        else:
+            blip_max = max(blip_max, float(dev[i]))
+    if defects:
+        raise MissedEigenvalue("moved-polygon spectra failed to align for the finite "
+                               "difference: " + _describe_defects(defects))
+    if blip_max > 0.12:
+        raise MissedEigenvalue(
+            f"eigenvalue branches deviate by {blip_max:.3f} between moved "
+            "polygons; not explainable as an avoided crossing")
+    return out
 
 
 def _describe_defects(defects):

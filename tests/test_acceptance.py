@@ -79,3 +79,12 @@ def test_criterion_09_hadamard_eigenvalue():
 def test_criterion_10_rigid_motion_and_linearity():
     records, dt = _run(validation.check_rigid_and_linear, 600.0)
     _assert_all(records, dt, 600.0)
+
+
+@pytest.mark.parametrize("check", [validation.check_geometry_invariants,
+                                   validation.check_scmap_invariants,
+                                   validation.check_mps_rectangle])
+def test_structural_checks(check):
+    # the geometry, scmap and eigs checks of `polydet validate`
+    records, dt = _run(check, 60.0)
+    _assert_all(records, dt, 60.0)

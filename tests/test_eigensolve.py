@@ -308,14 +308,16 @@ class TestCloseEigenvalues:
         assert pair[1] - pair[0] == pytest.approx(0.6332, abs=1e-3)
 
     def test_window_search_steps_past_the_located_member(self, moved, spec):
-        # the 13-point window about the predicted 626.506 has its argmin
-        # next to 625.3744, which a plain refinement returns again
+        # the grid locates 625.3744 but not its sibling; the 13-point window
+        # about the predicted 626.506 has its argmin next to 625.3744, which
+        # a plain refinement returns again, so find_in must probe it
         eigs = spec.eigenvalue_array()
         sibling = eigs[(eigs > 625.7) & (eigs < 626.5)][0]
-        kept = eigs != sibling
         solver = MPSSolver(moved, 1100.0)
-        solver.eigs = list(eigs[kept])
-        solver.errs = list(np.asarray(spec.errors)[kept])
+        grid = np.arange(solver._lam_lo, 1100.0 + solver.step, solver.step)
+        solver._scan(grid, solver._sigma_batch(grid))
+        assert [e for e in solver.eigs if 625 <= e <= 626.5] == [
+            pytest.approx(625.3744, abs=1e-4)]
         assert solver.find_in(626.506 * 0.98, 626.506 * 1.02, 13) == 1
         assert solver.eigs[-1] == pytest.approx(sibling, rel=1e-8)
 
@@ -524,29 +526,72 @@ class TestWeylCheck:
 
     def test_full_spectrum_ok(self, unit_square):
         full = rectangle_spectrum(1, 1, 800.0).eigenvalue_array()
-        assert weyl_count_check(unit_square, full, 800.0)["ok"]
+        check = weyl_count_check(unit_square, full, 800.0)
+        assert check["ok"] and check["k"] is None
+
+    def test_band_exit_index(self, unit_square):
+        # without the 7 eigenvalues in (100, 200) N stays 6 from 10 pi^2 on;
+        # at 25 pi^2 - 0 it is 8.88 below W + b1 = 14.88, first out of the
+        # band +-6 and worst, so the first eigenvalue lacking is lambda_7
+        exact = rectangle_spectrum(1, 1, 300.0).eigenvalue_array()
+        held = exact[(exact < 100) | (exact > 200)]
+        assert len(exact) - len(held) == 7
+        check = weyl_count_check(unit_square, held, 300.0)
+        assert not check["ok"]
+        assert check["k"] == 7
+        assert check["worst_lambda"] == held[6] == pytest.approx(25 * np.pi**2)
+        assert check["max_abs_dev"] == pytest.approx(8.88, abs=5e-3)
 
     def test_rescan_restores_removed_eigenvalues(self, unit_square):
         # a simple eigenvalue (8 pi^2) and both members of the pair at
-        # 10 pi^2 are removed from the exact spectrum below 450
+        # 10 pi^2 are removed from a full sweep below 450
         exact = rectangle_spectrum(1, 1, 450.0).eigenvalue_array()
-        removed = np.nonzero(np.isclose(exact, 8 * np.pi**2)
-                             | np.isclose(exact, 10 * np.pi**2))[0]
-        assert len(removed) == 3
-        kept = np.delete(exact, removed)
         solver = MPSSolver(unit_square, 450.0)
+        solver.solve()
+        removed = [e for e in set(solver.eigs)
+                   if np.isclose(e, 8 * np.pi**2) or np.isclose(e, 10 * np.pi**2)]
+        kept = [i for i, e in enumerate(solver.eigs) if e not in removed]
+        assert len(solver.eigs) - len(kept) == 3
+        solver.eigs = [solver.eigs[i] for i in kept]
+        solver.errs = [solver.errs[i] for i in kept]
+        for e in removed:
+            del solver._dips[e]
         grid = np.arange(solver._lam_lo, 450.0 + solver.step, solver.step)
-        solver.eigs, solver.errs = list(kept), [1e-10] * len(kept)
         solver._rescan(grid)
         eigs = np.sort(solver.eigs)
         assert len(eigs) == len(exact)
         assert np.max(np.abs(eigs - exact) / exact) < 1e-8
 
+    def test_unrestorable_miss_names_polygon_k_and_stage(self, unit_square, monkeypatch):
+        # the sweep cannot admit the 7 eigenvalues in (100, 200), so its
+        # count leaves the band as in test_band_exit_index and no rescan
+        # restores it
+        admit, rescan, rescans = MPSSolver._admit, MPSSolver._rescan, []
+
+        def blind(self, found):
+            return 0 if found is not None and 100 < found[0] < 200 else admit(self, found)
+
+        def counted(self, grid):
+            rescans.append(grid)
+            return rescan(self, grid)
+
+        monkeypatch.setattr(MPSSolver, "_admit", blind)
+        monkeypatch.setattr(MPSSolver, "_rescan", counted)
+        with pytest.raises(MissedEigenvalue) as err:
+            dirichlet_eigenvalues(unit_square, 300.0)
+        assert len(rescans) == eigensolve._MAX_RESCANS == 2
+        msg = str(err.value)
+        assert msg.startswith("polygon [0j, (1+0j), (1+1j), 1j]: ")
+        assert "Weyl count deviates by 8.88 (band 6.0)" in msg
+        assert f"at lambda {25 * np.pi**2:.6f};" in msg
+        assert "it leaves the band at eigenvalue 7," in msg
+        assert f"predicted lambda_7 {eigensolve._weyl_kth(unit_square, 7):.6f};" in msg
+        assert msg.endswith("stage rescan gave up after 2 rescans")
+
 
 def _sweep_missing_index_2(p, lam_max):
     """Exact spectra of stretched 1.3 x 1 rectangles, which are simple at
-    the bottom; the t = -2e-3 one loses index 2 and carries no polygon
-    hash, like a Spectrum built outside the library."""
+    the bottom; the t = -2e-3 one loses index 2."""
     from polydet.eigensolve import Spectrum
 
     a = p.side_lengths[0]
@@ -558,33 +603,13 @@ def _sweep_missing_index_2(p, lam_max):
 
 
 def test_alignment_failure_names_the_defect(monkeypatch):
-    # healing is made to fail, so the error must say where the miss is
+    # the error must say where the miss is
     from polydet import validation
-    from polydet.errors import MissedEigenvalue
 
     monkeypatch.setattr(validation, "dirichlet_eigenvalues", _sweep_missing_index_2)
-    monkeypatch.setattr(MPSSolver, "find_in", lambda self, lo, hi, n: 0)
     rect = build_polygon([0, 1.3, 1.3 + 1j, 1j])
     f = field_from_vertex_velocities(rect, [0, 1, 1, 0])
     with pytest.raises(MissedEigenvalue, match=r"t = -2\.000e-03 lacks eigenvalue index 2 "
                                                r"\(0-based\), predicted lambda 45\.3"):
         validation._aligned_spectra(rect, f, (4e-3, -4e-3, 2e-3, -2e-3), 150.0)
 
-
-def test_alignment_heals_the_missed_eigenvalue(monkeypatch):
-    # find_in finds the lost eigenvalue, and the healed spectrum
-    # is sorted, Weyl-checked and keyed by its own polygon
-    from polydet import validation
-
-    monkeypatch.setattr(validation, "dirichlet_eigenvalues", _sweep_missing_index_2)
-    rect = build_polygon([0, 1.3, 1.3 + 1j, 1j])
-    f = field_from_vertex_velocities(rect, [0, 1, 1, 0])
-    healed = validation._aligned_spectra(rect, f, (4e-3, -4e-3, 2e-3, -2e-3), 150.0)[-2e-3]
-    pt = move_polygon(rect, f, -2e-3)
-    eigs = healed.eigenvalue_array()
-    exact = rectangle_spectrum(1.298, 1, 150).eigenvalue_array()
-    assert len(eigs) == len(exact)
-    assert np.max(np.abs(eigs - exact)) < 1e-8
-    assert np.all(np.diff(eigs) > 0)
-    assert healed.count_check == weyl_count_check(pt, eigs, 150)
-    assert healed.polygon_hash == polygon_hash(pt)

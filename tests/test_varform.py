@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from polydet.eigensolve import checked_spectrum
 from polydet.errors import (
     AngleSumViolation,
     PrevertexCrowding,
@@ -36,7 +37,14 @@ from polydet.varform import (
     main_formula,
 )
 from polydet.validation import richardson_derivative
-from polydet.zetadet import EULER_GAMMA, rectangle_logdet_exact, scaling_variation
+from polydet.zetadet import (
+    EULER_GAMMA,
+    ZetaConfig,
+    heat_coefficients,
+    rectangle_logdet_exact,
+    scaling_variation,
+    zeta_logdet,
+)
 from conftest import (
     dilation_field,
     jittered_initialization,
@@ -164,6 +172,44 @@ def test_main_formula_matches_spectral_reference(verts, vel, ref):
     f = field_from_vertex_velocities(p, vel)
     dv = main_formula(p, solve_parameter_problem(p), f)
     assert abs(dv.total - ref) < 5e-5
+
+
+def _lattice_logdet(verts, form, keep):
+    """log det of a lattice triangle from its closed-form spectrum
+    form(m, n), m, n >= 1 with keep(m, n), below 4000 (tau0 0.007)."""
+    lam_max = 4000.0
+    r = range(1, int(np.sqrt(lam_max)) + 1)
+    eigs = [form(m, n) for m in r for n in r if keep(m, n) and form(m, n) < lam_max]
+    p = build_polygon(verts)
+    spec = checked_spectrum(p, eigs, np.zeros(len(eigs)), lam_max, {})
+    return zeta_logdet(spec, heat_coefficients(p), ZetaConfig(tau0=0.007)).value
+
+
+def test_apex_path_integral_matches_the_lattice_log_dets():
+    # the apex of the right isosceles triangle (0, 1, i) moves straight to
+    # the equilateral apex; the formula integrated along the path is the
+    # difference of the two log dets.  Measured: 2.5e-13 off at 6 and 12
+    # Gauss-Legendre nodes, which differ by 5.1e-13; the tolerance is 20
+    # times that doubling difference
+    a0, a1 = 1j, 0.5 + 0.5j * np.sqrt(3)
+    ref = (_lattice_logdet([0, 1, a1], lambda m, n: 16 * np.pi**2 * (m * m + m * n + n * n) / 9,
+                           lambda m, n: True)
+           - _lattice_logdet([0, 1, a0], lambda m, n: np.pi**2 * (m * m + n * n),
+                             lambda m, n: m > n))
+
+    def path_integral(nodes):
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        total = 0.0
+        for xi, wi in zip(x, w):
+            p = build_polygon([0, 1, a0 + 0.5 * (1 + xi) * (a1 - a0)])
+            f = field_from_vertex_velocities(p, [0, 0, a1 - a0])
+            total += 0.5 * wi * main_formula(p, solve_parameter_problem(p), f).total
+        return total
+
+    v6, v12 = path_integral(6), path_integral(12)
+    assert abs(v12 - v6) < 1e-11
+    assert abs(v6 - ref) < 1e-11
+    assert abs(v12 - ref) < 1e-11
 
 
 def test_regular_factors_match_the_derivative(rng):
