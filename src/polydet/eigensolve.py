@@ -10,13 +10,16 @@ the orthonormalized basis swept over lambda.
 The solver holds the eigenvalues it has located (MPSSolver.eigs and .errs),
 and each stage of a sweep only picks where to sample: the grid, the quarter
 points of low grid intervals (cover), the gaps that the Weyl law says are
-too wide (audit) and a 4x finer grid (rescan).  All of them go through one
+too wide (audit) and a 4x finer grid (rescan, repeated while the count is
+off and the last rescan admitted something).  All of them go through one
 scan, MPSSolver._scan, which divides the located V-shapes out of the samples
 and refines every minimum below a threshold by fitting sigma^2 as a parabola
-in lambda (MPSSolver._refine_checked).  One rule, MPSSolver._may_shadow,
-decides which located eigenvalue is probed for a sibling too close for the
-samples to separate.  MPSSolver.find_in(lo, hi, n) searches one window for
-the audit.  The located eigenvalues, their errors and the dip records that
+in lambda (MPSSolver._refine_checked).  A sibling too close for the samples
+to separate is probed in one place, MPSSolver._find_siblings, which the
+sweep runs after the cover, after the audit and after each rescan; one
+rule, MPSSolver._may_shadow, picks the located eigenvalues it probes.
+MPSSolver.find_in(lo, hi, n) searches one window for the audit.  The
+located eigenvalues, their errors and the dip records that
 _may_shadow reads are set by MPSSolver._admit alone.  The sigma evaluations
 of a sweep are counted per stage into Spectrum.meta["sigma_evals"].
 
@@ -70,7 +73,6 @@ _RTOL = 1e-12                   # QR column drop tolerance (1e-14 makes the
                                 # puts noise on the sigma dips)
 _GAP_TOL = 1e-6                 # simplicity gap for Hadamard variations
 _WEYL_CW = 3.0                  # alarm band is +-(C_W + 3)
-_MAX_RESCANS = 2
 _DIP_THRESHOLD = 0.35           # grid values below this may hide a dip
 _SIGMA_NOISE = 1e-14            # absolute noise of a computed sigma
 _MAX_REFINE_STEPS = 40
@@ -536,21 +538,23 @@ class MPSSolver:
         # local Weyl audit: scan every gap wider than about half a mean gap,
         # for a miss that the global band cannot see
         self._audit_gaps()
+        self._find_siblings()
 
         check = weyl_count_check(self.p, self.eigs, self.lambda_max)
         rescans = 0
-        while not check["ok"] and rescans < _MAX_RESCANS:
+        while not check["ok"]:
             rescans += 1
-            self._rescan(grid)
+            # a rescan that admits nothing would repeat itself exactly
+            if not self._rescan(grid):
+                k = check["k"]
+                raise MissedEigenvalue(
+                    f"polygon {[complex(v) for v in self.p.vertices]}: Weyl count deviates by "
+                    f"{check['max_abs_dev']:.2f} (band {check['band']}) at lambda "
+                    f"{check['worst_lambda']:.6f}; it leaves the band at eigenvalue {k}, "
+                    f"predicted lambda_{k} {_weyl_kth(self.p, k):.6f}; stage rescan gave up "
+                    f"when rescan {rescans} admitted nothing")
+            self._find_siblings()
             check = weyl_count_check(self.p, self.eigs, self.lambda_max)
-        if not check["ok"]:
-            k = check["k"]
-            raise MissedEigenvalue(
-                f"polygon {[complex(v) for v in self.p.vertices]}: Weyl count deviates by "
-                f"{check['max_abs_dev']:.2f} (band {check['band']}) at lambda "
-                f"{check['worst_lambda']:.6f}; it leaves the band at eigenvalue {k}, "
-                f"predicted lambda_{k} {_weyl_kth(self.p, k):.6f}; stage rescan gave up "
-                f"after {_MAX_RESCANS} rescans")
 
         # the grid owns the time no decorated stage claimed
         self.stage_s["grid"] += time.perf_counter() - t0 - (self._claimed - claimed)
@@ -688,15 +692,15 @@ class MPSSolver:
         self.errs.extend([err] * mult)
         return mult
 
-    def _may_shadow(self, lam, reach):
+    def _may_shadow(self, lam):
         """Whether the located eigenvalue lam may shadow an unlocated one
-        closer than ``reach``: the one rule for probing a sibling.
+        closer than the grid step: the one rule for probing a sibling.
 
         At a simple eigenvalue lam the second singular value is about
         s2 * d, where d is the distance to the nearest other eigenvalue and
         s2 ~ slope is that eigenvalue's V slope (over the spectrum of the
         criterion-7 triangle at t = -2e-3 the ratio (sigma_next / slope) / d
-        stays in 0.4-0.9).  An estimate sigma_next / slope below ``reach``
+        stays in 0.4-0.9).  An estimate sigma_next / slope below the step
         and far below the distance to the nearest *located* eigenvalue means
         a shadowed sibling.  An eigenvalue probed before is not probed
         again.
@@ -706,20 +710,17 @@ class MPSSolver:
         slope, s_next = self._dips[lam]
         dist = min((abs(e - lam) for e in self.eigs if e != lam), default=np.inf)
         d_est = s_next / slope
-        return d_est < reach and d_est < 0.3 * dist
-
-    def _probe_shadows(self, lams, reach):
-        """Probe every located eigenvalue of lams, in ascending order, that
-        may shadow a sibling closer than ``reach`` (_may_shadow); returns the
-        copies added."""
-        return sum(self._probe_sibling(lam) for lam in sorted(set(lams))
-                   if self._may_shadow(lam, reach))
+        return d_est < self.step and d_est < 0.3 * dist
 
     @_stage("siblings")
     def _find_siblings(self):
-        """Probe every located dip that may shadow a sibling within the grid
-        step, until a round of probes finds none."""
-        while self._probe_shadows(self.eigs, self.step):
+        """Probe every located eigenvalue, in ascending order, that may
+        shadow a sibling (_may_shadow), until a round of probes finds none.
+
+        The only caller of _probe_sibling: a scan refines the minima it
+        sees, and the sweep runs this after each stage that can admit."""
+        while sum(self._probe_sibling(lam) for lam in sorted(set(self.eigs))
+                  if self._may_shadow(lam)):
             pass
 
     @_stage("siblings")
@@ -766,11 +767,10 @@ class MPSSolver:
 
         The V-shapes of the eigenvalues located within one scan width of the
         samples are divided out first, so a dip next to a located eigenvalue
-        is not shadowed by its slope.  A minimum of the divided values only,
-        where the raw values slope down to a located eigenvalue not yet
-        probed, probes that eigenvalue for a sibling; every other minimum is
-        refined by _refine_checked, and a refinement that lands on a located
-        eigenvalue probes it instead.  Returns the copies added.
+        is not shadowed by its slope.  Every minimum of the divided values is
+        refined by _refine_checked and admitted by _admit; a sibling closer
+        than the samples is left to _find_siblings.  Returns the copies
+        added.
         """
         lo, hi = xs[0], xs[-1]
         width = hi - lo
@@ -783,44 +783,19 @@ class MPSSolver:
         dvals = vals / defl
         added = 0
         for k in range(1, len(xs) - 1):
-            if not (dvals[k] <= dvals[k - 1] and dvals[k] <= dvals[k + 1]
+            if (dvals[k] <= dvals[k - 1] and dvals[k] <= dvals[k + 1]
                     and vals[k] < _DIP_THRESHOLD):
-                continue
-            near = []
-            if not (vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1]):
-                down = xs[k - 1] if vals[k - 1] < vals[k + 1] else xs[k + 1]
-                near = [e for e in self.eigs if e not in self._probed
-                        and abs(e - down) < xs[k + 1] - xs[k - 1]]
-            if near:
-                added += self._probe_sibling(min(near, key=lambda e: abs(e - down)))
-                continue
-            found = self._refine_checked(
-                xs[k - 1], xs[k], xs[k + 1], vals[k - 1], vals[k], vals[k + 1])
-            n_new = self._admit(found)
-            if n_new == 0 and found is not None:
-                lam, err = found[:2]
-                twins = [e for e, r in zip(self.eigs, self.errs)
-                         if e not in self._probed and _is_duplicate(lam, err, [e], [r])]
-                if twins:
-                    n_new = self._probe_sibling(twins[0])
-            added += n_new
+                added += self._admit(self._refine_checked(
+                    xs[k - 1], xs[k], xs[k + 1], vals[k - 1], vals[k], vals[k + 1]))
         return added
 
     def find_in(self, lo, hi, n):
         """Locate the eigenvalues in [lo, hi] that are still missing, and
-        return the copies added.
-
-        Every located eigenvalue in [lo, hi] that may shadow one within two
-        sample spacings is probed for a sibling first (_probe_shadows), since
-        a dip in the first or last sample interval is seen by no three-point
-        pattern.  Then n points, inset 0.3 % from each end, are scanned with
-        the located V-shapes divided out (_scan).
-        """
+        return the copies added: n points, inset 0.3 % from each end, are
+        scanned with the located V-shapes divided out (_scan)."""
         inset = 0.003 * (hi - lo)
         xs = np.linspace(lo + inset, hi - inset, n)
-        added = self._probe_shadows([e for e in self.eigs if lo <= e <= hi],
-                                    2 * (xs[1] - xs[0]))
-        return added + self._scan(xs, self._sigmas_at(xs))
+        return self._scan(xs, self._sigmas_at(xs))
 
     @_stage("audit")
     def _audit_gaps(self):
@@ -844,10 +819,11 @@ class MPSSolver:
 
     @_stage("rescan")
     def _rescan(self, grid):
-        """Second pass on a 4x finer grid over the full sweep range."""
+        """Second pass on a 4x finer grid over the full sweep range; returns
+        the copies added."""
         step = (grid[1] - grid[0]) / 4
         fine = np.arange(grid[0], self.lambda_max + step, step)
-        self._scan(fine, self._sigma_batch(fine))
+        return self._scan(fine, self._sigma_batch(fine))
 
     # -- eigenfunction data ---------------------------------------------------
     def eigenfunction(self, lam):

@@ -307,10 +307,10 @@ class TestCloseEigenvalues:
         assert len(pair) == 2
         assert pair[1] - pair[0] == pytest.approx(0.6332, abs=1e-3)
 
-    def test_window_search_steps_past_the_located_member(self, moved, spec):
-        # the grid locates 625.3744 but not its sibling; the 13-point window
-        # about the predicted 626.506 has its argmin next to 625.3744, which
-        # a plain refinement returns again, so find_in must probe it
+    def test_sibling_pass_admits_the_member_the_grid_missed(self, moved, spec):
+        # the grid locates 625.3744 but not its sibling, which no scan can
+        # separate from it; the sibling pass probes 625.3744 and admits the
+        # sweep's own second member
         eigs = spec.eigenvalue_array()
         sibling = eigs[(eigs > 625.7) & (eigs < 626.5)][0]
         solver = MPSSolver(moved, 1100.0)
@@ -318,8 +318,10 @@ class TestCloseEigenvalues:
         solver._scan(grid, solver._sigma_batch(grid))
         assert [e for e in solver.eigs if 625 <= e <= 626.5] == [
             pytest.approx(625.3744, abs=1e-4)]
-        assert solver.find_in(626.506 * 0.98, 626.506 * 1.02, 13) == 1
-        assert solver.eigs[-1] == pytest.approx(sibling, rel=1e-8)
+        solver._find_siblings()
+        pair = [e for e in solver.eigs if 625 <= e <= 626.5]
+        assert len(pair) == 2
+        assert pair[1] == pytest.approx(sibling, rel=1e-8)
 
 
 def test_cover_leaves_the_audit_nothing_to_admit(monkeypatch):
@@ -564,8 +566,8 @@ class TestWeylCheck:
 
     def test_unrestorable_miss_names_polygon_k_and_stage(self, unit_square, monkeypatch):
         # the sweep cannot admit the 7 eigenvalues in (100, 200), so its
-        # count leaves the band as in test_band_exit_index and no rescan
-        # restores it
+        # count leaves the band as in test_band_exit_index; the first rescan
+        # admits nothing, and a second would repeat it exactly
         admit, rescan, rescans = MPSSolver._admit, MPSSolver._rescan, []
 
         def blind(self, found):
@@ -579,14 +581,14 @@ class TestWeylCheck:
         monkeypatch.setattr(MPSSolver, "_rescan", counted)
         with pytest.raises(MissedEigenvalue) as err:
             dirichlet_eigenvalues(unit_square, 300.0)
-        assert len(rescans) == eigensolve._MAX_RESCANS == 2
+        assert len(rescans) == 1
         msg = str(err.value)
         assert msg.startswith("polygon [0j, (1+0j), (1+1j), 1j]: ")
         assert "Weyl count deviates by 8.88 (band 6.0)" in msg
         assert f"at lambda {25 * np.pi**2:.6f};" in msg
         assert "it leaves the band at eigenvalue 7," in msg
         assert f"predicted lambda_7 {eigensolve._weyl_kth(unit_square, 7):.6f};" in msg
-        assert msg.endswith("stage rescan gave up after 2 rescans")
+        assert msg.endswith("stage rescan gave up when rescan 1 admitted nothing")
 
 
 def _sweep_missing_index_2(p, lam_max):
