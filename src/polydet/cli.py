@@ -16,7 +16,7 @@ from . import validation
 from .config import RunConfig, Report, Timer, config_from_file
 from .eigensolve import checked_spectrum, dirichlet_eigenvalues, polygon_hash
 from .errors import NumericalFailure, ValidationFailure
-from .geometry import field_from_json_dict, polygon_from_json_dict
+from .geometry import field_from_json_dict, points_from_json, polygon_from_json_dict
 from .scmap import checked_map, solve_parameter_problem
 from .smoothwz import alvarez_logdet, domain_from_json_dict, wz_variation
 from .varform import contour_route_applies, contour_shift_integral, main_formula
@@ -182,7 +182,7 @@ def cmd_wz(args, cfg):
     d = domain_from_json_dict(_load_json(args.domain))
     payload = {"alvarez_logdet_upto_constant": alvarez_logdet(d)}
     if args.field:
-        V = [complex(x, y) for x, y in _load_json(args.field)["taylor"]]
+        V = points_from_json(_load_json(args.field), "taylor")
         payload["wz_variation"] = wz_variation(d, V)
     timer.mark("wz")
     return Report(

@@ -19,13 +19,6 @@ class RunConfig:
     zeta: ZetaConfig = field(default_factory=ZetaConfig)
     lambda_max: float = None      # None: _LAMBDA_MAX_FACTOR / tau0
 
-    def __post_init__(self):
-        for key, v in (("lambda_max", self.lambda_max), ("zeta.tau0", self.zeta.tau0),
-                       ("zeta.tail_tol", self.zeta.tail_tol)):
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise ValidationFailure(
-                    f"config key {key} must be finite and positive, not {json.dumps(v)}")
-
     def to_dict(self):
         return {"zeta": dataclasses.asdict(self.zeta), "lambda_max": self.lambda_max}
 
@@ -46,49 +39,49 @@ class RunConfig:
         lam_max = self.lambda_max if self.lambda_max is not None \
             else _LAMBDA_MAX_FACTOR / tau0
         lam1_bound = faber_krahn_bound(p)
-        if lam_max < 10 * lam1_bound:
+        if not (math.isfinite(lam_max) and lam_max >= 10 * lam1_bound):
             raise ValidationFailure(
-                f"lambda_max {lam_max:.1f} below 10x the Faber-Krahn bound "
-                f"{lam1_bound:.1f} on the first eigenvalue")
+                f"lambda_max {lam_max:.1f} is not finite or below 10x the Faber-Krahn "
+                f"bound {lam1_bound:.1f} on the first eigenvalue")
         return lam_max, dataclasses.replace(self.zeta, tau0=tau0)
 
 
 def config_from_file(path):
-    """RunConfig from a JSON file of (nested) overrides."""
+    """RunConfig from a JSON file of (nested) overrides; each settable key is
+    checked once, in the order lambda_max, zeta.tau0, zeta.tail_tol."""
     with open(path) as fh:
-        raw = json.load(fh)
-    raw = _checked(RunConfig, raw, "")
-    if "zeta" in raw:
-        raw["zeta"] = ZetaConfig(**_checked(ZetaConfig, raw["zeta"], "zeta."))
-    return RunConfig(**raw)
+        raw = _json_object(json.load(fh), "", ("lambda_max", "zeta"))
+    zeta = _json_object(raw.get("zeta", {}), "zeta.", ("tau0", "tail_tol"))
+    return RunConfig(lambda_max=_number(raw, "", "lambda_max", None),
+                     zeta=ZetaConfig(_number(zeta, "zeta.", "tau0", None),
+                                     _number(zeta, "zeta.", "tail_tol", ZetaConfig.tail_tol)))
 
 
-def _checked(cls, raw, prefix):
-    """raw with integers in float fields made floats, so 28 and 28.0 give
-    one config hash.
-
-    Raises ValidationFailure unless raw is a JSON object whose keys all name
-    fields of the dataclass cls and whose float fields hold numbers (bool is
-    not one), or null where the default is None.
-    """
+def _json_object(raw, prefix, keys):
+    """raw; ValidationFailure unless it is a JSON object whose keys are all
+    among keys."""
     if not isinstance(raw, dict):
-        where = prefix.rstrip(".") or "file"
-        raise ValidationFailure(f"config {where} must be a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+        raise ValidationFailure(f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
         raise ValidationFailure(f"unknown config key {prefix}{unknown[0]}")
-    out = dict(raw)
-    for f in dataclasses.fields(cls):
-        if f.name not in raw or f.type is not float:
-            continue
-        v = raw[f.name]
-        if v is None and f.default is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationFailure(
-                f"config key {prefix}{f.name} must be a number, not {json.dumps(v)}")
-        out[f.name] = float(v)
-    return out
+    return raw
+
+
+def _number(raw, prefix, name, default):
+    """raw[name] made a float, so 28 and 28.0 give one config hash; default
+    if name is absent, or null where the default is None.  ValidationFailure
+    unless the value is a finite positive number (bool is not one)."""
+    v = raw.get(name)
+    if name not in raw or (v is None and default is None):
+        return default
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValidationFailure(f"config key {prefix}{name} must be a number, not {json.dumps(v)}")
+    v = float(v)
+    if not (math.isfinite(v) and v > 0):
+        raise ValidationFailure(
+            f"config key {prefix}{name} must be finite and positive, not {json.dumps(v)}")
+    return v
 
 
 @dataclass

@@ -1,5 +1,10 @@
 """Polygon geometry: construction, deformation fields, first-order variations.
 
+Every polygon passes build_polygon: finite vertices listed counterclockwise,
+every interior angle in (0, pi) and a boundary that winds once, which makes
+a simple convex polygon with no straight angle.  Input files give points as
+[x, y] pairs of finite numbers (points_from_json).
+
 Conventions used throughout the package:
 
 * vertices are complex numbers listed counterclockwise (signed area > 0);
@@ -11,6 +16,8 @@ Conventions used throughout the package:
 * delta_angles[i] > 0 means the interior angle at vertex i increases.
 """
 
+import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,75 +73,47 @@ class DeformationField:
         return np.asarray(self.vertex_velocities, dtype=complex)
 
 
-def _signed_area(v):
-    x, y = v.real, v.imag
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def _interior_angles(v):
-    n = len(v)
-    out = np.empty(n)
-    for i in range(n):
-        u = v[(i + 1) % n] - v[i]
-        w = v[i - 1] - v[i]
-        a = np.angle(w / u)
-        if a < 0:
-            a += 2 * np.pi
-        out[i] = a
-    return out
-
-
-def _segments_intersect(p1, p2, q1, q2):
-    def orient(a, b, c):
-        return np.sign(((b - a).conjugate() * (c - a)).imag)
-
-    return (orient(p1, p2, q1) * orient(p1, p2, q2) < 0
-            and orient(q1, q2, p1) * orient(q1, q2, p2) < 0)
-
-
 def build_polygon(vertices):
     """Validate vertices and assemble a convex, counterclockwise Polygon.
 
-    Raises ClockwiseInput for negatively oriented input, DegenerateVertex for
-    repeated/collinear vertices or self-intersections, and NonConvex when an
-    interior angle reaches pi.
+    Raises ValidationFailure for a vertex that is not finite, ClockwiseInput
+    for negatively oriented input and DegenerateVertex for fewer than three
+    or repeated vertices.  One pass over the interior angles a_i then raises
+    DegenerateVertex where |sin a_i| < COLLINEAR_TOL, NonConvex where
+    a_i >= pi, and DegenerateVertex unless the turns pi - a_i add up to
+    2 pi: with every a_i in (0, pi) they add up to 2 pi times the winding
+    number, so this admits exactly the simple convex boundaries and rejects
+    a square listed twice or a pentagram.
     """
     v = np.asarray([complex(z) for z in vertices], dtype=complex)
     n = len(v)
     if n < 3:
         raise DegenerateVertex(f"need at least 3 vertices, got {n}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationFailure(f"vertex {int(np.argmin(np.isfinite(v)))} is not finite")
 
-    scale = max(1.0, float(np.max(np.abs(v))))
-    d = np.abs(v - np.roll(v, -1))
-    if np.any(d < 1e-14 * scale):
+    side_lengths = np.abs(np.roll(v, -1) - v)
+    if np.any(side_lengths < 1e-14 * max(1.0, float(np.max(np.abs(v))))):
         raise DegenerateVertex("repeated vertices")
 
-    area = _signed_area(v)
+    x, y = v.real, v.imag
+    area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
     if area < 0:
         raise ClockwiseInput("vertices are clockwise")
 
-    # collinear triple check via normalized cross products
-    for i in range(n):
-        u = v[(i + 1) % n] - v[i]
-        w = v[i - 1] - v[i]
-        cross = (w.conjugate() * u).imag / (abs(u) * abs(w))
-        if abs(cross) < COLLINEAR_TOL:
-            raise DegenerateVertex(f"collinear triple at vertex {i}")
-
-    # simple-boundary check between non-adjacent sides
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_intersect(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]):
-                raise DegenerateVertex(f"sides {i} and {j} intersect")
-
-    angles = _interior_angles(v)
+    # interior angle a_i between the sides leaving vertex i, in [0, 2 pi)
+    angles = np.angle((np.roll(v, 1) - v) / (np.roll(v, -1) - v))
+    angles = np.where(angles < 0, angles + 2 * np.pi, angles)
+    flat = np.abs(np.sin(angles)) < COLLINEAR_TOL
+    if np.any(flat):
+        raise DegenerateVertex(f"collinear triple at vertex {int(np.argmax(flat))}")
     if np.any(angles >= np.pi):
         bad = int(np.argmax(angles))
         raise NonConvex(f"interior angle {angles[bad]:.6f} >= pi at vertex {bad}")
+    winding = round(float(np.sum(np.pi - angles)) / (2 * np.pi))
+    if winding != 1:
+        raise DegenerateVertex(f"the boundary winds {winding} times around its interior")
 
-    side_lengths = np.abs(np.roll(v, -1) - v)
     return Polygon(
         vertices=tuple(v),
         angles=tuple(float(a) for a in angles),
@@ -144,12 +123,27 @@ def build_polygon(vertices):
     )
 
 
+def points_from_json(d, key):
+    """The [x, y] pairs listed under key in the JSON object d, as complex
+    numbers; ValidationFailure naming key unless each is a pair of finite
+    numbers (NaN, infinities and integers beyond the float range are not)."""
+    pairs = d.get(key) if isinstance(d, dict) else None
+    if not isinstance(pairs, list):
+        raise ValidationFailure(f"{key} must be a list of [x, y] pairs")
+    for k, xy in enumerate(pairs):
+        if not (isinstance(xy, list) and len(xy) == 2
+                and all(type(c) in (int, float) and abs(c) <= sys.float_info.max for c in xy)):
+            raise ValidationFailure(f"{key}[{k}] must be a pair of finite numbers, "
+                                    f"not {json.dumps(xy)}")
+    return [complex(x, y) for x, y in pairs]
+
+
 def polygon_from_json_dict(d):
-    return build_polygon([complex(x, y) for x, y in d["vertices"]])
+    return build_polygon(points_from_json(d, "vertices"))
 
 
 def field_from_json_dict(p, d):
-    return field_from_vertex_velocities(p, [complex(x, y) for x, y in d["vertex_velocities"]])
+    return field_from_vertex_velocities(p, points_from_json(d, "vertex_velocities"))
 
 
 def field_from_vertex_velocities(p, v):
@@ -164,7 +158,8 @@ def field_from_vertex_velocities(p, v):
     n = p.n
     if len(v) != n:
         raise ValidationFailure(f"expected {n} velocities, got {len(v)}")
-    verts = p.vertex_array()
+    if not np.all(np.isfinite(v)):
+        raise ValidationFailure(f"velocity {int(np.argmin(np.isfinite(v)))} is not finite")
     L = np.asarray(p.side_lengths)
 
     coeffs = []
@@ -183,8 +178,6 @@ def field_from_vertex_velocities(p, v):
 
     delta_angles = np.array([omega[i] - omega[i - 1] for i in range(n)])
     darea = sum(c0 * Lj + 0.5 * c1 * Lj**2 for (c0, c1), Lj in zip(coeffs, L))
-
-    assert abs(delta_angles.sum()) < 1e-10 * (1 + np.abs(omega).max())
 
     return DeformationField(
         vertex_velocities=tuple(v),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse, MapDegenerate, ValidationFailure
+from .geometry import points_from_json
 
 _FD_EPS = 1e-4          # step of the central difference in wz_vs_alvarez_fd
 _GRID_MIN = 512         # points of the first trapezoid grid on the circle
@@ -37,26 +38,19 @@ class SmoothDomain:
         c = np.asarray(self.coefficients, dtype=complex)
         if len(c) < 2:
             raise ValidationFailure("need at least a linear coefficient")
+        if not np.all(np.isfinite(c)):
+            raise ValidationFailure(f"Taylor coefficient {int(np.argmin(np.isfinite(c)))} "
+                                    "is not finite")
         # univalence margin: z' must not vanish near the closed disk
         for r in (0.5, 0.8, 1.0, 1.05):
             w = r * np.exp(2j * np.pi * np.arange(512) / 512)
-            if np.min(np.abs(self.dz(w))) < 1e-12:
+            if np.min(np.abs(self.derivative(w, 1))) < 1e-12:
                 raise MapDegenerate(f"z'(w) vanishes near |w| = {r}")
 
-    def coeff_array(self):
-        return np.asarray(self.coefficients, dtype=complex)
-
-    def dz(self, w):
-        c = self.coeff_array()
-        return np.polynomial.polynomial.polyval(w, np.polynomial.polynomial.polyder(c))
-
-    def d2z(self, w):
-        c = self.coeff_array()
-        return np.polynomial.polynomial.polyval(w, np.polynomial.polynomial.polyder(c, 2))
-
-    def d3z(self, w):
-        c = self.coeff_array()
-        return np.polynomial.polynomial.polyval(w, np.polynomial.polynomial.polyder(c, 3))
+    def derivative(self, w, k):
+        """The k-th derivative of z(w)."""
+        c = np.asarray(self.coefficients, dtype=complex)
+        return np.polynomial.polynomial.polyval(w, np.polynomial.polynomial.polyder(c, k))
 
     def perturbed(self, V, eps):
         """Domain with map z + eps V (V a Taylor series, possibly shorter)."""
@@ -69,7 +63,7 @@ class SmoothDomain:
 
 
 def domain_from_json_dict(d):
-    return SmoothDomain(tuple(complex(x, y) for x, y in d["taylor"]))
+    return SmoothDomain(tuple(points_from_json(d, "taylor")))
 
 
 def disk(radius=1.0):
@@ -97,9 +91,9 @@ def _grid_checked(value, what):
 def _alvarez_sum(d, n):
     """The trapezoid sum of alvarez_logdet on n points of the circle."""
     t, w = _circle(n)
-    zp = d.dz(w)
+    zp = d.derivative(w, 1)
     phi = np.log(np.abs(zp))
-    dr_phi = (w * d.d2z(w) / zp).real
+    dr_phi = (w * d.derivative(w, 2) / zp).real
     dt = 2 * np.pi / n
     return (-1.0 / (12 * np.pi)) * (np.sum(phi * dr_phi) + 2 * np.sum(phi)) * dt
 
@@ -120,7 +114,7 @@ def _wz_sum(d, V, n):
     """The trapezoid sum of wz_variation on n points of the circle."""
     V = np.asarray(V, dtype=complex)
     t, w = _circle(n)
-    zp, zpp, zppp = d.dz(w), d.d2z(w), d.d3z(w)
+    zp, zpp, zppp = (d.derivative(w, k) for k in (1, 2, 3))
     s_zw = zppp / zp - 1.5 * (zpp / zp) ** 2        # {z, w}
     s_wz = -s_zw / zp**2                             # {w, z}
     nu = w * zp / np.abs(zp)                         # = |w'| w / w'

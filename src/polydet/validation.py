@@ -11,7 +11,7 @@ import numpy as np
 
 from . import varform
 from .eigensolve import dirichlet_eigenvalues, hadamard_eigenvalue_variation, rectangle_spectrum
-from .errors import MissedEigenvalue
+from .errors import MissedEigenvalue, ValidationFailure
 from .geometry import build_polygon, field_from_vertex_velocities, move_polygon
 from .scmap import map_forward, solve_parameter_problem
 from .smoothwz import SmoothDomain, disk, wz_variation, wz_vs_alvarez_fd
@@ -76,7 +76,7 @@ def _random_convex(rng, n_min=3, n_max=8):
         v = rng.uniform(0.75, 1.25, n) * np.exp(1j * th)
         try:
             p = build_polygon(v)
-        except Exception:
+        except ValidationFailure:
             continue
         if min(p.angles) < 0.35 or max(p.angles) > np.pi - 0.25:
             continue

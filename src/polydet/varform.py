@@ -114,6 +114,7 @@ from .quadrature import graded_breaks, jacgauss, leggauss, panel_nodes
 from .scmap import (
     _local_regular_factor,
     cumulative_images,
+    map_forward,
     sc_derivative,
     schwarzian_xz,
     schwarzian_xz_inverted,
@@ -314,16 +315,6 @@ class _NearVertex:
     def h1(self, w):
         return self.h0(w) * self.rho(w)
 
-    def x_at(self, w):
-        """x(z_i +/- w) for real w > 0 (vector), from the local structure.
-
-        From the left x(z_i - w) = x_i - int_0^w x'(z_i - u) du, so the
-        integral enters with the sign.
-        """
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        arc = self.D * (np.pi / self.alpha) * w**self.apio * self.rho(w)
-        return self.m.vertex_images[self.i] + self.sign * arc
-
     def w_of_eps(self, eps):
         """w with arclength |x(w) - x_i| = eps (fixed point on rho).
 
@@ -497,7 +488,7 @@ def _integrate_side(m, j):
     fp_s, eps_s = _near_contributions(near_s, nu_hat, delta_s, eps_triplet)
     fp_e, eps_e = _near_contributions(near_e, nu_hat, delta_e, eps_triplet)
 
-    x_anchor = near_s.x_at(delta_s)[0]
+    x_anchor = map_forward(m, zk[j] + delta_s)
     if j < n - 1:
         far = _far_part_finite_side(m, j, zk[j] + delta_s, zk[j + 1] - delta_e,
                                     nu_hat, x_anchor)
@@ -633,10 +624,8 @@ def contour_shift_integral(m, f):
         eps_s, eps_e = _near_radii(m, j, _ARC_FRAC, _ARC_CAP)
 
         # straight piece between the arc feet
-        near = _NearVertex(m, j, from_right=True)
-        x_anchor = near.x_at(eps_s)[0]
-        straight = c0 * _far_part_finite_side(m, j, zk[j] + eps_s, zk[j + 1] - eps_e,
-                                              nu_hat, x_anchor)[0]
+        straight = c0 * _far_part_finite_side(m, j, zk[j] + eps_s, zk[j + 1] - eps_e, nu_hat,
+                                              map_forward(m, zk[j] + eps_s))[0]
         total += straight.imag / (6 * np.pi)
 
         # interior arc corrections at both ends; the start vertex carries the

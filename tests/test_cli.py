@@ -502,3 +502,36 @@ class TestValidateCommand:
         assert code == 0
         assert "PASS" in out
         assert "FAIL" not in out
+
+
+_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("argv, files, key", [
+    (["scmap", "{0}"], [{}], "vertices"),
+    (["scmap", "{0}"], [{"vertices": "square"}], "vertices"),
+    (["scmap", "{0}"], [{"vertices": [[0, 0], [1, 0, 5], [1, 1], [0, 1]]}], "vertices[1]"),
+    (["scmap", "{0}"], [{"vertices": [["a", 0], [1, 0], [1, 1], [0, 1]]}], "vertices[0]"),
+    (["scmap", "{0}"], [{"vertices": [[0, 0], [1, 0], [1, float("nan")], [0, 1]]}],
+     "vertices[2]"),
+    (["scmap", "{0}"], [{"vertices": [[0, 0], [1, 0], [1, 1], [0, float("inf")]]}],
+     "vertices[3]"),
+    (["scmap", "{0}"], [{"vertices": [[0, 0], [1, 0], [True, 1], [0, 1]]}], "vertices[2]"),
+    (["scmap", "{0}"], [{"vertices": [[0, 0], [10**400, 0], [1, 1], [0, 1]]}], "vertices[1]"),
+    (["var", "{0}", "{1}"], [{"vertices": _SQUARE}, {}], "vertex_velocities"),
+    (["var", "{0}", "{1}"],
+     [{"vertices": _SQUARE}, {"vertex_velocities": [[0, 0], [float("nan"), 0], [1, 1], [0, 1]]}],
+     "vertex_velocities[1]"),
+    (["wz", "{0}"], [{"taylor": [[0, 0], [1]]}], "taylor[1]"),
+    (["wz", "{0}"], [{"taylor": [[0, 0], [1, 0], [float("nan"), 0]]}], "taylor[2]"),
+    (["wz", "{0}"], [{"coefficients": [[0, 0], [1, 0]]}], "taylor"),
+    (["wz", "{0}", "--field", "{1}"],
+     [{"taylor": [[0, 0], [1, 0]]}, {"taylor": [[0, 0], [1, None]]}], "taylor[1]")])
+def test_malformed_input_file_exits_2_naming_the_key(argv, files, key, tmp_path, capsys):
+    # NaN and Infinity are not JSON, but Python's json module reads and writes them
+    paths = [tmp_path / f"input{k}.json" for k in range(len(files))]
+    for f, d in zip(paths, files):
+        f.write_text(json.dumps(d))
+    assert main([a.format(*paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "ValidationFailure" in err and f"{key} must be" in err

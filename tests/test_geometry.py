@@ -67,6 +67,19 @@ class TestBuildPolygon:
         with pytest.raises(DegenerateVertex):
             build_polygon([0, 1, 2, 2j])  # collinear triple
 
+    def test_boundary_that_winds_twice_rejected(self):
+        # every angle lies in (0, pi) and the area is positive, but the turns
+        # add up to 4 pi: the square listed twice and a pentagram
+        with pytest.raises(DegenerateVertex, match="winds 2 times"):
+            build_polygon([0, 1, 1 + 1j, 1j] * 2)
+        with pytest.raises(DegenerateVertex, match="winds 2 times"):
+            build_polygon(np.exp(2j * np.pi * 2 * np.arange(5) / 5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_vertex_rejected(self, bad):
+        with pytest.raises(ValidationFailure, match="vertex 2 is not finite"):
+            build_polygon([0, 1, bad, 1j])
+
 
 class TestDeformationField:
     def test_rigid_translation(self, unit_square):
@@ -109,6 +122,11 @@ class TestDeformationField:
     def test_wrong_length_rejected(self, unit_square):
         with pytest.raises(ValidationFailure):
             field_from_vertex_velocities(unit_square, [0, 0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(1, np.inf)])
+    def test_non_finite_velocity_rejected(self, unit_square, bad):
+        with pytest.raises(ValidationFailure, match="velocity 1 is not finite"):
+            field_from_vertex_velocities(unit_square, [0, bad, 0, 0])
 
 
 class TestVariations:

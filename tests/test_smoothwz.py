@@ -18,7 +18,7 @@ class TestSmoothDomain:
     def test_disk(self):
         d = disk(2.0)
         assert d.coefficients == (0.0, 2.0)
-        assert d.dz(0.5) == pytest.approx(2.0)
+        assert d.derivative(0.5, 1) == pytest.approx(2.0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(MapDegenerate):
@@ -27,6 +27,10 @@ class TestSmoothDomain:
     def test_too_short(self):
         with pytest.raises(ValidationFailure):
             SmoothDomain((1.0,))
+
+    def test_non_finite_coefficient_rejected(self):
+        with pytest.raises(ValidationFailure, match="coefficient 2 is not finite"):
+            SmoothDomain((0.0, 1.0, complex(np.nan, 0.0)))
 
     def test_json_round_trip(self):
         d = domain_from_json_dict({"taylor": [[0.1, 0.2], [1.0, 0.0], [0.0, 0.05]]})

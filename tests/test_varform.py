@@ -294,8 +294,9 @@ def test_rho_on_panel_arrays_equals_pointwise(rng):
         assert np.array_equal(near.rho(w), [[near.rho(x)[0] for x in row] for row in w])
 
 
-def test_x_at_matches_map_forward(rng):
-    # right and left approaches, including both ends of the side through infinity
+def test_local_structure_matches_map_forward(rng):
+    # x(z_i +/- w) = x_i +/- D (pi/a) w^{a/pi} rho(w); right and left
+    # approaches, including both ends of the side through infinity
     p = random_convex_polygon(rng, n_min=5, n_max=5)
     m = solve_parameter_problem(p)
     for i, from_right in ((1, True), (3, False), (4, True), (0, False)):
@@ -303,7 +304,8 @@ def test_x_at_matches_map_forward(rng):
         w = 0.25 * m.gap(i) * np.array([1e-4, 0.01, 0.3, 1.0])
         z = m.prevertices[i] + (w if from_right else -w)
         ref = np.array([map_forward(m, zz) for zz in z])
-        assert np.max(np.abs(near.x_at(w) - ref)) < 1e-11
+        arc = near.D * (np.pi / near.alpha) * w**near.apio * near.rho(w)
+        assert np.max(np.abs(m.vertex_images[i] + near.sign * arc - ref)) < 1e-11
 
 
 def test_graded_breaks_leave_no_sliver_at_the_midpoint():
@@ -402,9 +404,7 @@ class TestHadamardBoundaryIntegral:
         nu = p.side_normal(j)
         zl = m.prevertices[j] + 0.3
         zr = m.prevertices[j + 1] - 0.004
-        near = _NearVertex(m, j, from_right=True)
-        x_anchor = near.x_at(zl - m.prevertices[j])[0]
-        got = _far_part_finite_side(m, j, zl, zr, nu, x_anchor) @ [c0, c1]
+        got = _far_part_finite_side(m, j, zl, zr, nu, map_forward(m, zl)) @ [c0, c1]
 
         x_vertex = p.vertices[j]
 
