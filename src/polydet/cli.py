@@ -138,6 +138,7 @@ def cmd_det(args, cfg):
         diagnostics={"cache_hit": hit, "weyl": spec.count_check,
                      "lambda_max": lam_max,
                      "sigma_evals": spec.meta.get("sigma_evals", {}),
+                     "heat_certificate": spec.meta.get("heat_certificate", {}),
                      "stage_s": spec.meta.get("stage_s", {})},
         timings=timer.marks,
     )

@@ -77,7 +77,10 @@ def _number(raw, prefix, name, default):
         return default
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationFailure(f"config key {prefix}{name} must be a number, not {json.dumps(v)}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:           # an integer beyond the largest float
+        v = math.inf if v > 0 else -math.inf
     if not (math.isfinite(v) and v > 0):
         raise ValidationFailure(
             f"config key {prefix}{name} must be finite and positive, not {json.dumps(v)}")

@@ -10,7 +10,8 @@ the orthonormalized basis swept over lambda.
 The solver holds the eigenvalues it has located (MPSSolver.eigs and .errs),
 and each stage of a sweep only picks where to sample: the grid, the quarter
 points of low grid intervals (cover), the gaps that the Weyl law says are
-too wide (audit) and a 4x finer grid (rescan, repeated while the count is
+too wide and that reach above what the heat trace vouches for (audit; see
+heat_certificate) and a 4x finer grid (rescan, repeated while the count is
 off and the last rescan admitted something).  All of them go through one
 scan, MPSSolver._scan, which divides the located V-shapes out of the samples
 and refines every minimum below a threshold by fitting sigma^2 as a parabola
@@ -31,10 +32,14 @@ about 1e-8 near a dip, at about a third of the cost of an SVD.  Refinement,
 the multiplicity count, the sibling probe's slope and the eigenfunctions
 need sigma down to its noise floor (about 1e-14) and take the SVD of Q_B.
 
-Counting is validated against the two-term Weyl law plus the heat-trace
-constant b1; a failed check raises MissedEigenvalue, naming the polygon and
-the first eigenvalue the count lacks, rather than silently returning a
-thinned spectrum.
+Before the audit the sweep certifies its count from the heat trace
+(heat_certificate): the residual of the short-time expansion on the
+located eigenvalues has a floor that one missing or doubled eigenvalue
+below certified_lambda would clear by 10x, so the audit searches no gap
+that ends below it.  Counting is validated against the two-term Weyl law
+plus the heat-trace constant b1; a failed check raises MissedEigenvalue,
+naming the polygon and the first eigenvalue the count lacks, rather than
+silently returning a thinned spectrum.
 """
 
 import functools
@@ -54,7 +59,7 @@ from .errors import (
 )
 from .geometry import build_polygon
 from .quadrature import graded_breaks, leggauss, panel_nodes
-from .zetadet import heat_coefficients
+from .zetadet import heat_coefficients, heat_trace_residual
 
 # basis and collocation sizes
 _POINTS_PER_WAVELENGTH = 8.0
@@ -81,6 +86,10 @@ _BESSEL_PANEL = 1.2             # width in u of a Bessel-table panel
 _BESSEL_DEGREE = 14             # Chebyshev degree on each panel
 _SIDE_FIRST_PANEL = 2.0**-15    # first panel of the side rule, fraction of the side
 _SIDE_ORDER = 12                # Gauss-Legendre nodes per panel of the side rule
+# heat-trace certificate
+_HEAT_T = np.arange(8.0, 49.0)  # t lambda_max at which the residual is taken
+_HEAT_WINDOW = 3                # consecutive t whose largest |R| is a floor candidate
+_HEAT_FLOOR_MAX = 1e-6          # a floor above this certifies nothing
 
 
 @dataclass(frozen=True)
@@ -144,6 +153,40 @@ def weyl_count_check(p, eigs, lambda_max):
     k = None if len(out) == 0 else int(counts[out[0]] + (devs[out[0]] < 0))
     return {"max_abs_dev": worst, "band": band, "ok": bool(worst <= band),
             "worst_lambda": float(lams[i]), "k": k}
+
+
+def heat_certificate(p, eigs, lambda_max):
+    """The lambda below which the heat trace vouches for the count of eigs.
+
+    The residual R of zetadet.heat_trace_residual is taken at t lambda_max
+    = 8, 9, ..., 48.  Its floor F is the smallest largest |R| over
+    _HEAT_WINDOW consecutive t, so that a zero crossing of R does not pose
+    as a floor.  One eigenvalue lam missing or doubled moves R by
+    exp(-lam t), more than 10 F below certified_lambda = ln(1/(10 F))/t,
+    with t the centre of the floor's window.
+
+    Two kinds of floor certify nothing (certified_lambda 0).  One above
+    _HEAT_FLOOR_MAX: the small sweeps of short spectra sit there, and a
+    single defect can hide below such a floor.  And one in the last window:
+    on a complete spectrum |R| falls with t only while the Weyl tail's
+    error, of order exp(-lambda_max t), leads it, so an |R| still falling
+    at t lambda_max = 48 is the decay of a defect below lambda_max (the
+    house pentagon's pair at 159.06, reported as one eigenvalue twice,
+    leaves R falling from -3.5e-6 to 0 across t lambda_max 16 to 48).
+    Returns floor, t_lambda_max (of that centre) and certified_lambda.
+    """
+    ts = _HEAT_T / lambda_max
+    h = heat_coefficients(p)
+    # |R| is no smaller than the rounding of its largest term, a1/t
+    r = np.maximum(np.abs(heat_trace_residual(eigs, h, lambda_max, ts)),
+                   np.finfo(float).eps * h.a1 / ts)
+    peaks = np.lib.stride_tricks.sliding_window_view(r, _HEAT_WINDOW).max(axis=1)
+    i = int(np.argmin(peaks))
+    floor, centre = float(peaks[i]), i + _HEAT_WINDOW // 2
+    lam_c = 0.0
+    if floor <= _HEAT_FLOOR_MAX and i < len(peaks) - 1:
+        lam_c = float(np.log(0.1 / floor) / ts[centre])
+    return {"floor": floor, "t_lambda_max": float(_HEAT_T[centre]), "certified_lambda": lam_c}
 
 
 def checked_spectrum(p, eigs, errs, lambda_max, meta):
@@ -460,6 +503,7 @@ class MPSSolver:
         # wall time per stage; a stage owns the time that no stage it calls claims
         self.stage_s = dict.fromkeys(_STAGES, 0.0)
         self._claimed = 0.0     # wall time of the stages run inside the current one
+        self.heat_certificate = {}      # set by solve before the audit
 
     # -- subspace angles ----------------------------------------------------
     def _boundary_svd(self, lam, vectors=False, A=None, scan=None):
@@ -535,9 +579,12 @@ class MPSSolver:
         self._cover_low_intervals(grid, vals)
         # a located dip can shadow a second one closer than the grid step
         self._find_siblings()
-        # local Weyl audit: scan every gap wider than about half a mean gap,
-        # for a miss that the global band cannot see
-        self._audit_gaps()
+        # local Weyl audit: scan every gap wider than about half a mean gap
+        # that reaches above what the heat trace vouches for, for a miss that
+        # the global band cannot see
+        cert = heat_certificate(self.p, self.eigs, self.lambda_max)
+        cert["audit_gaps_skipped"] = self._audit_gaps(cert["certified_lambda"])
+        self.heat_certificate = cert
         self._find_siblings()
 
         check = weyl_count_check(self.p, self.eigs, self.lambda_max)
@@ -567,7 +614,8 @@ class MPSSolver:
             self.p, self.eigs, self.errs, self.lambda_max,
             {"source": "mps", "orders": list(self.orders),
              "n_boundary": int(self.m_b), "n_interior": int(len(self.ipts)),
-             "sigma_evals": dict(self.sigma_evals), "stage_s": dict(self.stage_s)})
+             "sigma_evals": dict(self.sigma_evals), "stage_s": dict(self.stage_s),
+             "heat_certificate": dict(self.heat_certificate)})
 
     @_stage("refine")
     def _refine_checked(self, a, b, c, fa, fb, fc):
@@ -798,24 +846,32 @@ class MPSSolver:
         return self._scan(xs, self._sigmas_at(xs))
 
     @_stage("audit")
-    def _audit_gaps(self):
+    def _audit_gaps(self, lam_c):
         """Search every gap between consecutive located eigenvalues that the
-        two-term Weyl count puts at least 0.55 eigenvalues in.
+        two-term Weyl count puts at least 0.55 eigenvalues in, unless its top
+        is at or below lam_c, the certified_lambda of heat_certificate.
 
-        W(b) - W(a) is the gap measured in mean gaps, so every gap wider
-        than 0.55 mean gaps gets find_in with 26 points, not only one short
-        by about one eigenvalue.  The first gap starts at _lam_lo and the
-        last ends at lambda_max.  A pass that finds an eigenvalue is
-        followed by one more.
+        W(b) - W(a) is the gap measured in mean gaps, so every such gap
+        wider than 0.55 mean gaps gets find_in with 26 points, not only one
+        short by about one eigenvalue.  The first gap starts at _lam_lo and
+        the last ends at lambda_max.  A pass that finds an eigenvalue is
+        followed by one more.  Returns the wide gaps skipped, summed over
+        the passes.
         """
+        skipped = 0
         for _ in range(2):
             bounds = [self._lam_lo] + sorted(self.eigs) + [self.lambda_max]
             found_new = False
             for a, b in zip(bounds[:-1], bounds[1:]):
-                if weyl_two_term(self.p, b) - weyl_two_term(self.p, a) >= 0.55:
+                if weyl_two_term(self.p, b) - weyl_two_term(self.p, a) < 0.55:
+                    continue
+                if b <= lam_c:
+                    skipped += 1
+                else:
                     found_new = self.find_in(a, b, 26) > 0 or found_new
             if not found_new:
                 break
+        return skipped
 
     @_stage("rescan")
     def _rescan(self, grid):

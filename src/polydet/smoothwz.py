@@ -35,12 +35,9 @@ class SmoothDomain:
     coefficients: tuple   # a_0, a_1, ... of z(w) = sum a_k w^k
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        if len(c) < 2:
+        if len(self.coefficients) < 2:
             raise ValidationFailure("need at least a linear coefficient")
-        if not np.all(np.isfinite(c)):
-            raise ValidationFailure(f"Taylor coefficient {int(np.argmin(np.isfinite(c)))} "
-                                    "is not finite")
+        _finite(self.coefficients, "Taylor coefficient")
         # univalence margin: z' must not vanish near the closed disk
         for r in (0.5, 0.8, 1.0, 1.05):
             w = r * np.exp(2j * np.pi * np.arange(512) / 512)
@@ -60,6 +57,15 @@ class SmoothDomain:
         a += [0.0] * (n - len(a))
         v += [0.0] * (n - len(v))
         return SmoothDomain(tuple(ai + eps * vi for ai, vi in zip(a, v)))
+
+
+def _finite(coefficients, what):
+    """coefficients as a complex array; ValidationFailure naming the first
+    that is not finite."""
+    c = np.asarray(coefficients, dtype=complex)
+    if not np.all(np.isfinite(c)):
+        raise ValidationFailure(f"{what} {int(np.argmin(np.isfinite(c)))} is not finite")
+    return c
 
 
 def domain_from_json_dict(d):
@@ -132,8 +138,10 @@ def wz_variation(d, V):
     Evaluates (1/6 pi) Re int_Gamma V(w(z)) conj(nu) (Re(nu^2 {w,z}) - k^2) |dz|
     on the circle, with nu = |w'| w / w', k = |w'| Re(1 + w z''/z'), and
     {w,z} = -{z,w} / z'^2 from the Schwarzian chain rule (no inverse map is
-    ever constructed).  The grid is checked by doubling as in alvarez_logdet.
+    ever constructed).  The grid is checked by doubling as in alvarez_logdet;
+    a field coefficient that is not finite is refused before it.
     """
+    V = _finite(V, "field coefficient")
     return _grid_checked(lambda n: _wz_sum(d, V, n), "the variation")
 
 

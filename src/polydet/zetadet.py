@@ -106,6 +106,23 @@ def _tail_integral(tau0, lam_max, area, perimeter):
     return t_area - t_perim
 
 
+def heat_trace_residual(eigs, h, lambda_max, t):
+    """R(t): the heat trace of the truncated spectrum, completed above
+    lambda_max by the two-term Weyl density, less its short-time expansion
+    a1/t + a2/sqrt(pi t) + b1, at every t of the array ``t``.
+
+    On a polygon the expansion has only an exponentially small remainder
+    (van den Berg and Srisatkunarajah, J. London Math. Soc. 37, 1988), so on
+    a complete spectrum R is small, and an eigenvalue lam missing or doubled
+    moves it by exp(-lam t).
+    """
+    t = np.asarray(t, dtype=float)
+    x = lambda_max * t
+    trace = np.exp(-np.outer(t, np.asarray(eigs, dtype=float))).sum(axis=1)
+    tail = h.a1 * np.exp(-x) / t + h.a2 * erfc(np.sqrt(x)) / np.sqrt(np.pi * t)
+    return trace + tail - (h.a1 / t + h.a2 / np.sqrt(np.pi * t) + h.b1)
+
+
 def _logdet_value(eigs, h, tau0, lam_max):
     val = h.a1 / tau0 + 2 * h.a2 / np.sqrt(np.pi * tau0) - h.b1 * (np.log(tau0) + EULER_GAMMA)
     val -= float(np.sum(exp1(np.asarray(eigs) * tau0)))

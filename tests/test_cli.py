@@ -78,7 +78,11 @@ class TestRunConfig:
         ({"zeta": {"tail_tol": True}}, "zeta.tail_tol must be a number, not true"),
         ({"lambda_max": float("nan")}, "lambda_max must be finite and positive, not NaN"),
         ({"lambda_max": 350, "zeta": {"tau0": 0}},
-         "zeta.tau0 must be finite and positive, not 0.0")])
+         "zeta.tau0 must be finite and positive, not 0.0"),
+        # integers beyond the largest float
+        ({"lambda_max": 10**400}, "lambda_max must be finite and positive, not Infinity"),
+        ({"lambda_max": 350, "zeta": {"tau0": -10**400}},
+         "zeta.tau0 must be finite and positive, not -Infinity")])
     def test_wrong_value_type_exits_2(self, raw, message, square_file, tmp_path, capsys):
         # NaN is not JSON, but Python's json module reads and writes it
         f = tmp_path / "cfg.json"
@@ -287,6 +291,11 @@ class TestDetCommand:
         assert json.dumps(rep["payload"], sort_keys=True) == \
             json.dumps(rep2["payload"], sort_keys=True)
         assert rep2["timings"]["eigensolve"] < 0.5
+        # the sweep's heat-trace certificate is reported, and kept by the cache
+        cert = rep["diagnostics"]["heat_certificate"]
+        assert set(cert) == {"floor", "t_lambda_max", "certified_lambda", "audit_gaps_skipped"}
+        assert 0 < cert["certified_lambda"] < 420.0 and cert["audit_gaps_skipped"] > 0
+        assert rep2["diagnostics"]["heat_certificate"] == cert
 
     def test_truncated_cache_is_recomputed(self, square_file, det_cfg_file, tmp_path,
                                            capsys):

@@ -11,6 +11,7 @@ from polydet.eigensolve import (
     MPSSolver,
     dirichlet_eigenvalues,
     hadamard_eigenvalue_variation,
+    heat_certificate,
     polygon_hash,
     rectangle_spectrum,
     weyl_count_check,
@@ -589,6 +590,93 @@ class TestWeylCheck:
         assert "it leaves the band at eigenvalue 7," in msg
         assert f"predicted lambda_7 {eigensolve._weyl_kth(unit_square, 7):.6f};" in msg
         assert msg.endswith("stage rescan gave up when rescan 1 admitted nothing")
+
+
+def _exact_spectra():
+    """(polygon, eigenvalues, lambda_max) of closed-form spectra: three
+    rectangles and the equilateral triangle of side 1, whose eigenvalues are
+    16 pi^2 (m^2 + m n + n^2) / 9, m, n >= 1."""
+    out = [pytest.param(build_polygon([0, a, a + 1j * b, 1j * b]),
+                        rectangle_spectrum(a, b, lam_max).eigenvalue_array(), lam_max,
+                        id=f"{a}x{b}-{lam_max:g}")
+           for a, b, lam_max in ((1, 1, 350.0), (2, 1, 520.0), (4, 1, 600.0))]
+    lams = [16 * np.pi**2 * (m * m + m * n + n * n) / 9
+            for m in range(1, 30) for n in range(1, 30)]
+    out.append(pytest.param(build_polygon([0, 1, 0.5 + 0.5j * np.sqrt(3)]),
+                            np.sort([lam for lam in lams if lam < 600.0]), 600.0,
+                            id="equilateral-600"))
+    return out
+
+
+class TestHeatCertificate:
+    @pytest.mark.parametrize("p, eigs, lam_max", _exact_spectra())
+    def test_no_single_defect_is_certified(self, p, eigs, lam_max):
+        # the audit skips a gap whose top is at or below certified_lambda, so
+        # a dropped eigenvalue's gap must reach above it, and a doubled
+        # eigenvalue must lie above it
+        full = heat_certificate(p, eigs, lam_max)
+        assert 0.8 * lam_max < full["certified_lambda"] < lam_max
+        for k, lam in enumerate(eigs):
+            dropped = np.delete(eigs, k)
+            above = dropped[dropped >= lam]
+            top = above[0] if len(above) else lam_max
+            assert heat_certificate(p, dropped, lam_max)["certified_lambda"] < top, k
+            doubled = np.sort(np.append(eigs, lam))
+            assert heat_certificate(p, doubled, lam_max)["certified_lambda"] < lam, k
+
+    def test_a_short_spectrum_is_refused(self, unit_square):
+        # below 89.4 the exact square spectrum has 8 eigenvalues; its floor
+        # lies above _HEAT_FLOOR_MAX, where a single miss can hide
+        eigs = rectangle_spectrum(1, 1, 89.4).eigenvalue_array()
+        cert = heat_certificate(unit_square, eigs, 89.4)
+        assert cert["floor"] > eigensolve._HEAT_FLOOR_MAX
+        assert cert["certified_lambda"] == 0.0
+
+    def test_a_residual_still_falling_at_the_last_t_is_refused(self, unit_square):
+        # one member of the double 17 pi^2 moved by 2.1e-3, as the house
+        # pentagon reports its pair at 159.06: R decays as the defect does,
+        # and its smallest window, below _HEAT_FLOOR_MAX, is the last one
+        eigs = rectangle_spectrum(1, 1, 1568.0).eigenvalue_array()
+        k = int(np.flatnonzero(np.isclose(eigs, 17 * np.pi**2))[0])
+        eigs[k] += 2.1e-3
+        cert = heat_certificate(unit_square, eigs, 1568.0)
+        assert cert["floor"] < eigensolve._HEAT_FLOOR_MAX
+        assert cert["t_lambda_max"] == eigensolve._HEAT_T[-2]
+        assert cert["certified_lambda"] == 0.0
+
+    def test_a_floor_at_rounding_still_certifies(self, unit_square):
+        # at 1568 (the default det cutoff) R of the exact spectrum falls to
+        # its rounding, even to 0 on three consecutive t; the floor is
+        # never below the rounding of a1/t, so it is not refused as 0
+        eigs = rectangle_spectrum(1, 1, 1568.0).eigenvalue_array()
+        cert = heat_certificate(unit_square, eigs, 1568.0)
+        assert 0 < cert["floor"] < 1e-15
+        assert cert["certified_lambda"] > 0.75 * 1568.0
+
+    def test_audit_searches_no_window_below_the_certificate(self, unit_square, monkeypatch):
+        find_in, windows = MPSSolver.find_in, []
+
+        def spy(self, lo, hi, n):
+            windows.append((lo, hi))
+            return find_in(self, lo, hi, n)
+
+        monkeypatch.setattr(MPSSolver, "find_in", spy)
+        spec = dirichlet_eigenvalues(unit_square, 350.0)
+        cert = spec.meta["heat_certificate"]
+        assert cert["certified_lambda"] > 300.0 and cert["audit_gaps_skipped"] > 0
+        assert windows and all(hi > cert["certified_lambda"] for _, hi in windows)
+        # with a floor gate of 0 every certificate is refused, and the audit
+        # searches every wide gap
+        gated, windows[:] = windows[:], []
+        monkeypatch.setattr(eigensolve, "_HEAT_FLOOR_MAX", 0.0)
+        ungated = dirichlet_eigenvalues(unit_square, 350.0)
+        assert ungated.meta["heat_certificate"]["certified_lambda"] == 0.0
+        # the gated audit searches exactly the ungated windows that end above
+        # certified_lambda, the one across it among them
+        assert gated == [w for w in windows if w[1] > cert["certified_lambda"]]
+        assert any(lo < cert["certified_lambda"] for lo, _ in gated)
+        assert len(windows) - len(gated) == cert["audit_gaps_skipped"]
+        assert (ungated.eigenvalues, ungated.errors) == (spec.eigenvalues, spec.errors)
 
 
 def _sweep_missing_index_2(p, lam_max):

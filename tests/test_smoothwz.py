@@ -105,6 +105,13 @@ class TestWZVariation:
     def test_rotation_zero(self):
         assert abs(wz_variation(disk(1.0), [0.0, 1j])) < 1e-10
 
+    @pytest.mark.parametrize("V, k", [([0.0, np.nan], 1), ([np.inf, 1.0, 0.2], 0),
+                                      ([0.0, 1.0, complex(0, -np.inf)], 2)])
+    def test_non_finite_field_rejected(self, V, k):
+        # bad input, not a grid that fails to converge
+        with pytest.raises(ValidationFailure, match=f"field coefficient {k} is not finite"):
+            wz_variation(disk(1.0), V)
+
     def test_real_linearity(self, rng):
         d = SmoothDomain((0.0, 1.0, 0.1, 0.05))
         v1 = [0.1, 0.3, 0.0, 0.2j]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import exp1
 
 from polydet.errors import TailNotConverged, ValidationFailure
@@ -8,6 +9,7 @@ from polydet.geometry import build_polygon
 from polydet.zetadet import (
     ZetaConfig,
     heat_coefficients,
+    heat_trace_residual,
     rectangle_logdet_exact,
     scaling_variation,
     zeta_logdet,
@@ -30,6 +32,36 @@ def rectangle_logdet_bruteforce(a, b, tau0=0.01, decay=36.0):
         val -= float(np.sum(exp1(eigs * tau0)))
         vals.append(val)
     return 2 * vals[1] - vals[0]
+
+
+def test_heat_trace_residual_of_the_exact_square_spectrum():
+    # the heat-trace expansion of a polygon has an exponentially small
+    # remainder, so on a complete spectrum R sits far below one eigenvalue's
+    # exp(-lambda t); dropping lambda_1 moves R by exactly that
+    lam_max = 1568.0
+    eigs = rectangle_spectrum(1, 1, lam_max).eigenvalue_array()
+    h = heat_coefficients(build_polygon([0, 1, 1 + 1j, 1j]))
+    t = np.array([24.0 / lam_max])
+    r = heat_trace_residual(eigs, h, lam_max, t)
+    assert abs(r[0]) < 1e-11
+    dropped = heat_trace_residual(eigs[1:], h, lam_max, t)
+    assert dropped[0] - r[0] == pytest.approx(-np.exp(-eigs[0] * t[0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1.0, 8.0])
+def test_heat_trace_residual_tail_is_the_weyl_density_above_lambda_max(x):
+    # R + expansion - truncated trace is the Laplace transform of the
+    # two-term Weyl density A/(4 pi) - P/(8 pi sqrt(lam)) above lambda_max
+    p = build_polygon([0, 1.3, 0.9 + 0.8j, 0.1 + 0.7j])
+    h = heat_coefficients(p)
+    lam_max, eigs = 300.0, np.array([40.0, 90.0])
+    t = x / lam_max
+    tail = heat_trace_residual(eigs, h, lam_max, np.array([t]))[0] \
+        + h.a1 / t + h.a2 / np.sqrt(np.pi * t) + h.b1 - np.exp(-eigs * t).sum()
+    density = quad(lambda lam: np.exp(-lam * t) * (p.area / (4 * np.pi)
+                                                   - p.perimeter / (8 * np.pi * np.sqrt(lam))),
+                   lam_max, np.inf, epsabs=0, epsrel=1e-12)[0]
+    assert tail == pytest.approx(density, rel=1e-9)
 
 
 class TestHeatCoefficients:
