@@ -7,8 +7,8 @@ variant is the subspace-angle one (Betcke and Trefethen, SIAM Review 47,
 collocation, smallest singular value sigma(lambda) of the boundary block of
 the orthonormalized basis swept over lambda.
 
-The solver holds the eigenvalues it has located (MPSSolver.eigs and .errs),
-and each stage of a sweep only picks where to sample: the grid, the quarter
+The solver holds the eigenvalues it has located (MPSSolver.located), and
+each stage of a sweep only picks where to sample: the grid, the quarter
 points of low grid intervals (cover), the gaps that the Weyl law says are
 too wide and that reach above what the heat trace vouches for (audit; see
 heat_certificate) and a 4x finer grid (rescan, repeated while the count is
@@ -19,10 +19,10 @@ in lambda (MPSSolver._refine_checked).  A sibling too close for the samples
 to separate is probed in one place, MPSSolver._find_siblings, which the
 sweep runs after the cover, after the audit and after each rescan; one
 rule, MPSSolver._may_shadow, picks the located eigenvalues it probes.
-MPSSolver.find_in(lo, hi, n) searches one window for the audit.  The
-located eigenvalues, their errors and the dip records that
-_may_shadow reads are set by MPSSolver._admit alone.  The sigma evaluations
-of a sweep are counted per stage into Spectrum.meta["sigma_evals"].
+MPSSolver.find_in(lo, hi, n) searches one window for the audit.  Only
+MPSSolver._admit adds _Located records (one per eigenvalue, with its
+multiplicity and error) to MPSSolver.located.  The sigma evaluations of a
+sweep are counted per stage into Spectrum.meta["sigma_evals"].
 
 sigma comes at two grades.  Scans (the grid, rescans, cover probes, find_in
 windows and sibling brackets) only ask whether sigma is below
@@ -105,6 +105,19 @@ class Spectrum:
 
     def eigenvalue_array(self):
         return np.asarray(self.eigenvalues)
+
+
+@dataclass
+class _Located:
+    """A located eigenvalue, made by MPSSolver._admit, with what _may_shadow
+    reads: V slope, next singular value and whether it was probed."""
+
+    lam: float
+    err: float
+    mult: int
+    slope: float
+    s_next: float
+    probed: bool = False
 
 
 def polygon_hash(p):
@@ -195,11 +208,17 @@ def checked_spectrum(p, eigs, errs, lambda_max, meta):
 
     Sweeps, exact rectangle spectra and cache entries are all built here;
     one failing the check has count_check["ok"] false, and zeta_logdet
-    refuses it."""
+    refuses it.  An eigenvalue that is not finite and positive, or an error
+    that is not finite and >= 0, raises ValidationFailure."""
     eigs = np.asarray(eigs, dtype=float)
     errs = np.asarray(errs, dtype=float)
     if eigs.ndim != 1 or errs.shape != eigs.shape:
         raise ValidationFailure(f"{eigs.size} eigenvalues with {errs.size} error estimates")
+    bad = np.flatnonzero(~(np.isfinite(eigs) & np.isfinite(errs) & (eigs > 0) & (errs >= 0)))
+    if len(bad):
+        raise ValidationFailure(f"eigenvalue {float(eigs[bad[0]])!r} with error "
+                                f"{float(errs[bad[0]])!r}: eigenvalues must be finite and > 0, "
+                                "errors finite and >= 0")
     order = np.argsort(eigs, kind="stable")
     eigs, errs = eigs[order], errs[order]
     return Spectrum(
@@ -384,13 +403,12 @@ class _CornerBasis:
         r, th = self._local(pts)
         rt = np.sqrt(lam)
         gx, gy = [], []
-        for i in range(self.p.n):
+        for i, s in enumerate(self.sines(th)):
             nu = np.pi / self.alphas[i]
             ks = np.arange(1, self.orders[i] + 1)
             ri = np.maximum(r[i][:, None], 1e-300)
             J, dJ = self.tables[i].evaluate(rt * r[i], derivative=True)
             dJ *= rt
-            s = np.sin(ks[None, :] * nu * th[i][:, None])
             c = np.cos(ks[None, :] * nu * th[i][:, None])
             du_dr = dJ * s
             du_dth = J * c * (ks[None, :] * nu)
@@ -494,10 +512,7 @@ class MPSSolver:
         self._lam_lo = 0.95 * faber_krahn_bound(p)
         # grid step: the mean eigenvalue gap 4 pi / area over _GRID_PER_GAP
         self.step = 4 * np.pi / p.area / _GRID_PER_GAP
-        # located eigenvalues, once per multiplicity, with their error estimates
-        self.eigs, self.errs = [], []
-        self._dips = {}         # located eigenvalue -> (V slope, next sigma)
-        self._probed = set()    # located eigenvalues already probed for a sibling
+        self.located = []       # _Located records, in the order _admit made them
         self._stage = "grid"
         self.sigma_evals = dict.fromkeys(_STAGES, 0)
         # wall time per stage; a stage owns the time that no stage it calls claims
@@ -582,14 +597,13 @@ class MPSSolver:
         # local Weyl audit: scan every gap wider than about half a mean gap
         # that reaches above what the heat trace vouches for, for a miss that
         # the global band cannot see
-        cert = heat_certificate(self.p, self.eigs, self.lambda_max)
+        cert = heat_certificate(self.p, self._copies(), self.lambda_max)
         cert["audit_gaps_skipped"] = self._audit_gaps(cert["certified_lambda"])
         self.heat_certificate = cert
         self._find_siblings()
 
-        check = weyl_count_check(self.p, self.eigs, self.lambda_max)
         rescans = 0
-        while not check["ok"]:
+        while not (check := weyl_count_check(self.p, self._copies(), self.lambda_max))["ok"]:
             rescans += 1
             # a rescan that admits nothing would repeat itself exactly
             if not self._rescan(grid):
@@ -601,17 +615,21 @@ class MPSSolver:
                     f"predicted lambda_{k} {_weyl_kth(self.p, k):.6f}; stage rescan gave up "
                     f"when rescan {rescans} admitted nothing")
             self._find_siblings()
-            check = weyl_count_check(self.p, self.eigs, self.lambda_max)
 
         # the grid owns the time no decorated stage claimed
         self.stage_s["grid"] += time.perf_counter() - t0 - (self._claimed - claimed)
         return self._spectrum()
 
+    def _copies(self, field="lam"):
+        """That field of every located eigenvalue, once per multiplicity, in
+        the order _admit made them."""
+        return [getattr(r, field) for r in self.located for _ in range(r.mult)]
+
     def _spectrum(self):
         """The checked Spectrum of the located eigenvalues, with the sweep's
         sizes and counters."""
         return checked_spectrum(
-            self.p, self.eigs, self.errs, self.lambda_max,
+            self.p, self._copies(), self._copies("err"), self.lambda_max,
             {"source": "mps", "orders": list(self.orders),
              "n_boundary": int(self.m_b), "n_interior": int(len(self.ipts)),
              "sigma_evals": dict(self.sigma_evals), "stage_s": dict(self.stage_s),
@@ -710,7 +728,7 @@ class MPSSolver:
         for k in range(len(grid) - 1):
             if min(vals[k], vals[k + 1]) >= _DIP_THRESHOLD:
                 continue
-            if any(grid[k] <= e <= grid[k + 1] for e in self.eigs):
+            if any(grid[k] <= r.lam <= grid[k + 1] for r in self.located):
                 continue
             probes = grid[k] + (grid[k + 1] - grid[k]) * np.array([0.25, 0.5, 0.75])
             lo, hi = max(k - 1, 0), min(k + 3, len(grid))
@@ -720,28 +738,28 @@ class MPSSolver:
 
     def _admit(self, found):
         """Add a dip found by _refine_checked, with the singular values it
-        sampled there, to the located eigenvalues once per multiplicity.
+        sampled there, to the located eigenvalues: one record, whose
+        multiplicity counts those below _MULT_TOL.  Returns the copies added.
 
-        None, a point outside [lam_lo, lambda_max], a point where no singular
-        value falls below _MULT_TOL and a dip already located are
-        rejected.  Records the V slope and the next singular value above the
-        multiplicity, which _may_shadow reads.  Returns the copies added.
+        None, a point outside [lam_lo, lambda_max], a point with no singular
+        value below _MULT_TOL and a dip within 1e-6 lam or 20 times either
+        refinement error of a record are rejected (a cover-pass refinement
+        that walks to a neighboring dip lands near it, not exactly on it).
         """
         if found is None:
             return 0
         lam, err, slope, sig = found
-        if not self._lam_lo <= lam <= self.lambda_max \
-                or _is_duplicate(lam, err, self.eigs, self.errs):
-            return 0
         mult = int((sig < _MULT_TOL).sum())
-        if mult:
-            self._dips[lam] = (slope, float(sig[mult]) if mult < len(sig) else np.inf)
-        self.eigs.extend([lam] * mult)
-        self.errs.extend([err] * mult)
+        if not mult or not self._lam_lo <= lam <= self.lambda_max or any(
+                abs(lam - r.lam) < max(1e-6 * max(1.0, abs(r.lam)), 20 * err, 20 * r.err)
+                for r in self.located):
+            return 0
+        self.located.append(_Located(lam, err, mult, slope,
+                                     float(sig[mult]) if mult < len(sig) else np.inf))
         return mult
 
-    def _may_shadow(self, lam):
-        """Whether the located eigenvalue lam may shadow an unlocated one
+    def _may_shadow(self, rec):
+        """Whether the located eigenvalue rec may shadow an unlocated one
         closer than the grid step: the one rule for probing a sibling.
 
         At a simple eigenvalue lam the second singular value is about
@@ -753,11 +771,10 @@ class MPSSolver:
         a shadowed sibling.  An eigenvalue probed before is not probed
         again.
         """
-        if lam in self._probed:
+        if rec.probed:
             return False
-        slope, s_next = self._dips[lam]
-        dist = min((abs(e - lam) for e in self.eigs if e != lam), default=np.inf)
-        d_est = s_next / slope
+        dist = min((abs(r.lam - rec.lam) for r in self.located if r is not rec), default=np.inf)
+        d_est = rec.s_next / rec.slope
         return d_est < self.step and d_est < 0.3 * dist
 
     @_stage("siblings")
@@ -767,13 +784,13 @@ class MPSSolver:
 
         The only caller of _probe_sibling: a scan refines the minima it
         sees, and the sweep runs this after each stage that can admit."""
-        while sum(self._probe_sibling(lam) for lam in sorted(set(self.eigs))
-                  if self._may_shadow(lam)):
+        while sum(self._probe_sibling(r) for r in sorted(self.located, key=lambda r: r.lam)
+                  if self._may_shadow(r)):
             pass
 
     @_stage("siblings")
-    def _probe_sibling(self, lam):
-        """Look for an unlocated eigenvalue next to the located one at lam.
+    def _probe_sibling(self, rec):
+        """Look for an unlocated eigenvalue next to the located one rec.
 
         Near two close eigenvalues lam and lam2 the two smallest singular
         values are about s1 |x - lam| and s2 |x - lam2|.  With k the
@@ -783,9 +800,8 @@ class MPSSolver:
         d = sigma_k(lam) / s2.  The dip at lam + d is then bracketed away
         from lam and refined.  Returns the copies added.
         """
-        self._probed.add(lam)
-        k = self.eigs.count(lam)
-        slope, s0 = self._dips[lam]
+        rec.probed = True
+        lam, k, slope, s0 = rec.lam, rec.mult, rec.slope, rec.s_next
         # delta small enough that lam's own V stays below the sibling's
         delta = min(0.02 * self.step, 0.25 * s0 / slope)
         # full grade: the slope is a difference of two nearby values
@@ -806,7 +822,7 @@ class MPSSolver:
         added = self._admit(self._refine_checked(a, b, c, fa, fb, fc))
         if added:
             # probing the sibling would refine back onto lam
-            self._probed.add(self.eigs[-1])
+            self.located[-1].probed = True
         return added
 
     def _scan(self, xs, vals):
@@ -825,7 +841,7 @@ class MPSSolver:
         # each factor is scaled by the width so a full-range scan past many
         # located eigenvalues neither overflows nor underflows
         defl = np.ones_like(vals)
-        for e in self.eigs:
+        for e in self._copies():
             if lo - width < e < hi + width:
                 defl *= np.maximum(np.abs(xs - e), 1e-3 * width) / width
         dvals = vals / defl
@@ -860,7 +876,7 @@ class MPSSolver:
         """
         skipped = 0
         for _ in range(2):
-            bounds = [self._lam_lo] + sorted(self.eigs) + [self.lambda_max]
+            bounds = [self._lam_lo] + sorted(r.lam for r in self.located) + [self.lambda_max]
             found_new = False
             for a, b in zip(bounds[:-1], bounds[1:]):
                 if weyl_two_term(self.p, b) - weyl_two_term(self.p, a) < 0.55:
@@ -951,17 +967,6 @@ def _parabola(x, f):
     return A, b - 0.5 * B / A, qb - 0.25 * B * B / A
 
 
-def _is_duplicate(lam, err, eigs, errs):
-    """A refined dip matches an already-located one if it lies within the
-    larger of the two refinement uncertainties (a cover-pass refinement that
-    walks to a neighboring dip lands near it, not exactly on it)."""
-    for e, r in zip(eigs, errs):
-        tol = max(1e-6 * max(1.0, abs(e)), 20 * err, 20 * r)
-        if abs(lam - e) < tol:
-            return True
-    return False
-
-
 def dirichlet_eigenvalues(p, lambda_max):
     """All Dirichlet eigenvalues of p below lambda_max via the MPS sweep."""
     solver = MPSSolver(p, lambda_max)
@@ -975,8 +980,11 @@ def hadamard_eigenvalue_variation(p, f, j):
     Requires lambda_j simple within _GAP_TOL; for clusters the caller
     should sum the variation over the cluster (DegenerateEigenvalue is
     raised here).  A sweep that holds fewer than j + 1 eigenvalues, so that
-    lambda_{j+1} cannot be checked, raises MissedEigenvalue.
+    lambda_{j+1} cannot be checked, raises MissedEigenvalue.  A j that is not
+    an integer >= 1 raises ValidationFailure before any sweep.
     """
+    if not isinstance(j, (int, np.integer)) or j < 1:
+        raise ValidationFailure(f"eigenvalue index j = {j!r} is not an integer >= 1")
     # sweep a bit beyond the Weyl estimate for lambda_{j+1}
     lam_max = _weyl_kth(p, j + 2) * 1.25
     solver = MPSSolver(p, lam_max)

@@ -322,6 +322,12 @@ def map_forward(m, z):
 # Schwarzians
 # ---------------------------------------------------------------------------
 
+def _prevertex_sums(gp, d):
+    """sum_k gp_k/d_k and sum_k gp_k/d_k^2 over the last axis of d, the
+    distances z - z_k to the prevertices, gp_k = (pi - alpha_k)/pi."""
+    return np.sum(gp / d, axis=-1), np.sum(gp / d**2, axis=-1)
+
+
 def schwarzian_xz(m, z):
     """Schwarzian {x, z}: closed-form rational function of the prevertices."""
     z = np.asarray(z, dtype=complex)
@@ -329,9 +335,7 @@ def schwarzian_xz(m, z):
     gp = -np.asarray(m.exponents)        # (pi - alpha_k)/pi
     if np.min(np.abs(z[..., None] - zk)) < 1e-13 * max(1.0, float(np.max(np.abs(zk)))):
         raise PoleQuery("z coincides with a prevertex")
-    d = z[..., None] - zk
-    s1 = np.sum(gp / d, axis=-1)
-    s2 = np.sum(gp / d**2, axis=-1)
+    s1, s2 = _prevertex_sums(gp, z[..., None] - zk)
     out = s2 - 0.5 * s1**2
     return complex(out) if out.ndim == 0 else out
 

@@ -113,6 +113,7 @@ from scipy.special import zeta as hurwitz_zeta
 from .quadrature import graded_breaks, jacgauss, leggauss, panel_nodes
 from .scmap import (
     _local_regular_factor,
+    _prevertex_sums,
     cumulative_images,
     map_forward,
     sc_derivative,
@@ -285,17 +286,11 @@ class _NearVertex:
         because sharp corners compress eps-neighborhoods like eps^{pi/alpha}).
         """
         w = np.asarray(w, dtype=float)
-        zk = self.m.prevertex_array()
+        others = np.arange(self.m.n) != self.i
         gp = -np.asarray(self.m.exponents)
         gpi = gp[self.i]
-        T = np.zeros_like(w)
-        U = np.zeros_like(w)
-        for k in range(self.m.n):
-            if k == self.i:
-                continue
-            d = self.zi - zk[k] + self.sign * w
-            T += gp[k] / d
-            U += gp[k] / d**2
+        T, U = _prevertex_sums(gp[others], self.zi - self.m.prevertex_array()[others]
+                               + self.sign * w[..., None])
         return gpi * (1 - gpi / 2) - self.sign * gpi * T * w + w**2 * (U - T**2 / 2)
 
     def rho(self, w):

@@ -353,6 +353,28 @@ class TestDetCommand:
         assert (got["eigenvalues"], got["errors"]) == (entry["eigenvalues"], entry["errors"])
         assert not list(cache.glob("*.tmp"))
 
+    def test_cache_with_a_non_positive_eigenvalue_is_recomputed(self, square_file, tmp_path,
+                                                                capsys):
+        # the Weyl term takes sqrt(max(lam, 0)), so -1.0 passes the count
+        # check; the entry used to reach the zeta completion and exit 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_max": 350.0, "zeta": {"tau0": 0.05}}))
+        cache = tmp_path / "cache"
+        args = ["--cfg", str(cfg), "--cache-dir", str(cache), "det", square_file]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        (f,) = cache.glob("spectrum_*.json")
+        entry = json.loads(f.read_text())
+        f.write_text(json.dumps(dict(entry, eigenvalues=[-1.0] + entry["eigenvalues"],
+                                     errors=[0.0] + entry["errors"])))
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert not rep["diagnostics"]["cache_hit"]
+        assert rep["payload"]["n_eigs"] == payload["n_eigs"]
+        assert rep["payload"]["logdet"] == payload["logdet"]
+
     def test_spectrum_cache_is_keyed_by_the_polygon_and_lambda_max(self, square_file,
                                                                   tmp_path, capsys):
         # the sweep reads only the polygon and lambda_max, so the zeta

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from polydet import eigensolve
 from polydet.errors import DegenerateEigenvalue, MissedEigenvalue, ValidationFailure
 from polydet.eigensolve import (
     MPSSolver,
+    checked_spectrum,
     dirichlet_eigenvalues,
     hadamard_eigenvalue_variation,
     heat_certificate,
@@ -317,12 +319,12 @@ class TestCloseEigenvalues:
         solver = MPSSolver(moved, 1100.0)
         grid = np.arange(solver._lam_lo, 1100.0 + solver.step, solver.step)
         solver._scan(grid, solver._sigma_batch(grid))
-        assert [e for e in solver.eigs if 625 <= e <= 626.5] == [
-            pytest.approx(625.3744, abs=1e-4)]
+        assert [(r.lam, r.mult) for r in solver.located if 625 <= r.lam <= 626.5] == [
+            (pytest.approx(625.3744, abs=1e-4), 1)]
         solver._find_siblings()
-        pair = [e for e in solver.eigs if 625 <= e <= 626.5]
-        assert len(pair) == 2
-        assert pair[1] == pytest.approx(sibling, rel=1e-8)
+        pair = [r for r in solver.located if 625 <= r.lam <= 626.5]
+        assert [r.mult for r in pair] == [1, 1] and all(r.probed for r in pair)
+        assert pair[1].lam == pytest.approx(sibling, rel=1e-8)
 
 
 def test_cover_leaves_the_audit_nothing_to_admit(monkeypatch):
@@ -343,6 +345,39 @@ def test_cover_leaves_the_audit_nothing_to_admit(monkeypatch):
     assert len(spec.eigenvalues) == 40
     assert [lam for stage, lam in admitted if stage == "audit"] == []
     assert [stage for stage, lam in admitted if abs(lam - 1131.8977) < 1e-4] == ["cover"]
+
+
+class TestAdmit:
+    """MPSSolver._admit, the one writer of MPSSolver.located, on the unit
+    square below 60: 2 pi^2 and the double 5 pi^2."""
+
+    @staticmethod
+    def _dip(lam, err):
+        # a simple dip: (lambda, error, V slope, the four smallest singular values)
+        return lam, err, 3.0, np.array([1e-9, 0.5, 0.6, 0.7])
+
+    def test_a_dip_near_a_record_is_not_admitted(self, unit_square):
+        solver = MPSSolver(unit_square, 60.0)
+        assert solver._admit(self._dip(20.0, 1e-5)) == 1
+        before = [dataclasses.astuple(r) for r in solver.located]
+        # within 1e-6 lam, within 20 times the record's error, and within 20
+        # times the dip's own error
+        for lam, err in ((20.0 + 1.9e-5, 1e-12), (20.0 - 1.9e-4, 1e-12),
+                         (20.0 + 1.9e-3, 1e-4)):
+            assert solver._admit(self._dip(lam, err)) == 0
+            assert [dataclasses.astuple(r) for r in solver.located] == before
+        assert solver._admit(self._dip(20.0 + 2.1e-3, 1e-4)) == 1
+        assert [r.lam for r in solver.located] == [20.0, 20.0 + 2.1e-3]
+
+    def test_a_double_is_one_record_listed_twice(self, unit_square):
+        solver = MPSSolver(unit_square, 60.0)
+        spec = solver.solve()
+        assert [(r.lam, r.mult) for r in solver.located] == [
+            (pytest.approx(2 * np.pi**2, rel=1e-12), 1),
+            (pytest.approx(5 * np.pi**2, rel=1e-12), 2)]
+        double = solver.located[1]
+        assert spec.eigenvalues[1:] == (double.lam, double.lam)
+        assert spec.errors[1:] == (double.err, double.err)
 
 
 class _SyntheticSigma(MPSSolver):
@@ -514,10 +549,32 @@ class TestHadamardVariation:
                                  rf"but lambda_{j} and lambda_{j + 1} are needed"):
             hadamard_eigenvalue_variation(unit_square, f, j)
 
+    @pytest.mark.parametrize("j", [0, -1, 1.5])
+    def test_an_index_that_is_not_a_positive_integer_is_refused(self, unit_square,
+                                                                 monkeypatch, j):
+        # refused before any sweep: j = 0 used to sweep and then report
+        # lambda_0 as degenerate, and j = -1 to end in an IndexError
+        def no_sweep(*args):
+            raise AssertionError("MPSSolver was built")
+
+        monkeypatch.setattr(eigensolve, "MPSSolver", no_sweep)
+        with pytest.raises(ValidationFailure, match=rf"j = {j} is not an integer >= 1"):
+            hadamard_eigenvalue_variation(unit_square, dilation_field(unit_square), j)
+
     def test_degenerate_rejected(self, unit_square):
         f = dilation_field(unit_square)
         with pytest.raises(DegenerateEigenvalue):
             hadamard_eigenvalue_variation(unit_square, f, 2)  # 5 pi^2 is double
+
+
+@pytest.mark.parametrize("eigs, errs", [
+    ([-1.0, 20.0], [0.0, 0.0]), ([0.0, 20.0], [0.0, 0.0]), ([np.nan, 20.0], [0.0, 0.0]),
+    ([20.0, np.inf], [0.0, 0.0]), ([20.0, 50.0], [0.0, -1e-12]), ([20.0, 50.0], [np.nan, 0.0])])
+def test_checked_spectrum_refuses_a_bad_eigenvalue_or_error(unit_square, eigs, errs):
+    # the Weyl term takes sqrt(max(lam, 0)), so the count check alone lets
+    # a non-positive eigenvalue through
+    with pytest.raises(ValidationFailure, match="finite and > 0, errors finite and >= 0"):
+        checked_spectrum(unit_square, eigs, errs, 60.0, {})
 
 
 class TestWeylCheck:
@@ -551,17 +608,13 @@ class TestWeylCheck:
         exact = rectangle_spectrum(1, 1, 450.0).eigenvalue_array()
         solver = MPSSolver(unit_square, 450.0)
         solver.solve()
-        removed = [e for e in set(solver.eigs)
-                   if np.isclose(e, 8 * np.pi**2) or np.isclose(e, 10 * np.pi**2)]
-        kept = [i for i, e in enumerate(solver.eigs) if e not in removed]
-        assert len(solver.eigs) - len(kept) == 3
-        solver.eigs = [solver.eigs[i] for i in kept]
-        solver.errs = [solver.errs[i] for i in kept]
-        for e in removed:
-            del solver._dips[e]
+        removed = [r for r in solver.located
+                   if np.isclose(r.lam, 8 * np.pi**2) or np.isclose(r.lam, 10 * np.pi**2)]
+        assert [r.mult for r in removed] == [1, 2]
+        solver.located = [r for r in solver.located if r not in removed]
         grid = np.arange(solver._lam_lo, 450.0 + solver.step, solver.step)
         solver._rescan(grid)
-        eigs = np.sort(solver.eigs)
+        eigs = np.sort(solver._copies())
         assert len(eigs) == len(exact)
         assert np.max(np.abs(eigs - exact) / exact) < 1e-8
 

@@ -294,6 +294,24 @@ def test_rho_on_panel_arrays_equals_pointwise(rng):
         assert np.array_equal(near.rho(w), [[near.rho(x)[0] for x in row] for row in w])
 
 
+def test_schwarz_w2_matches_the_loop_over_prevertices(rng):
+    # the sums of scmap._prevertex_sums against the loop over the other
+    # prevertices that they replaced, which adds the terms in another order
+    p = random_convex_polygon(rng, n_min=8, n_max=8)
+    m = solve_parameter_problem(p)
+    zk, gp = m.prevertex_array(), -np.asarray(m.exponents)
+    for i, from_right in ((1, True), (3, False), (4, True), (0, False)):
+        near = _NearVertex(m, i, from_right)
+        w = 0.25 * m.gap(i) * np.array([1e-300, 1e-8, 0.01, 0.3, 1.0])
+        T = U = 0.0
+        for k in range(m.n):
+            if k != i:
+                d = near.zi - zk[k] + near.sign * w
+                T, U = T + gp[k] / d, U + gp[k] / d**2
+        ref = gp[i] * (1 - gp[i] / 2) - near.sign * gp[i] * T * w + w**2 * (U - T**2 / 2)
+        assert np.allclose(near.schwarz_w2(w), ref, rtol=1e-13, atol=1e-14)
+
+
 def test_local_structure_matches_map_forward(rng):
     # x(z_i +/- w) = x_i +/- D (pi/a) w^{a/pi} rho(w); right and left
     # approaches, including both ends of the side through infinity
