@@ -86,15 +86,26 @@ def _solve_map_cached(p, cache):
                    lambda: solve_parameter_problem(p), lambda m: m.to_json_dict())
 
 
+def _json_float(x, key):
+    """x as a float, if it is a finite JSON number: an int or a float, not a
+    bool.  Anything else in a cache entry raises ValidationFailure, so the
+    entry is a miss; float() would read "1.5" as 1.5 and true as 1.0."""
+    if not (type(x) in (int, float) and abs(x) <= sys.float_info.max):
+        raise ValidationFailure(f"cache entry {key} holds {x!r}, not a finite number")
+    return float(x)
+
+
 def _spectrum_cached(p, lam_max, cache):
     """The spectrum of p below lam_max and whether it came from the cache.
     The entry is keyed by the polygon and lam_max, the only inputs of the
-    sweep; one stored for another polygon or cutoff, or failing the Weyl
-    count check, is a miss."""
+    sweep; one stored for another polygon or cutoff, holding anything but
+    finite numbers in its eigenvalues, errors or lambda_max, or failing the
+    Weyl count check, is a miss."""
     path = Path(cache) / f"spectrum_{polygon_hash(p)}_{lam_max!r}.json" if cache else None
 
     def load(d):
-        spec = checked_spectrum(p, d["eigenvalues"], d["errors"], float(d["lambda_max"]),
+        eigs, errs = ([_json_float(x, key) for x in d[key]] for key in ("eigenvalues", "errors"))
+        spec = checked_spectrum(p, eigs, errs, _json_float(d["lambda_max"], "lambda_max"),
                                 d["meta"])
         if (d["polygon_hash"] != spec.polygon_hash or spec.lambda_max != lam_max
                 or not spec.count_check["ok"]):

@@ -8,21 +8,24 @@ collocation, smallest singular value sigma(lambda) of the boundary block of
 the orthonormalized basis swept over lambda.
 
 The solver holds the eigenvalues it has located (MPSSolver.located), and
-each stage of a sweep only picks where to sample: the grid, the quarter
-points of low grid intervals (cover), the gaps that the Weyl law says are
-too wide and that reach above what the heat trace vouches for (audit; see
-heat_certificate) and a 4x finer grid (rescan, repeated while the count is
-off and the last rescan admitted something).  All of them go through one
-scan, MPSSolver._scan, which divides the located V-shapes out of the samples
-and refines every minimum below a threshold by fitting sigma^2 as a parabola
-in lambda (MPSSolver._refine_checked).  A sibling too close for the samples
-to separate is probed in one place, MPSSolver._find_siblings, which the
-sweep runs after the cover, after the audit and after each rescan; one
-rule, MPSSolver._may_shadow, picks the located eigenvalues it probes.
-MPSSolver.find_in(lo, hi, n) searches one window for the audit.  Only
-MPSSolver._admit adds _Located records (one per eigenvalue, with its
-multiplicity and error) to MPSSolver.located.  The sigma evaluations of a
-sweep are counted per stage into Spectrum.meta["sigma_evals"].
+each stage of a sweep only picks where to sample: the grid; the windows
+where the heat trace names a missing eigenvalue and the quarter points of
+the low grid intervals that reach above what it vouches for (cover; see
+named_window and heat_certificate); the gaps that the Weyl law says are too
+wide and that reach above what the heat trace vouches for (audit) and a 4x
+finer grid (rescan, repeated while the count is off and the last rescan
+admitted something).  All of them go through one scan, MPSSolver._scan,
+which divides the located V-shapes out of the samples and refines every
+minimum below a threshold by fitting sigma^2 as a parabola in lambda
+(MPSSolver._refine_checked).  A sibling too close for the samples to
+separate is probed in one place, MPSSolver._find_siblings, which the sweep
+runs after the grid, after each named window, after the cover, after the
+audit and after each rescan; one rule, MPSSolver._may_shadow, picks the
+located eigenvalues it probes.  MPSSolver.find_in(lo, hi, n) searches one
+window for the cover and the audit.  Only MPSSolver._admit adds _Located
+records (one per eigenvalue, with its multiplicity and error) to
+MPSSolver.located.  The sigma evaluations of a sweep are counted per stage
+into Spectrum.meta["sigma_evals"].
 
 sigma comes at two grades.  Scans (the grid, rescans, cover probes, find_in
 windows and sibling brackets) only ask whether sigma is below
@@ -32,14 +35,16 @@ about 1e-8 near a dip, at about a third of the cost of an SVD.  Refinement,
 the multiplicity count, the sibling probe's slope and the eigenfunctions
 need sigma down to its noise floor (about 1e-14) and take the SVD of Q_B.
 
-Before the audit the sweep certifies its count from the heat trace
-(heat_certificate): the residual of the short-time expansion on the
-located eigenvalues has a floor that one missing or doubled eigenvalue
-below certified_lambda would clear by 10x, so the audit searches no gap
-that ends below it.  Counting is validated against the two-term Weyl law
-plus the heat-trace constant b1; a failed check raises MissedEigenvalue,
-naming the polygon and the first eigenvalue the count lacks, rather than
-silently returning a thinned spectrum.
+The heat trace both names and vouches.  On the located eigenvalues the
+residual of its short-time expansion is minus the sum of exp(-lam t) over
+the missing lam, so its decay between two t names where a miss lies
+(named_window), and the cover searches there first.  Then its floor, which
+one missing or doubled eigenvalue below certified_lambda would clear by
+10x, certifies the count (heat_certificate): the cover scans no low
+interval, and the audit no gap, that ends below it.  Counting is validated
+against the two-term Weyl law plus the heat-trace constant b1; a failed
+check raises MissedEigenvalue, naming the polygon and the first eigenvalue
+the count lacks, rather than silently returning a thinned spectrum.
 """
 
 import functools
@@ -90,6 +95,11 @@ _SIDE_ORDER = 12                # Gauss-Legendre nodes per panel of the side rul
 _HEAT_T = np.arange(8.0, 49.0)  # t lambda_max at which the residual is taken
 _HEAT_WINDOW = 3                # consecutive t whose largest |R| is a floor candidate
 _HEAT_FLOOR_MAX = 1e-6          # a floor above this certifies nothing
+# heat-trace naming of a miss
+_NAME_T = np.array([12.0, 13.0])   # t lambda_max of the pair that names lambda*
+_NAME_BELOW = 0.85              # lambda* is named only below this fraction of lambda_max
+_NAME_STEPS = (3.0, 1.0)        # grid steps a named window reaches below and above lambda*
+_NAME_POINTS = 17               # points find_in scans in a named window
 
 
 @dataclass(frozen=True)
@@ -200,6 +210,31 @@ def heat_certificate(p, eigs, lambda_max):
     if floor <= _HEAT_FLOOR_MAX and i < len(peaks) - 1:
         lam_c = float(np.log(0.1 / floor) / ts[centre])
     return {"floor": floor, "t_lambda_max": float(_HEAT_T[centre]), "certified_lambda": lam_c}
+
+
+def named_window(p, eigs, lambda_max, step):
+    """(lambda*, lo, hi): the window in which the heat trace names an
+    eigenvalue missing from eigs, or None.
+
+    On eigs the residual R of zetadet.heat_trace_residual is minus the sum
+    of exp(-lam t) over the missing lam, plus the tail's error, of order
+    exp(-lambda_max t).  Where R < 0 at both t lambda_max = 12 and 13,
+    lambda* = -d ln(-R)/dt between them is the mean of the missing lam
+    weighted by exp(-lam t): a single miss's own lam, and with several an
+    upper bound on the lowest.  lambda* is named only above the Faber-Krahn
+    bound, below which no eigenvalue lies, and below 0.85 lambda_max, where a
+    miss outweighs the tail's error about 6 times; the window runs from 3
+    grid steps below it to one above.
+    """
+    ts = _NAME_T / lambda_max
+    r = heat_trace_residual(eigs, heat_coefficients(p), lambda_max, ts)
+    if not np.all(r < 0):
+        return None
+    lam = float(np.log(r[0] / r[1]) / (ts[1] - ts[0]))
+    if not faber_krahn_bound(p) < lam < _NAME_BELOW * lambda_max:
+        return None
+    below, above = _NAME_STEPS
+    return lam, lam - below * step, lam + above * step
 
 
 def checked_spectrum(p, eigs, errs, lambda_max, meta):
@@ -588,18 +623,20 @@ class MPSSolver:
         grid = np.arange(self._lam_lo, self.lambda_max + self.step, self.step)
         vals = self._sigma_batch(grid)
         self._scan(grid, vals)
-
-        # low grid values not explained by a located dip can hide one between
-        # samples (clusters tighter than the grid); scan such intervals finer
-        self._cover_low_intervals(grid, vals)
         # a located dip can shadow a second one closer than the grid step
+        self._find_siblings()
+
+        # the heat trace names where a miss lies, and low grid values not
+        # explained by a located dip can hide one between samples (clusters
+        # tighter than the grid); search and scan there, and certify the count
+        cover = self._cover_low_intervals(grid, vals)
         self._find_siblings()
         # local Weyl audit: scan every gap wider than about half a mean gap
         # that reaches above what the heat trace vouches for, for a miss that
         # the global band cannot see
         cert = heat_certificate(self.p, self._copies(), self.lambda_max)
         cert["audit_gaps_skipped"] = self._audit_gaps(cert["certified_lambda"])
-        self.heat_certificate = cert
+        self.heat_certificate = dict(cert, **cover)
         self._find_siblings()
 
         rescans = 0
@@ -717,24 +754,53 @@ class MPSSolver:
 
     @_stage("cover")
     def _cover_low_intervals(self, grid, vals):
-        """Scan every grid interval with a low end and no located dip again,
-        at its quarter points.
+        """Search where the heat trace names a miss, take its certificate,
+        and scan the low grid intervals it cannot vouch for again.
 
         The strict local-minimum pattern on the grid can miss a dip near an
-        interval edge when clusters are tighter than the grid.  The probes
-        are scanned together with the grid samples on either side, so that a
-        dip in the first or last quarter is still an interior minimum.
+        interval edge when clusters are tighter than the grid.  First, while
+        named_window names a lambda* on the located eigenvalues, its window
+        is searched with find_in (_NAME_POINTS points) and _find_siblings;
+        the first window that admits nothing ends this.  Then the sweep's
+        heat_certificate is taken, and every grid interval with a low end,
+        no located dip and a top above certified_lambda is scanned at its
+        quarter points.  The probes are scanned together with the grid
+        samples on either side, so that a dip in the first or last quarter
+        is still an interior minimum.
+
+        Returns the record solve adds to the sweep's heat_certificate: the
+        named windows (lambda*, lo, hi and the copies admitted), the
+        certified_lambda taken here and the low intervals skipped below it.
         """
+        named = []
+        while (window := named_window(self.p, self._copies(), self.lambda_max,
+                                      self.step)) is not None:
+            lam, lo, hi = window
+            lo, hi = max(lo, self._lam_lo), min(hi, self.lambda_max)
+            before = len(self._copies())
+            self.find_in(lo, hi, _NAME_POINTS)
+            self._find_siblings()
+            added = len(self._copies()) - before
+            named.append({"lambda": lam, "lo": lo, "hi": hi, "admitted": added})
+            if not added:
+                break
+        cert = heat_certificate(self.p, self._copies(), self.lambda_max)
+        skipped = 0
         for k in range(len(grid) - 1):
             if min(vals[k], vals[k + 1]) >= _DIP_THRESHOLD:
                 continue
             if any(grid[k] <= r.lam <= grid[k + 1] for r in self.located):
+                continue
+            if grid[k + 1] <= cert["certified_lambda"]:
+                skipped += 1
                 continue
             probes = grid[k] + (grid[k + 1] - grid[k]) * np.array([0.25, 0.5, 0.75])
             lo, hi = max(k - 1, 0), min(k + 3, len(grid))
             self._scan(np.concatenate([grid[lo:k + 1], probes, grid[k + 1:hi]]),
                        np.concatenate([vals[lo:k + 1], self._sigmas_at(probes),
                                        vals[k + 1:hi]]))
+        return {"named": named, "cover_certified_lambda": cert["certified_lambda"],
+                "cover_intervals_skipped": skipped}
 
     def _admit(self, found):
         """Add a dip found by _refine_checked, with the singular values it
@@ -798,7 +864,9 @@ class MPSSolver:
         was admitted and the one sampled at lam +- delta therefore give the
         side of lam2 (where it decreases), the slope s2 and the distance
         d = sigma_k(lam) / s2.  The dip at lam + d is then bracketed away
-        from lam and refined.  Returns the copies added.
+        from lam and refined.  The sibling admitted is marked probed, unless
+        _may_shadow says it may shadow a third eigenvalue.  Returns the
+        copies added.
         """
         rec.probed = True
         lam, k, slope, s0 = rec.lam, rec.mult, rec.slope, rec.s_next
@@ -820,8 +888,10 @@ class MPSSolver:
         if side < 0:
             a, fa, c, fc = c, fc, a, fa
         added = self._admit(self._refine_checked(a, b, c, fa, fb, fc))
-        if added:
-            # probing the sibling would refine back onto lam
+        if added and not self._may_shadow(self.located[-1]):
+            # probing the sibling would refine back onto lam; one that may
+            # shadow a third eigenvalue (on the house pentagon 391.4876,
+            # found next to 389.1484, shadows 391.5464) is left to be probed
             self.located[-1].probed = True
         return added
 
@@ -856,7 +926,8 @@ class MPSSolver:
     def find_in(self, lo, hi, n):
         """Locate the eigenvalues in [lo, hi] that are still missing, and
         return the copies added: n points, inset 0.3 % from each end, are
-        scanned with the located V-shapes divided out (_scan)."""
+        scanned with the located V-shapes divided out (_scan).  The cover
+        searches its named windows with it, the audit its gaps."""
         inset = 0.003 * (hi - lo)
         xs = np.linspace(lo + inset, hi - inset, n)
         return self._scan(xs, self._sigmas_at(xs))

@@ -293,8 +293,11 @@ class TestDetCommand:
         assert rep2["timings"]["eigensolve"] < 0.5
         # the sweep's heat-trace certificate is reported, and kept by the cache
         cert = rep["diagnostics"]["heat_certificate"]
-        assert set(cert) == {"floor", "t_lambda_max", "certified_lambda", "audit_gaps_skipped"}
+        assert set(cert) == {"floor", "t_lambda_max", "certified_lambda", "audit_gaps_skipped",
+                             "named", "cover_certified_lambda", "cover_intervals_skipped"}
         assert 0 < cert["certified_lambda"] < 420.0 and cert["audit_gaps_skipped"] > 0
+        assert 0 < cert["cover_certified_lambda"] and cert["cover_intervals_skipped"] > 0
+        assert all(set(w) == {"lambda", "lo", "hi", "admitted"} for w in cert["named"])
         assert rep2["diagnostics"]["heat_certificate"] == cert
 
     def test_truncated_cache_is_recomputed(self, square_file, det_cfg_file, tmp_path,
@@ -374,6 +377,29 @@ class TestDetCommand:
         assert not rep["diagnostics"]["cache_hit"]
         assert rep["payload"]["n_eigs"] == payload["n_eigs"]
         assert rep["payload"]["logdet"] == payload["logdet"]
+
+    @pytest.mark.parametrize("spoil", [
+        lambda eigs: [repr(lam) for lam in eigs],      # read as numbers by float()
+        lambda eigs: [True] + eigs[1:],                 # read as 1.0 by float()
+    ], ids=["strings", "true-for-lambda1"])
+    def test_cache_with_eigenvalues_that_are_not_numbers_is_recomputed(
+            self, spoil, square_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_max": 350.0, "zeta": {"tau0": 0.05}}))
+        cache = tmp_path / "cache"
+        args = ["--cfg", str(cfg), "--cache-dir", str(cache), "det", square_file]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        (f,) = cache.glob("spectrum_*.json")
+        entry = json.loads(f.read_text())
+        f.write_text(json.dumps(dict(entry, eigenvalues=spoil(entry["eigenvalues"]))))
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert not rep["diagnostics"]["cache_hit"]
+        assert rep["payload"]["logdet"] == payload["logdet"]
+        assert json.loads(f.read_text())["eigenvalues"] == entry["eigenvalues"]
 
     def test_spectrum_cache_is_keyed_by_the_polygon_and_lambda_max(self, square_file,
                                                                   tmp_path, capsys):

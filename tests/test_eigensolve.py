@@ -14,6 +14,7 @@ from polydet.eigensolve import (
     dirichlet_eigenvalues,
     hadamard_eigenvalue_variation,
     heat_certificate,
+    named_window,
     polygon_hash,
     rectangle_spectrum,
     weyl_count_check,
@@ -327,6 +328,21 @@ class TestCloseEigenvalues:
         assert pair[1].lam == pytest.approx(sibling, rel=1e-8)
 
 
+def test_a_sibling_that_may_shadow_a_third_eigenvalue_is_probed():
+    # on the house pentagon below 420 the sibling pass probes 389.1484 and
+    # admits one member of the pair 391.4876/391.5464, which shadows the
+    # other; marked probed as a sibling, it was never probed itself, and the
+    # sweep returned 31 eigenvalues
+    house = build_polygon([0, 1, 1 + 1j, 0.5 + 1.3j, 1j])
+    solver = MPSSolver(house, 420.0)
+    spec = solver.solve()
+    assert len(spec.eigenvalues) == 32
+    eigs = spec.eigenvalue_array()
+    cluster = eigs[(eigs > 385) & (eigs < 395)]
+    np.testing.assert_allclose(cluster, [389.1484, 391.4876, 391.5464], atol=1e-4)
+    assert all(r.probed for r in solver.located if 391 < r.lam < 392)
+
+
 def test_cover_leaves_the_audit_nothing_to_admit(monkeypatch):
     # the cover scans a low grid interval with the grid samples on either
     # side and the located V-shapes divided out, so it finds 1131.8977 on
@@ -444,11 +460,12 @@ class TestRefiner:
 
 def test_square_sweep_evaluation_budget():
     # sigma evaluations per stage; the sweep made 1226 before sigma^2 was
-    # refined as a parabola
+    # refined as a parabola, and 435 before the cover scanned only above the
+    # heat-trace certificate; it makes 260, and 10 % more is allowed
     spec = dirichlet_eigenvalues(build_polygon([0, 1, 1 + 1j, 1j]), 350.0)
     counts = spec.meta["sigma_evals"]
     assert set(counts) == {"grid", "refine", "cover", "siblings", "audit", "rescan"}
-    assert sum(counts.values()) <= 900
+    assert sum(counts.values()) <= 286
     exact = np.sort([np.pi**2 * (m * m + n * n) for m in range(1, 7) for n in range(1, 7)
                      if np.pi**2 * (m * m + n * n) < 350.0])
     got = spec.eigenvalue_array()
@@ -730,6 +747,91 @@ class TestHeatCertificate:
         assert any(lo < cert["certified_lambda"] for lo, _ in gated)
         assert len(windows) - len(gated) == cert["audit_gaps_skipped"]
         assert (ungated.eigenvalues, ungated.errors) == (spec.eigenvalues, spec.errors)
+
+
+class TestNamedWindow:
+    """named_window on closed-form spectra, and the cover that searches
+    where it names a miss and scans only above the certificate."""
+
+    @pytest.mark.parametrize("p, eigs, lam_max", [
+        c for c in _exact_spectra() if c.id in ("1x1-350", "2x1-520", "equilateral-600")])
+    def test_the_window_holds_the_lowest_eigenvalue_dropped(self, p, eigs, lam_max):
+        step = MPSSolver(p, lam_max).step
+
+        def near(frac):
+            return int(np.argmin(np.abs(eigs - frac * lam_max)))
+
+        doubles = np.flatnonzero(np.diff(eigs) <= 1e-12 * eigs[1:])
+        d = int(doubles[np.argmin(np.abs(eigs[doubles] - 0.5 * lam_max))])
+        # one at about 0.25 and 0.5 lambda_max, both copies of a double, and
+        # two, whose lambda* is a mean weighted towards the lower
+        for drop in ([near(0.25)], [near(0.5)], [d, d + 1], [near(0.25), near(0.5)]):
+            lam, lo, hi = named_window(p, np.delete(eigs, drop), lam_max, step)
+            assert lo <= eigs[min(drop)] <= hi, (drop, lam)
+            assert (lo, hi) == (lam - 3 * step, lam + step)
+
+    @pytest.mark.parametrize("p, eigs, lam_max", _exact_spectra())
+    def test_a_complete_spectrum_names_nothing(self, p, eigs, lam_max):
+        step = MPSSolver(p, lam_max).step
+        assert named_window(p, eigs, lam_max, step) is None
+        # nor does one with an eigenvalue doubled: R is then positive
+        doubled = np.sort(np.append(eigs, eigs[len(eigs) // 2]))
+        assert named_window(p, doubled, lam_max, step) is None
+
+    @pytest.mark.parametrize("verts, lam_max", [
+        ((0, 1.1, 0.9 + 0.8j, 0.1 + 0.9j), 60.0),
+        ((0, 1, 1 + 1j, 1j), None),
+        ((0, 1, 0.5 + 0.5j * np.sqrt(3)), None),
+        ((0, 1.1, 0.9 + 0.8j, 0.1 + 0.9j), None)],
+        ids=["quad-60", "square-j1", "equilateral-j1", "quad-j1"])
+    def test_short_sweeps_name_nothing_and_scan_every_low_interval(self, verts, lam_max):
+        # the generic quadrilateral below 60 and the sweeps of
+        # hadamard_eigenvalue_variation(p, f, 1); their certificates are
+        # refused.  After the equilateral's grid scan R is negative, but its
+        # lambda* lies below the Faber-Krahn bound, where find_in would
+        # sample a degenerate basis
+        p = build_polygon(verts)
+        lam_max = lam_max or eigensolve._weyl_kth(p, 3) * 1.25
+        cert = dirichlet_eigenvalues(p, lam_max).meta["heat_certificate"]
+        assert cert["named"] == []
+        assert cert["cover_certified_lambda"] == 0.0 and cert["cover_intervals_skipped"] == 0
+
+    def test_the_cover_scans_no_interval_below_the_certificate(self, unit_square,
+                                                               monkeypatch):
+        scan, cover_scans = MPSSolver._scan, []
+
+        def spy(self, xs, vals):
+            if self._stage == "cover" and len(xs) != eigensolve._NAME_POINTS:
+                cover_scans.append(np.array(xs))
+            return scan(self, xs, vals)
+
+        monkeypatch.setattr(MPSSolver, "_scan", spy)
+        solver = MPSSolver(unit_square, 350.0)
+        spec = solver.solve()
+        cert = spec.meta["heat_certificate"]
+        assert cert["named"] == [] and cert["cover_intervals_skipped"] > 0
+        assert cert["cover_certified_lambda"] == cert["certified_lambda"] > 300.0
+        grid = np.arange(solver._lam_lo, 350.0 + solver.step, solver.step)
+        assert cover_scans
+        for xs in cover_scans:
+            # the quarter points are the samples off the grid; the interval
+            # they probe ends at the next grid point
+            probes = [x for x in xs if not np.isclose(x, grid, rtol=0, atol=1e-9).any()]
+            assert len(probes) == 3
+            top = grid[np.searchsorted(grid, probes[-1])]
+            assert top > cert["certified_lambda"]
+        assert len(spec.eigenvalues) == 22
+
+    def test_the_equilateral_double_is_admitted_by_a_named_window(self):
+        lam = 16 * np.pi**2 * 13 / 9                    # 228.0975, (m, n) = (1, 3), (3, 1)
+        solver = MPSSolver(build_polygon([0, 1, 0.5 + 0.5j * np.sqrt(3)]), 600.0)
+        spec = solver.solve()
+        (window,) = [w for w in spec.meta["heat_certificate"]["named"]
+                     if w["lo"] <= lam <= w["hi"]]
+        assert window["admitted"] == 2
+        (rec,) = [r for r in solver.located if abs(r.lam - lam) < 1e-6 * lam]
+        assert rec.mult == 2
+        assert len(spec.eigenvalues) == 15
 
 
 def _sweep_missing_index_2(p, lam_max):
