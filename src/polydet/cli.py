@@ -80,10 +80,18 @@ def _write_replacing(path, text):
 def _solve_map_cached(p, cache):
     """The SC map of p and whether it came from the cache.  The entry is
     keyed by the polygon alone, since no config value enters the SC solve,
-    and is used only if checked_map accepts its prevertices for p."""
+    and is used only if its prevertices and residual are finite numbers, the
+    residual >= 0, and checked_map accepts the prevertices for p."""
     path = Path(cache) / f"scmap_{polygon_hash(p)}.json" if cache else None
-    return _cached(path, lambda d: checked_map(p, d["prevertices"], float(d["residual"])),
-                   lambda: solve_parameter_problem(p), lambda m: m.to_json_dict())
+
+    def load(d):
+        residual = _json_float(d["residual"], "residual")
+        if not residual >= 0:
+            raise ValidationFailure(f"cache entry residual {residual!r} is negative")
+        return checked_map(p, [_json_float(x, "prevertices") for x in d["prevertices"]],
+                           residual)
+
+    return _cached(path, load, lambda: solve_parameter_problem(p), lambda m: m.to_json_dict())
 
 
 def _json_float(x, key):
@@ -99,11 +107,13 @@ def _spectrum_cached(p, lam_max, cache):
     """The spectrum of p below lam_max and whether it came from the cache.
     The entry is keyed by the polygon and lam_max, the only inputs of the
     sweep; one stored for another polygon or cutoff, holding anything but
-    finite numbers in its eigenvalues, errors or lambda_max, or failing the
-    Weyl count check, is a miss."""
+    finite numbers in its eigenvalues, errors or lambda_max, with a meta that
+    is not a JSON object, or failing the Weyl count check, is a miss."""
     path = Path(cache) / f"spectrum_{polygon_hash(p)}_{lam_max!r}.json" if cache else None
 
     def load(d):
+        if not isinstance(d["meta"], dict):
+            raise ValidationFailure(f"cache entry meta holds {d['meta']!r}, not an object")
         eigs, errs = ([_json_float(x, key) for x in d[key]] for key in ("eigenvalues", "errors"))
         spec = checked_spectrum(p, eigs, errs, _json_float(d["lambda_max"], "lambda_max"),
                                 d["meta"])
@@ -150,6 +160,7 @@ def cmd_det(args, cfg):
                      "lambda_max": lam_max,
                      "sigma_evals": spec.meta.get("sigma_evals", {}),
                      "heat_certificate": spec.meta.get("heat_certificate", {}),
+                     "admitted": spec.meta.get("admitted", {}),
                      "stage_s": spec.meta.get("stage_s", {})},
         timings=timer.marks,
     )

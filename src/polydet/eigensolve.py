@@ -11,21 +11,21 @@ The solver holds the eigenvalues it has located (MPSSolver.located), and
 each stage of a sweep only picks where to sample: the grid; the windows
 where the heat trace names a missing eigenvalue and the quarter points of
 the low grid intervals that reach above what it vouches for (cover; see
-named_window and heat_certificate); the gaps that the Weyl law says are too
-wide and that reach above what the heat trace vouches for (audit) and a 4x
-finer grid (rescan, repeated while the count is off and the last rescan
-admitted something).  All of them go through one scan, MPSSolver._scan,
-which divides the located V-shapes out of the samples and refines every
-minimum below a threshold by fitting sigma^2 as a parabola in lambda
-(MPSSolver._refine_checked).  A sibling too close for the samples to
-separate is probed in one place, MPSSolver._find_siblings, which the sweep
-runs after the grid, after each named window, after the cover, after the
-audit and after each rescan; one rule, MPSSolver._may_shadow, picks the
-located eigenvalues it probes.  MPSSolver.find_in(lo, hi, n) searches one
+heat_reading); the gaps that the Weyl law says are too wide and that reach
+above what the heat trace vouches for (audit) and a 4x finer grid (rescan,
+repeated while the count is off and the last rescan admitted something).
+All of them go through one scan, MPSSolver._scan, which divides the located
+V-shapes out of the samples and refines every minimum below a threshold by
+fitting sigma^2 as a parabola in lambda (MPSSolver._refine_checked).  A
+sibling too close for the samples to separate is probed in one place,
+MPSSolver._find_siblings, which the sweep runs after the grid, after each
+named window, after the cover, after the audit and after each rescan; one
+rule, MPSSolver._may_shadow, picks the located eigenvalues it probes.  MPSSolver.find_in(lo, hi, n) searches one
 window for the cover and the audit.  Only MPSSolver._admit adds _Located
-records (one per eigenvalue, with its multiplicity and error) to
-MPSSolver.located.  The sigma evaluations of a sweep are counted per stage
-into Spectrum.meta["sigma_evals"].
+records (one per eigenvalue, with its multiplicity, error and admitting
+stage) to MPSSolver.located.  The sigma evaluations of a sweep are counted
+per stage into Spectrum.meta["sigma_evals"], and the copies each stage
+admitted into Spectrum.meta["admitted"].
 
 sigma comes at two grades.  Scans (the grid, rescans, cover probes, find_in
 windows and sibling brackets) only ask whether sigma is below
@@ -35,16 +35,17 @@ about 1e-8 near a dip, at about a third of the cost of an SVD.  Refinement,
 the multiplicity count, the sibling probe's slope and the eigenfunctions
 need sigma down to its noise floor (about 1e-14) and take the SVD of Q_B.
 
-The heat trace both names and vouches.  On the located eigenvalues the
-residual of its short-time expansion is minus the sum of exp(-lam t) over
-the missing lam, so its decay between two t names where a miss lies
-(named_window), and the cover searches there first.  Then its floor, which
-one missing or doubled eigenvalue below certified_lambda would clear by
-10x, certifies the count (heat_certificate): the cover scans no low
-interval, and the audit no gap, that ends below it.  Counting is validated
-against the two-term Weyl law plus the heat-trace constant b1; a failed
-check raises MissedEigenvalue, naming the polygon and the first eigenvalue
-the count lacks, rather than silently returning a thinned spectrum.
+The heat trace both names and vouches, from one reading (heat_reading):
+the residual of its short-time expansion, taken once on a grid of t.  On
+the located eigenvalues it is minus the sum of exp(-lam t) over the missing
+lam, so its decay between two t of the grid names where a miss lies, and
+the cover searches there first.  Its floor, which one missing or doubled
+eigenvalue below certified_lambda would clear by 10x, certifies the count:
+the cover scans no low interval, and the audit no gap, that ends below it.
+Counting is validated against the two-term Weyl law plus the heat-trace
+constant b1; a failed check raises MissedEigenvalue, naming the polygon and
+the first eigenvalue the count lacks, rather than silently returning a
+thinned spectrum.
 """
 
 import functools
@@ -91,12 +92,11 @@ _BESSEL_PANEL = 1.2             # width in u of a Bessel-table panel
 _BESSEL_DEGREE = 14             # Chebyshev degree on each panel
 _SIDE_FIRST_PANEL = 2.0**-15    # first panel of the side rule, fraction of the side
 _SIDE_ORDER = 12                # Gauss-Legendre nodes per panel of the side rule
-# heat-trace certificate
+# heat-trace reading: certificate and naming of a miss
 _HEAT_T = np.arange(8.0, 49.0)  # t lambda_max at which the residual is taken
 _HEAT_WINDOW = 3                # consecutive t whose largest |R| is a floor candidate
 _HEAT_FLOOR_MAX = 1e-6          # a floor above this certifies nothing
-# heat-trace naming of a miss
-_NAME_T = np.array([12.0, 13.0])   # t lambda_max of the pair that names lambda*
+_NAME_PAIR = slice(4, 6)        # _HEAT_T[4:6], t lambda_max = 12 and 13, names lambda*
 _NAME_BELOW = 0.85              # lambda* is named only below this fraction of lambda_max
 _NAME_STEPS = (3.0, 1.0)        # grid steps a named window reaches below and above lambda*
 _NAME_POINTS = 17               # points find_in scans in a named window
@@ -120,13 +120,15 @@ class Spectrum:
 @dataclass
 class _Located:
     """A located eigenvalue, made by MPSSolver._admit, with what _may_shadow
-    reads: V slope, next singular value and whether it was probed."""
+    reads (V slope, next singular value and whether it was probed) and the
+    stage that admitted it."""
 
     lam: float
     err: float
     mult: int
     slope: float
     s_next: float
+    stage: str
     probed: bool = False
 
 
@@ -178,63 +180,52 @@ def weyl_count_check(p, eigs, lambda_max):
             "worst_lambda": float(lams[i]), "k": k}
 
 
-def heat_certificate(p, eigs, lambda_max):
-    """The lambda below which the heat trace vouches for the count of eigs.
+def heat_reading(p, eigs, lambda_max):
+    """One reading of the heat trace on eigs: (certificate, lambda*).
 
-    The residual R of zetadet.heat_trace_residual is taken at t lambda_max
-    = 8, 9, ..., 48.  Its floor F is the smallest largest |R| over
-    _HEAT_WINDOW consecutive t, so that a zero crossing of R does not pose
-    as a floor.  One eigenvalue lam missing or doubled moves R by
-    exp(-lam t), more than 10 F below certified_lambda = ln(1/(10 F))/t,
-    with t the centre of the floor's window.
+    The residual R of zetadet.heat_trace_residual is taken once, at t
+    lambda_max = 8, 9, ..., 48 (_HEAT_T), and both results come from it.
 
-    Two kinds of floor certify nothing (certified_lambda 0).  One above
-    _HEAT_FLOOR_MAX: the small sweeps of short spectra sit there, and a
-    single defect can hide below such a floor.  And one in the last window:
-    on a complete spectrum |R| falls with t only while the Weyl tail's
-    error, of order exp(-lambda_max t), leads it, so an |R| still falling
-    at t lambda_max = 48 is the decay of a defect below lambda_max (the
-    house pentagon's pair at 159.06, reported as one eigenvalue twice,
-    leaves R falling from -3.5e-6 to 0 across t lambda_max 16 to 48).
-    Returns floor, t_lambda_max (of that centre) and certified_lambda.
+    The certificate is the lambda below which R vouches for the count of
+    eigs.  Its floor F is the smallest largest |R| over _HEAT_WINDOW
+    consecutive t, so that a zero crossing of R does not pose as a floor.
+    One eigenvalue lam missing or doubled moves R by exp(-lam t), more than
+    10 F below certified_lambda = ln(1/(10 F))/t, with t the centre of the
+    floor's window.  Two kinds of floor certify nothing (certified_lambda
+    0).  One above _HEAT_FLOOR_MAX: the small sweeps of short spectra sit
+    there, and a single defect can hide below such a floor.  And one in the
+    last window: on a complete spectrum |R| falls with t only while the
+    Weyl tail's error, of order exp(-lambda_max t), leads it, so an |R|
+    still falling at t lambda_max = 48 is the decay of a defect below
+    lambda_max (the house pentagon's pair at 159.06, reported as one
+    eigenvalue twice, leaves R falling from -3.5e-6 to 0 across t
+    lambda_max 16 to 48).  It holds floor, t_lambda_max (of that centre)
+    and certified_lambda.
+
+    lambda* names an eigenvalue missing from eigs, or is None.  R is minus
+    the sum of exp(-lam t) over the missing lam, plus the tail's error.
+    Where R < 0 at both t lambda_max = 12 and 13 (_NAME_PAIR), lambda* =
+    -d ln(-R)/dt between them is the mean of the missing lam weighted by
+    exp(-lam t): a single miss's own lam, and with several an upper bound on
+    the lowest.  lambda* is named only above the Faber-Krahn bound, below
+    which no eigenvalue lies, and below 0.85 lambda_max, where a miss
+    outweighs the tail's error about 6 times.
     """
     ts = _HEAT_T / lambda_max
     h = heat_coefficients(p)
+    r = heat_trace_residual(eigs, h, lambda_max, ts)
     # |R| is no smaller than the rounding of its largest term, a1/t
-    r = np.maximum(np.abs(heat_trace_residual(eigs, h, lambda_max, ts)),
-                   np.finfo(float).eps * h.a1 / ts)
-    peaks = np.lib.stride_tricks.sliding_window_view(r, _HEAT_WINDOW).max(axis=1)
+    peaks = np.lib.stride_tricks.sliding_window_view(
+        np.maximum(np.abs(r), np.finfo(float).eps * h.a1 / ts), _HEAT_WINDOW).max(axis=1)
     i = int(np.argmin(peaks))
     floor, centre = float(peaks[i]), i + _HEAT_WINDOW // 2
     lam_c = 0.0
     if floor <= _HEAT_FLOOR_MAX and i < len(peaks) - 1:
         lam_c = float(np.log(0.1 / floor) / ts[centre])
-    return {"floor": floor, "t_lambda_max": float(_HEAT_T[centre]), "certified_lambda": lam_c}
-
-
-def named_window(p, eigs, lambda_max, step):
-    """(lambda*, lo, hi): the window in which the heat trace names an
-    eigenvalue missing from eigs, or None.
-
-    On eigs the residual R of zetadet.heat_trace_residual is minus the sum
-    of exp(-lam t) over the missing lam, plus the tail's error, of order
-    exp(-lambda_max t).  Where R < 0 at both t lambda_max = 12 and 13,
-    lambda* = -d ln(-R)/dt between them is the mean of the missing lam
-    weighted by exp(-lam t): a single miss's own lam, and with several an
-    upper bound on the lowest.  lambda* is named only above the Faber-Krahn
-    bound, below which no eigenvalue lies, and below 0.85 lambda_max, where a
-    miss outweighs the tail's error about 6 times; the window runs from 3
-    grid steps below it to one above.
-    """
-    ts = _NAME_T / lambda_max
-    r = heat_trace_residual(eigs, heat_coefficients(p), lambda_max, ts)
-    if not np.all(r < 0):
-        return None
-    lam = float(np.log(r[0] / r[1]) / (ts[1] - ts[0]))
-    if not faber_krahn_bound(p) < lam < _NAME_BELOW * lambda_max:
-        return None
-    below, above = _NAME_STEPS
-    return lam, lam - below * step, lam + above * step
+    cert = {"floor": floor, "t_lambda_max": float(_HEAT_T[centre]), "certified_lambda": lam_c}
+    (r0, r1), (t0, t1) = r[_NAME_PAIR], ts[_NAME_PAIR]
+    lam = float(np.log(r0 / r1) / (t1 - t0)) if r0 < 0 and r1 < 0 else np.nan
+    return cert, lam if faber_krahn_bound(p) < lam < _NAME_BELOW * lambda_max else None
 
 
 def checked_spectrum(p, eigs, errs, lambda_max, meta):
@@ -634,7 +625,7 @@ class MPSSolver:
         # local Weyl audit: scan every gap wider than about half a mean gap
         # that reaches above what the heat trace vouches for, for a miss that
         # the global band cannot see
-        cert = heat_certificate(self.p, self._copies(), self.lambda_max)
+        cert = heat_reading(self.p, self._copies(), self.lambda_max)[0]
         cert["audit_gaps_skipped"] = self._audit_gaps(cert["certified_lambda"])
         self.heat_certificate = dict(cert, **cover)
         self._find_siblings()
@@ -664,12 +655,14 @@ class MPSSolver:
 
     def _spectrum(self):
         """The checked Spectrum of the located eigenvalues, with the sweep's
-        sizes and counters."""
+        sizes and counters: admitted counts the copies each stage admitted."""
         return checked_spectrum(
             self.p, self._copies(), self._copies("err"), self.lambda_max,
             {"source": "mps", "orders": list(self.orders),
              "n_boundary": int(self.m_b), "n_interior": int(len(self.ipts)),
              "sigma_evals": dict(self.sigma_evals), "stage_s": dict(self.stage_s),
+             "admitted": {s: sum(r.mult for r in self.located if r.stage == s)
+                          for s in _STAGES},
              "heat_certificate": dict(self.heat_certificate)})
 
     @_stage("refine")
@@ -754,29 +747,33 @@ class MPSSolver:
 
     @_stage("cover")
     def _cover_low_intervals(self, grid, vals):
-        """Search where the heat trace names a miss, take its certificate,
-        and scan the low grid intervals it cannot vouch for again.
+        """Search where the heat trace names a miss, and scan the low grid
+        intervals that its certificate cannot vouch for again.
 
         The strict local-minimum pattern on the grid can miss a dip near an
-        interval edge when clusters are tighter than the grid.  First, while
-        named_window names a lambda* on the located eigenvalues, its window
-        is searched with find_in (_NAME_POINTS points) and _find_siblings;
-        the first window that admits nothing ends this.  Then the sweep's
-        heat_certificate is taken, and every grid interval with a low end,
-        no located dip and a top above certified_lambda is scanned at its
-        quarter points.  The probes are scanned together with the grid
-        samples on either side, so that a dip in the first or last quarter
-        is still an interior minimum.
+        interval edge when clusters are tighter than the grid.  Each pass
+        takes one heat_reading of the located eigenvalues; while it names a
+        lambda*, the window from _NAME_STEPS grid steps below it to above it
+        is searched with find_in (_NAME_POINTS points) and _find_siblings.
+        The loop ends at a reading that names nothing or a window that
+        admits nothing, so its last reading is of the eigenvalues as they
+        stand, and its certificate is the cover's: every grid interval with
+        a low end, no located dip and a top above certified_lambda is
+        scanned at its quarter points.  The probes are scanned together with
+        the grid samples on either side, so that a dip in the first or last
+        quarter is still an interior minimum.
 
         Returns the record solve adds to the sweep's heat_certificate: the
         named windows (lambda*, lo, hi and the copies admitted), the
         certified_lambda taken here and the low intervals skipped below it.
         """
-        named = []
-        while (window := named_window(self.p, self._copies(), self.lambda_max,
-                                      self.step)) is not None:
-            lam, lo, hi = window
-            lo, hi = max(lo, self._lam_lo), min(hi, self.lambda_max)
+        named, (below, above) = [], _NAME_STEPS
+        while True:
+            cert, lam = heat_reading(self.p, self._copies(), self.lambda_max)
+            if lam is None:
+                break
+            lo = max(lam - below * self.step, self._lam_lo)
+            hi = min(lam + above * self.step, self.lambda_max)
             before = len(self._copies())
             self.find_in(lo, hi, _NAME_POINTS)
             self._find_siblings()
@@ -784,7 +781,6 @@ class MPSSolver:
             named.append({"lambda": lam, "lo": lo, "hi": hi, "admitted": added})
             if not added:
                 break
-        cert = heat_certificate(self.p, self._copies(), self.lambda_max)
         skipped = 0
         for k in range(len(grid) - 1):
             if min(vals[k], vals[k + 1]) >= _DIP_THRESHOLD:
@@ -805,7 +801,8 @@ class MPSSolver:
     def _admit(self, found):
         """Add a dip found by _refine_checked, with the singular values it
         sampled there, to the located eigenvalues: one record, whose
-        multiplicity counts those below _MULT_TOL.  Returns the copies added.
+        multiplicity counts those below _MULT_TOL, made in the current stage.
+        Returns the copies added.
 
         None, a point outside [lam_lo, lambda_max], a point with no singular
         value below _MULT_TOL and a dip within 1e-6 lam or 20 times either
@@ -821,7 +818,8 @@ class MPSSolver:
                 for r in self.located):
             return 0
         self.located.append(_Located(lam, err, mult, slope,
-                                     float(sig[mult]) if mult < len(sig) else np.inf))
+                                     float(sig[mult]) if mult < len(sig) else np.inf,
+                                     self._stage))
         return mult
 
     def _may_shadow(self, rec):
@@ -936,7 +934,7 @@ class MPSSolver:
     def _audit_gaps(self, lam_c):
         """Search every gap between consecutive located eigenvalues that the
         two-term Weyl count puts at least 0.55 eigenvalues in, unless its top
-        is at or below lam_c, the certified_lambda of heat_certificate.
+        is at or below lam_c, the certified_lambda of a heat_reading.
 
         W(b) - W(a) is the gap measured in mean gaps, so every such gap
         wider than 0.55 mean gaps gets find_in with 26 points, not only one

@@ -251,6 +251,29 @@ class TestScmapCommand:
             assert rep["payload"]["prevertices"][2] == pytest.approx(1 / 3, abs=1e-12)
             assert f.read_text() == text
 
+    @pytest.mark.parametrize("key, bad", [
+        ("residual", "nan"), ("residual", True), ("residual", float("nan")),
+        ("residual", -1e-12), ("prevertices", ["-1.0", 0.0, "0.3333333333333333", 1.0])],
+        ids=["residual-string", "residual-true", "residual-nan", "residual-negative",
+             "prevertex-strings"])
+    def test_cache_with_a_residual_or_prevertex_not_a_number_is_recomputed(
+            self, key, bad, square_file, tmp_path, capsys):
+        # float() reads "nan" and true as numbers; such an entry is a miss,
+        # since a NaN residual would be printed as NaN, which is not JSON
+        cache = tmp_path / "cache"
+        args = ["--cache-dir", str(cache), "scmap", square_file]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        (f,) = cache.glob("scmap_*.json")
+        text = f.read_text()
+        f.write_text(json.dumps(dict(json.loads(text), **{key: bad})))
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        rep = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+        assert not rep["diagnostics"]["cache_hit"]
+        assert rep["payload"] == json.loads(text)
+        assert f.read_text() == text
+
     def test_crowded_map_exit_3(self, tmp_path, capsys):
         # a 10 x 1 rectangle crowds two prevertices to a gap of 1.8e-13
         f = tmp_path / "rect10.json"
@@ -299,6 +322,11 @@ class TestDetCommand:
         assert 0 < cert["cover_certified_lambda"] and cert["cover_intervals_skipped"] > 0
         assert all(set(w) == {"lambda", "lo", "hi", "admitted"} for w in cert["named"])
         assert rep2["diagnostics"]["heat_certificate"] == cert
+        # so are the copies each stage admitted
+        admitted = rep["diagnostics"]["admitted"]
+        assert set(admitted) == set(rep["diagnostics"]["sigma_evals"])
+        assert sum(admitted.values()) == rep["payload"]["n_eigs"] and admitted["grid"] > 0
+        assert rep2["diagnostics"]["admitted"] == admitted
 
     def test_truncated_cache_is_recomputed(self, square_file, det_cfg_file, tmp_path,
                                            capsys):
@@ -377,6 +405,28 @@ class TestDetCommand:
         assert not rep["diagnostics"]["cache_hit"]
         assert rep["payload"]["n_eigs"] == payload["n_eigs"]
         assert rep["payload"]["logdet"] == payload["logdet"]
+
+    @pytest.mark.parametrize("meta", [[1, 2], None], ids=["list", "null"])
+    def test_cache_with_a_meta_that_is_not_an_object_is_recomputed(
+            self, meta, square_file, tmp_path, capsys):
+        # det reads the sweep's diagnostics from meta with .get, so a meta
+        # that is not an object is a miss rather than an internal error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_max": 350.0, "zeta": {"tau0": 0.05}}))
+        cache = tmp_path / "cache"
+        args = ["--cfg", str(cfg), "--cache-dir", str(cache), "det", square_file]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        (f,) = cache.glob("spectrum_*.json")
+        entry = json.loads(f.read_text())
+        f.write_text(json.dumps(dict(entry, meta=meta)))
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert not rep["diagnostics"]["cache_hit"]
+        assert rep["payload"]["logdet"] == payload["logdet"]
+        assert json.loads(f.read_text())["meta"]["source"] == "mps"
 
     @pytest.mark.parametrize("spoil", [
         lambda eigs: [repr(lam) for lam in eigs],      # read as numbers by float()

@@ -13,8 +13,7 @@ from polydet.eigensolve import (
     checked_spectrum,
     dirichlet_eigenvalues,
     hadamard_eigenvalue_variation,
-    heat_certificate,
-    named_window,
+    heat_reading,
     polygon_hash,
     rectangle_spectrum,
     weyl_count_check,
@@ -343,24 +342,18 @@ def test_a_sibling_that_may_shadow_a_third_eigenvalue_is_probed():
     assert all(r.probed for r in solver.located if 391 < r.lam < 392)
 
 
-def test_cover_leaves_the_audit_nothing_to_admit(monkeypatch):
+def test_cover_leaves_the_audit_nothing_to_admit():
     # the cover scans a low grid interval with the grid samples on either
     # side and the located V-shapes divided out, so it finds 1131.8977 on
-    # the moved criterion-7 triangle; the audit used to, and then ran twice
-    admitted = []               # (stage, eigenvalue) of every admission
-    admit = MPSSolver._admit
-
-    def spy(self, found):
-        added = admit(self, found)
-        if added:
-            admitted.append((self._stage, found[0]))
-        return added
-
-    monkeypatch.setattr(MPSSolver, "_admit", spy)
-    spec = dirichlet_eigenvalues(_moved_triangle(), 1500.0)
+    # the moved criterion-7 triangle; the audit used to, and then ran twice.
+    # Each located eigenvalue records the stage that admitted it, and
+    # meta["admitted"] counts the copies per stage
+    solver = MPSSolver(_moved_triangle(), 1500.0)
+    spec = solver.solve()
     assert len(spec.eigenvalues) == 40
-    assert [lam for stage, lam in admitted if stage == "audit"] == []
-    assert [stage for stage, lam in admitted if abs(lam - 1131.8977) < 1e-4] == ["cover"]
+    assert spec.meta["admitted"]["audit"] == 0
+    assert sum(spec.meta["admitted"].values()) == 40
+    assert [r.stage for r in solver.located if abs(r.lam - 1131.8977) < 1e-4] == ["cover"]
 
 
 class TestAdmit:
@@ -684,21 +677,36 @@ class TestHeatCertificate:
         # the audit skips a gap whose top is at or below certified_lambda, so
         # a dropped eigenvalue's gap must reach above it, and a doubled
         # eigenvalue must lie above it
-        full = heat_certificate(p, eigs, lam_max)
+        full = heat_reading(p, eigs, lam_max)[0]
         assert 0.8 * lam_max < full["certified_lambda"] < lam_max
         for k, lam in enumerate(eigs):
             dropped = np.delete(eigs, k)
             above = dropped[dropped >= lam]
             top = above[0] if len(above) else lam_max
-            assert heat_certificate(p, dropped, lam_max)["certified_lambda"] < top, k
+            assert heat_reading(p, dropped, lam_max)[0]["certified_lambda"] < top, k
             doubled = np.sort(np.append(eigs, lam))
-            assert heat_certificate(p, doubled, lam_max)["certified_lambda"] < lam, k
+            assert heat_reading(p, doubled, lam_max)[0]["certified_lambda"] < lam, k
+
+    def test_one_reading_takes_the_residual_once(self, unit_square, monkeypatch):
+        # the certificate and lambda* come from one residual on _HEAT_T
+        calls, residual = [], eigensolve.heat_trace_residual
+
+        def spy(eigs, h, lambda_max, t):
+            calls.append(np.array(t))
+            return residual(eigs, h, lambda_max, t)
+
+        monkeypatch.setattr(eigensolve, "heat_trace_residual", spy)
+        eigs = rectangle_spectrum(1, 1, 350.0).eigenvalue_array()
+        cert, lam = heat_reading(unit_square, np.delete(eigs, 5), 350.0)
+        assert lam is not None and cert["certified_lambda"] < eigs[6]
+        (t,) = calls
+        np.testing.assert_array_equal(t, eigensolve._HEAT_T / 350.0)
 
     def test_a_short_spectrum_is_refused(self, unit_square):
         # below 89.4 the exact square spectrum has 8 eigenvalues; its floor
         # lies above _HEAT_FLOOR_MAX, where a single miss can hide
         eigs = rectangle_spectrum(1, 1, 89.4).eigenvalue_array()
-        cert = heat_certificate(unit_square, eigs, 89.4)
+        cert = heat_reading(unit_square, eigs, 89.4)[0]
         assert cert["floor"] > eigensolve._HEAT_FLOOR_MAX
         assert cert["certified_lambda"] == 0.0
 
@@ -709,7 +717,7 @@ class TestHeatCertificate:
         eigs = rectangle_spectrum(1, 1, 1568.0).eigenvalue_array()
         k = int(np.flatnonzero(np.isclose(eigs, 17 * np.pi**2))[0])
         eigs[k] += 2.1e-3
-        cert = heat_certificate(unit_square, eigs, 1568.0)
+        cert = heat_reading(unit_square, eigs, 1568.0)[0]
         assert cert["floor"] < eigensolve._HEAT_FLOOR_MAX
         assert cert["t_lambda_max"] == eigensolve._HEAT_T[-2]
         assert cert["certified_lambda"] == 0.0
@@ -719,7 +727,7 @@ class TestHeatCertificate:
         # its rounding, even to 0 on three consecutive t; the floor is
         # never below the rounding of a1/t, so it is not refused as 0
         eigs = rectangle_spectrum(1, 1, 1568.0).eigenvalue_array()
-        cert = heat_certificate(unit_square, eigs, 1568.0)
+        cert = heat_reading(unit_square, eigs, 1568.0)[0]
         assert 0 < cert["floor"] < 1e-15
         assert cert["certified_lambda"] > 0.75 * 1568.0
 
@@ -750,8 +758,8 @@ class TestHeatCertificate:
 
 
 class TestNamedWindow:
-    """named_window on closed-form spectra, and the cover that searches
-    where it names a miss and scans only above the certificate."""
+    """The lambda* of heat_reading on closed-form spectra, and the cover that
+    searches where it names a miss and scans only above the certificate."""
 
     @pytest.mark.parametrize("p, eigs, lam_max", [
         c for c in _exact_spectra() if c.id in ("1x1-350", "2x1-520", "equilateral-600")])
@@ -764,19 +772,19 @@ class TestNamedWindow:
         doubles = np.flatnonzero(np.diff(eigs) <= 1e-12 * eigs[1:])
         d = int(doubles[np.argmin(np.abs(eigs[doubles] - 0.5 * lam_max))])
         # one at about 0.25 and 0.5 lambda_max, both copies of a double, and
-        # two, whose lambda* is a mean weighted towards the lower
+        # two, whose lambda* is a mean weighted towards the lower; the window
+        # is the one the cover searches (checked in the equilateral test)
         for drop in ([near(0.25)], [near(0.5)], [d, d + 1], [near(0.25), near(0.5)]):
-            lam, lo, hi = named_window(p, np.delete(eigs, drop), lam_max, step)
+            lam = heat_reading(p, np.delete(eigs, drop), lam_max)[1]
+            lo, hi = lam - 3 * step, lam + step
             assert lo <= eigs[min(drop)] <= hi, (drop, lam)
-            assert (lo, hi) == (lam - 3 * step, lam + step)
 
     @pytest.mark.parametrize("p, eigs, lam_max", _exact_spectra())
     def test_a_complete_spectrum_names_nothing(self, p, eigs, lam_max):
-        step = MPSSolver(p, lam_max).step
-        assert named_window(p, eigs, lam_max, step) is None
+        assert heat_reading(p, eigs, lam_max)[1] is None
         # nor does one with an eigenvalue doubled: R is then positive
         doubled = np.sort(np.append(eigs, eigs[len(eigs) // 2]))
-        assert named_window(p, doubled, lam_max, step) is None
+        assert heat_reading(p, doubled, lam_max)[1] is None
 
     @pytest.mark.parametrize("verts, lam_max", [
         ((0, 1.1, 0.9 + 0.8j, 0.1 + 0.9j), 60.0),
@@ -829,6 +837,9 @@ class TestNamedWindow:
         (window,) = [w for w in spec.meta["heat_certificate"]["named"]
                      if w["lo"] <= lam <= w["hi"]]
         assert window["admitted"] == 2
+        # it runs from 3 grid steps below lambda* to one above
+        assert (window["lo"], window["hi"]) == (window["lambda"] - 3 * solver.step,
+                                                window["lambda"] + solver.step)
         (rec,) = [r for r in solver.located if abs(r.lam - lam) < 1e-6 * lam]
         assert rec.mult == 2
         assert len(spec.eigenvalues) == 15
