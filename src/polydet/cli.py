@@ -50,9 +50,10 @@ def _load_polygon(path):
 def _cached(path, load, compute, dump):
     """A value and whether it came from the JSON cache entry at path.
 
-    load rebuilds the value through the check a computed value passes, and
-    raises if the entry is unreadable, incomplete or fails it; the value is
-    then computed and the entry rewritten whole.  A None path caches nothing."""
+    dump keeps only the inputs that load cannot recompute; load rebuilds the
+    value from them through the check a computed value passes, and raises if
+    the entry is unreadable, incomplete or fails it; the value is then
+    computed and the entry rewritten whole.  A None path caches nothing."""
     if path is not None and path.exists():
         try:
             return load(json.loads(path.read_text())), True
@@ -80,18 +81,16 @@ def _write_replacing(path, text):
 def _solve_map_cached(p, cache):
     """The SC map of p and whether it came from the cache.  The entry is
     keyed by the polygon alone, since no config value enters the SC solve,
-    and is used only if its prevertices and residual are finite numbers, the
-    residual >= 0, and checked_map accepts the prevertices for p."""
+    and holds only the prevertices; it is used only if they are finite
+    numbers and checked_map accepts them for p, recomputing C, base and the
+    residual as it does for a solved map."""
     path = Path(cache) / f"scmap_{polygon_hash(p)}.json" if cache else None
 
     def load(d):
-        residual = _json_float(d["residual"], "residual")
-        if not residual >= 0:
-            raise ValidationFailure(f"cache entry residual {residual!r} is negative")
-        return checked_map(p, [_json_float(x, "prevertices") for x in d["prevertices"]],
-                           residual)
+        return checked_map(p, [_json_float(x, "prevertices") for x in d["prevertices"]])
 
-    return _cached(path, load, lambda: solve_parameter_problem(p), lambda m: m.to_json_dict())
+    return _cached(path, load, lambda: solve_parameter_problem(p),
+                   lambda m: {"prevertices": list(m.prevertices)})
 
 
 def _json_float(x, key):
@@ -106,17 +105,15 @@ def _json_float(x, key):
 def _spectrum_cached(p, lam_max, cache):
     """The spectrum of p below lam_max and whether it came from the cache.
     The entry is keyed by the polygon and lam_max, the only inputs of the
-    sweep; one stored for another polygon or cutoff, holding anything but
-    finite numbers in its eigenvalues, errors or lambda_max, with a meta that
-    is not a JSON object, or failing the Weyl count check, is a miss."""
+    sweep, and holds no sweep telemetry, so a hit's meta is empty; one
+    stored for another polygon or cutoff, holding anything but finite
+    numbers in its eigenvalues, errors or lambda_max, or failing the Weyl
+    count check that checked_spectrum recomputes, is a miss."""
     path = Path(cache) / f"spectrum_{polygon_hash(p)}_{lam_max!r}.json" if cache else None
 
     def load(d):
-        if not isinstance(d["meta"], dict):
-            raise ValidationFailure(f"cache entry meta holds {d['meta']!r}, not an object")
         eigs, errs = ([_json_float(x, key) for x in d[key]] for key in ("eigenvalues", "errors"))
-        spec = checked_spectrum(p, eigs, errs, _json_float(d["lambda_max"], "lambda_max"),
-                                d["meta"])
+        spec = checked_spectrum(p, eigs, errs, _json_float(d["lambda_max"], "lambda_max"), {})
         if (d["polygon_hash"] != spec.polygon_hash or spec.lambda_max != lam_max
                 or not spec.count_check["ok"]):
             raise ValueError("cached spectrum is another polygon's or cutoff's, "
@@ -125,7 +122,7 @@ def _spectrum_cached(p, lam_max, cache):
 
     def dump(spec):
         return {"polygon_hash": spec.polygon_hash, "lambda_max": spec.lambda_max,
-                "eigenvalues": spec.eigenvalues, "errors": spec.errors, "meta": spec.meta}
+                "eigenvalues": spec.eigenvalues, "errors": spec.errors}
 
     return _cached(path, load, lambda: dirichlet_eigenvalues(p, lam_max), dump)
 

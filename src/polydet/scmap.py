@@ -26,6 +26,7 @@ from .quadrature import jacgauss, leggauss, panel_nodes
 
 _QUAD_ORDER = 24        # Gauss order of every SC segment quadrature
 _VERTEX_TOL = 1e-8      # mapped vertices against the polygon, relative to its size
+_RESIDUAL_TOL = 1e-9    # side-ratio residual of an accepted map
 _SOLVER_MAX_ITER = 200  # least-squares evaluations per unknown prevertex
 _MIN_GAP = 1e-12        # smallest prevertex gap the map resolves
 _PANEL_FRAC = 0.45      # panel length over its distance to a singular point
@@ -34,7 +35,7 @@ _PANEL_MAX_DEPTH = 48   # bisections of a segment into panels
 
 @dataclass(frozen=True)
 class SCMap:
-    """Solved Schwarz-Christoffel map, built by checked_map.
+    """Solved Schwarz-Christoffel map, built by checked_map, residual included.
 
     vertex_images are the prevertex images checked against the polygon;
     side_integrals keeps varform's per-side integrals as fields need them."""
@@ -44,7 +45,7 @@ class SCMap:
     prefactor: complex
     base_point: complex       # image of prevertices[0], i.e. the first vertex
     polygon: Polygon
-    residual: float = 0.0
+    residual: float
     vertex_images: np.ndarray = field(default=None, compare=False, repr=False)
     side_integrals: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -233,6 +234,8 @@ def solve_parameter_problem(p):
     and checked by checked_map.
     """
     n = p.n
+    if n == 3:
+        return checked_map(p, [-1.0, 0.0, 1.0])
     g = np.asarray(p.angles) / np.pi - 1.0
     L = np.asarray(p.side_lengths)
     target = np.log(L[1:n - 1] / L[0])
@@ -243,31 +246,25 @@ def solve_parameter_problem(p):
         gaps = e / e.sum()
         return np.concatenate([[-1.0, 0.0], np.cumsum(gaps)])
 
-    if n == 3:
-        zk = np.array([-1.0, 0.0, 1.0])
-        resid = 0.0
-    else:
-        def residuals(u):
-            ell = _mapped_side_lengths(assemble(u), g)
-            return np.log(ell[1:] / ell[0]) - target
+    def residuals(u):
+        ell = _mapped_side_lengths(assemble(u), g)
+        return np.log(ell[1:] / ell[0]) - target
 
-        sol = least_squares(residuals, _initial_gap_logs(L), method="lm", xtol=1e-15,
-                            ftol=1e-15, gtol=1e-15, max_nfev=_SOLVER_MAX_ITER * max(1, n - 3))
-        zk = assemble(sol.x)
-        resid = float(np.max(np.abs(sol.fun)))
-        if resid > 1e-9:
-            raise NoConvergence(f"parameter problem residual {resid:.3e} above tolerance")
-    return checked_map(p, zk, resid)
+    sol = least_squares(residuals, _initial_gap_logs(L), method="lm", xtol=1e-15,
+                        ftol=1e-15, gtol=1e-15, max_nfev=_SOLVER_MAX_ITER * (n - 3))
+    return checked_map(p, assemble(sol.x))
 
 
-def checked_map(p, prevertices, residual=0.0):
+def checked_map(p, prevertices):
     """The SC map of polygon p with the given prevertices, checked.
 
     Adjacent prevertices closer than _MIN_GAP crowd the map beyond what it
-    resolves (PrevertexCrowding).  One pass over the prevertex intervals
+    resolves (PrevertexCrowding).  One pass over the prevertex intervals gives
+    the side lengths l, whose residual max_k |log(l_k/l_1) - log(L_k/L_1)|
+    against the polygon's sides L (0 for a triangle) must be <= _RESIDUAL_TOL,
     fixes the prefactor and base point from the first side [x_1, x_2] and
-    gives every vertex image; these must match the polygon's vertices
-    (NoConvergence otherwise) and are kept as the map's vertex_images.
+    gives every vertex image; these must match the polygon's vertices and are
+    kept as the map's vertex_images.  Either check failing raises NoConvergence.
     """
     zk = np.asarray(prevertices, dtype=float)
     if zk.shape != (p.n,):
@@ -277,6 +274,11 @@ def checked_map(p, prevertices, residual=0.0):
         raise PrevertexCrowding(f"prevertex gap {gap:.3e} below {_MIN_GAP:g}")
     g = np.asarray(p.angles) / np.pi - 1.0
     segs = _interval_integrals(zk, g)
+    ell, L = np.hypot(segs.real, segs.imag), np.asarray(p.side_lengths)
+    misfit = np.abs(np.log(ell[1:] / ell[0]) - np.log(L[1:-1] / L[0]))
+    residual = float(np.max(misfit)) if p.n > 3 else 0.0
+    if not residual <= _RESIDUAL_TOL:
+        raise NoConvergence(f"parameter problem residual {residual:.3e} above tolerance")
     verts = p.vertex_array()
     C, base = complex((verts[1] - verts[0]) / segs[0]), complex(verts[0])
     xk = _vertex_chain(base, C, segs)

@@ -220,9 +220,11 @@ class TestScmapCommand:
         assert r1["payload"] == r2["payload"]
         assert not r1["diagnostics"]["cache_hit"]
         assert r2["diagnostics"]["cache_hit"]
-        # an entry that is not whole JSON is a miss, recomputed and rewritten
+        # the entry holds only the prevertices; a load recomputes the rest
         (f,) = cache.glob("scmap_*.json")
         text = f.read_text()
+        assert json.loads(text) == {"prevertices": r1["payload"]["prevertices"]}
+        # an entry that is not whole JSON is a miss, recomputed and rewritten
         f.write_text(text[:40])
         code3, out3 = run_cli(args, capsys)
         assert code3 == 0
@@ -237,10 +239,13 @@ class TestScmapCommand:
         args = ["--cache-dir", str(cache), "scmap", square_file]
         code, out = run_cli(args, capsys)
         assert code == 0
+        first = json.loads(out)["payload"]
         (f,) = cache.glob("scmap_*.json")
         text = f.read_text()
-        # prevertices off the polygon, and prevertices crowded below 1e-12
-        for bad in (0.4, 1.0 - 1e-13):
+        # prevertices off the polygon; moved by 3e-9, which the 1e-8 vertex
+        # check passes but leaves a side-ratio residual of 3.1e-9, above the
+        # 1e-9 a solve must reach; and crowded below 1e-12
+        for bad in (0.4, first["prevertices"][2] + 3e-9, 1.0 - 1e-13):
             d = json.loads(text)
             d["prevertices"][2] = bad
             f.write_text(json.dumps(d))
@@ -248,31 +253,36 @@ class TestScmapCommand:
             assert code == 0
             rep = json.loads(out)
             assert not rep["diagnostics"]["cache_hit"]
-            assert rep["payload"]["prevertices"][2] == pytest.approx(1 / 3, abs=1e-12)
+            assert rep["payload"] == first
             assert f.read_text() == text
 
-    @pytest.mark.parametrize("key, bad", [
-        ("residual", "nan"), ("residual", True), ("residual", float("nan")),
-        ("residual", -1e-12), ("prevertices", ["-1.0", 0.0, "0.3333333333333333", 1.0])],
+    @pytest.mark.parametrize("key, bad, hit", [
+        ("residual", "nan", True), ("residual", True, True), ("residual", float("nan"), True),
+        ("residual", -1e-12, True),
+        ("prevertices", ["-1.0", 0.0, "0.3333333333333333", 1.0], False)],
         ids=["residual-string", "residual-true", "residual-nan", "residual-negative",
              "prevertex-strings"])
     def test_cache_with_a_residual_or_prevertex_not_a_number_is_recomputed(
-            self, key, bad, square_file, tmp_path, capsys):
-        # float() reads "nan" and true as numbers; such an entry is a miss,
-        # since a NaN residual would be printed as NaN, which is not JSON
+            self, key, bad, hit, square_file, tmp_path, capsys):
+        # a stored residual, as older entries hold, is never read: checked_map
+        # recomputes it, so the entry is a hit.  float() reads "-1.0" as a
+        # number; prevertices that are not JSON numbers make the entry a miss.
+        # Either way the report is strict JSON, with the miss's payload.
         cache = tmp_path / "cache"
         args = ["--cache-dir", str(cache), "scmap", square_file]
         code, out = run_cli(args, capsys)
         assert code == 0
+        payload = json.loads(out)["payload"]
         (f,) = cache.glob("scmap_*.json")
         text = f.read_text()
         f.write_text(json.dumps(dict(json.loads(text), **{key: bad})))
         code, out = run_cli(args, capsys)
         assert code == 0
         rep = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
-        assert not rep["diagnostics"]["cache_hit"]
-        assert rep["payload"] == json.loads(text)
-        assert f.read_text() == text
+        assert rep["diagnostics"]["cache_hit"] is hit
+        assert rep["payload"] == payload
+        if not hit:
+            assert f.read_text() == text
 
     def test_crowded_map_exit_3(self, tmp_path, capsys):
         # a 10 x 1 rectangle crowds two prevertices to a gap of 1.8e-13
@@ -314,25 +324,25 @@ class TestDetCommand:
         assert json.dumps(rep["payload"], sort_keys=True) == \
             json.dumps(rep2["payload"], sort_keys=True)
         assert rep2["timings"]["eigensolve"] < 0.5
-        # the sweep's heat-trace certificate is reported, and kept by the cache
+        # the sweep's heat-trace certificate is reported
         cert = rep["diagnostics"]["heat_certificate"]
         assert set(cert) == {"floor", "t_lambda_max", "certified_lambda", "audit_gaps_skipped",
                              "named", "cover_certified_lambda", "cover_intervals_skipped"}
         assert 0 < cert["certified_lambda"] < 420.0 and cert["audit_gaps_skipped"] > 0
         assert 0 < cert["cover_certified_lambda"] and cert["cover_intervals_skipped"] > 0
         assert all(set(w) == {"lambda", "lo", "hi", "admitted"} for w in cert["named"])
-        assert rep2["diagnostics"]["heat_certificate"] == cert
         # so are the copies each stage admitted
         admitted = rep["diagnostics"]["admitted"]
         assert set(admitted) == set(rep["diagnostics"]["sigma_evals"])
         assert sum(admitted.values()) == rep["payload"]["n_eigs"] and admitted["grid"] > 0
-        assert rep2["diagnostics"]["admitted"] == admitted
+        # the cache keeps no sweep telemetry: a hit reports none
+        for key in ("sigma_evals", "stage_s", "admitted", "heat_certificate"):
+            assert rep2["diagnostics"][key] == {}, key
 
     def test_truncated_cache_is_recomputed(self, square_file, det_cfg_file, tmp_path,
                                            capsys):
         # a truncated entry, another polygon's entry and an entry lacking a
-        # key are misses, recomputed and rewritten whole.  Entries are
-        # compared by eigenvalues and errors: meta.stage_s holds wall times.
+        # key are misses, recomputed and rewritten whole
         from polydet.eigensolve import rectangle_spectrum
 
         cache = tmp_path / "cache"
@@ -343,6 +353,7 @@ class TestDetCommand:
         (f,) = cache.glob("spectrum_*.json")
         text = f.read_text()
         entry = json.loads(text)
+        assert set(entry) == {"polygon_hash", "lambda_max", "eigenvalues", "errors"}
         other = rectangle_spectrum(1.0, 1.1, entry["lambda_max"])
         assert other.count_check["ok"]
         other_entry = dict(entry, polygon_hash=other.polygon_hash, eigenvalues=other.eigenvalues,
@@ -355,8 +366,7 @@ class TestDetCommand:
             rep = json.loads(out)
             assert not rep["diagnostics"]["cache_hit"]
             assert rep["payload"] == payload
-            got = json.loads(f.read_text())
-            assert (got["eigenvalues"], got["errors"]) == (entry["eigenvalues"], entry["errors"])
+            assert f.read_text() == text
             assert not list(cache.glob("*.tmp"))
 
     def test_cache_failing_the_weyl_check_is_recomputed(self, square_file, det_cfg_file,
@@ -380,8 +390,7 @@ class TestDetCommand:
         rep2 = json.loads(out)
         assert not rep2["diagnostics"]["cache_hit"]
         assert rep2["payload"] == rep["payload"]
-        got = json.loads(f.read_text())
-        assert (got["eigenvalues"], got["errors"]) == (entry["eigenvalues"], entry["errors"])
+        assert json.loads(f.read_text()) == entry
         assert not list(cache.glob("*.tmp"))
 
     def test_cache_with_a_non_positive_eigenvalue_is_recomputed(self, square_file, tmp_path,
@@ -406,11 +415,15 @@ class TestDetCommand:
         assert rep["payload"]["n_eigs"] == payload["n_eigs"]
         assert rep["payload"]["logdet"] == payload["logdet"]
 
-    @pytest.mark.parametrize("meta", [[1, 2], None], ids=["list", "null"])
-    def test_cache_with_a_meta_that_is_not_an_object_is_recomputed(
+    @pytest.mark.parametrize("meta", [
+        {"source": "mps", "stage_s": {"grid": float("nan")}, "heat_certificate": "x"},
+        [1, 2], None], ids=["nan-stage-time", "list", "null"])
+    def test_cache_entry_with_an_old_meta_reports_no_sweep_telemetry(
             self, meta, square_file, tmp_path, capsys):
-        # det reads the sweep's diagnostics from meta with .get, so a meta
-        # that is not an object is a miss rather than an internal error
+        # entries once stored the sweep's meta, and a hit reported it as it
+        # was: a NaN stage time printed as NaN, which is not JSON.  A load
+        # now ignores meta, whatever it holds, so the hit reports no sweep
+        # telemetry at all
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lambda_max": 350.0, "zeta": {"tau0": 0.05}}))
         cache = tmp_path / "cache"
@@ -423,10 +436,11 @@ class TestDetCommand:
         f.write_text(json.dumps(dict(entry, meta=meta)))
         code, out = run_cli(args, capsys)
         assert code == 0
-        rep = json.loads(out)
-        assert not rep["diagnostics"]["cache_hit"]
+        rep = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+        assert rep["diagnostics"]["cache_hit"]
         assert rep["payload"]["logdet"] == payload["logdet"]
-        assert json.loads(f.read_text())["meta"]["source"] == "mps"
+        for key in ("sigma_evals", "stage_s", "admitted", "heat_certificate"):
+            assert rep["diagnostics"][key] == {}, key
 
     @pytest.mark.parametrize("spoil", [
         lambda eigs: [repr(lam) for lam in eigs],      # read as numbers by float()

@@ -74,11 +74,16 @@ class TestParameterProblem:
         from polydet.scmap import checked_map
 
         p = square_map.polygon
-        m = checked_map(p, square_map.prevertices, square_map.residual)
-        assert (m.prefactor, m.base_point) == (square_map.prefactor, square_map.base_point)
+        # the residual is recomputed from the prevertices, equal to the solve's
+        m = checked_map(p, square_map.prevertices)
+        assert m == square_map
         assert np.array_equal(m.vertex_images, square_map.vertex_images)
         with pytest.raises(NoConvergence):
             checked_map(p, (-1.0, 0.0, 0.4, 1.0))
+        # within the 1e-8 vertex check, but a side-ratio residual above 1e-9
+        moved = (-1.0, 0.0, square_map.prevertices[2] + 3e-9, 1.0)
+        with pytest.raises(NoConvergence, match="residual 3.084e-09"):
+            checked_map(p, moved)
         with pytest.raises(ValidationFailure):
             checked_map(p, (-1.0, 0.0, 1.0))
 
@@ -212,7 +217,7 @@ class TestSchwarzian:
     def test_flat_data_is_moebius(self):
         poly = build_polygon([0, 1, 1j])
         flat = SCMap(prevertices=(-1.0, 0.0, 1.0), exponents=(0.0, 0.0, 0.0),
-                     prefactor=1.0 + 0j, base_point=0j, polygon=poly)
+                     prefactor=1.0 + 0j, base_point=0j, polygon=poly, residual=0.0)
         zs = np.array([0.5 + 0.5j, -1.2 + 2j, 3 + 0.1j])
         assert np.max(np.abs(schwarzian_xz(flat, zs))) == 0.0
 
