@@ -40,7 +40,7 @@ def _emit(report, args):
     if args.out:
         Path(args.out).write_text(text)
     else:
-        print(text)
+        print(text.rstrip("\n"))      # a CSV report's last row ends in its own \n
 
 
 def _load_polygon(path):
@@ -224,7 +224,7 @@ def cmd_validate(args, cfg):
         status = "PASS" if r["passed"] else "FAIL"
         lines.append(f"{status}  {r['criterion']:<{width}}  "
                      f"measured {r['measured']:9.3e}  tol {r['tolerance']:7.1e}")
-    print("\n".join(lines))
+    print("\n".join(lines), file=sys.stderr)    # stdout holds the report alone
     report = Report(
         command=["validate", args.suite],
         config_hash=cfg.hash(),

@@ -1,7 +1,9 @@
 """Run configuration and deterministic reports for the CLI."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import time
@@ -105,17 +107,20 @@ class Report:
         }, indent=2, sort_keys=True)
 
     def to_csv(self):
-        """Flat key,value dump of the payload (., decimal; \\n endings)."""
-        lines = ["key,value"]
-        for k, v in sorted(_flatten(self.payload).items()):
-            lines.append(f"{k},{v}")
-        return "\n".join(lines) + "\n"
+        """Flat key,value dump of the payload (., decimal; CSV quoting; \\n endings)."""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [("key", "value")] + sorted(_flatten(self.payload).items()))
+        return buf.getvalue()
 
 
 def _flatten(d, prefix=""):
+    """d with dotted keys; lists of objects go by index (records.0.criterion)."""
     out = {}
     for k, v in d.items():
         key = f"{prefix}{k}"
+        if isinstance(v, (list, tuple)) and any(isinstance(x, dict) for x in v):
+            v = dict(enumerate(v))
         if isinstance(v, dict):
             out.update(_flatten(v, key + "."))
         elif isinstance(v, (list, tuple)):

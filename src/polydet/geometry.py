@@ -203,3 +203,21 @@ def complexified_normal(p, side_index, s):
 def move_polygon(p, f, t):
     """Polygon with vertices displaced by t * vertex_velocities."""
     return build_polygon(p.vertex_array() + t * f.velocity_array())
+
+
+def eigenvalue_ratio_bound(p, q):
+    """U with lambda_k(q) <= U lambda_k(p) for every k, for polygons p, q
+    with as many vertices.  The map sending each fan triangle (c, v_j, v_j+1)
+    of p, c the vertex mean, affinely onto q's has Jacobians M_j with
+    det > 0 (both are convex); it raises the Dirichlet energy of a test
+    function by at most det M_j / s2(M_j)^2 and its L2 mass by at least
+    det M_j, so min-max (Courant-Hilbert I, ch. VI) gives
+    U = max_j(det M_j / s2^2) / min_j det M_j, exact for a dilation."""
+    def fans(z):                    # (n, 2, 2): columns c -> v_j, c -> v_j+1
+        e = np.stack([z - z.mean(), np.roll(z, -1) - z.mean()], axis=-1)
+        return np.stack([e.real, e.imag], axis=1)
+
+    M = fans(q.vertex_array()) @ np.linalg.inv(fans(p.vertex_array()))
+    det = np.linalg.det(M)
+    s2 = np.linalg.svd(M, compute_uv=False)[:, -1]
+    return float(np.max(det / s2**2) / np.min(det))

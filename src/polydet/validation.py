@@ -5,6 +5,7 @@ pass flag; the CLI renders them as a table and the test suite asserts them.
 Suites: geometry, scmap, eigs, det, var, wz, all.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -12,7 +13,8 @@ import numpy as np
 from . import varform
 from .eigensolve import dirichlet_eigenvalues, hadamard_eigenvalue_variation, rectangle_spectrum
 from .errors import MissedEigenvalue, ValidationFailure
-from .geometry import build_polygon, field_from_vertex_velocities, move_polygon
+from .geometry import (build_polygon, eigenvalue_ratio_bound, field_from_vertex_velocities,
+                       move_polygon)
 from .scmap import map_forward, solve_parameter_problem
 from .smoothwz import SmoothDomain, disk, wz_variation, wz_vs_alvarez_fd
 from .varform import (
@@ -186,75 +188,47 @@ def check_scaling_law():
 
 
 def _aligned_spectra(p, f, ts, lam_max):
-    """Spectra of the moved polygons with mutual integrity checks.
+    """{t: (moved polygon, its spectrum)} for each t in ts, with every
+    ordered pair (x, y) of the spectra checked against min-max.
 
     A single missed or spurious eigenvalue in one sweep corrupts a finite
-    difference far below any counting alarm's resolution, so the spectra of
-    the slightly-moved polygons are matched index by index on a safe range,
-    each against the location interpolated (linearly in t) from two others.
-    A sweep that lacks an eigenvalue raises MissedEigenvalue naming the t
-    value, the eigenvalue index and the predicted lambda; one that deviates
-    by more than an avoided crossing explains raises it too.
+    difference far below any counting alarm's resolution.  With U the
+    eigenvalue_ratio_bound from x's polygon to y's, lambda_k(y) <= U
+    lambda_k(x) for every k, so wherever U (lambda_k(x) + err_k) is below
+    lam_max, y must hold k + 1 eigenvalues up to it.  The 1e-12 relative
+    slack is for rounding: under a dilation U is exact and MPS output scales
+    exactly with it.  The first pair that fails raises MissedEigenvalue
+    naming both t values, the 0-based index and the bound.
     """
-    t_span = max(abs(t) for t in ts)
-    drift_tol = 15 * t_span
-    out = {t: dirichlet_eigenvalues(move_polygon(p, f, t), lam_max) for t in ts}
-
-    # an interior miss shows as a persistent index shift against the
-    # predicted locations: every later entry matches the *next* predicted
-    # one.  Isolated deviations are avoided crossings (curvature of the
-    # eigenvalue branches in t), and eigenvalues drifting across lambda_max
-    # at the very top are harmless.
-    defects = []
-    blip_max = 0.0
-    ts_sorted = sorted(ts)
-    for t_bad in ts:
-        g1, g2 = [t for t in ts_sorted if t != t_bad][:2]
-        e1 = out[g1].eigenvalue_array()
-        e2 = out[g2].eigenvalue_array()
-        eb = out[t_bad].eigenvalue_array()
-        n = min(len(e1), len(e2), len(eb))
-        pred = e1[:n] + (e2[:n] - e1[:n]) * ((t_bad - g1) / (g2 - g1))
-        dev = np.abs(eb[:n] - pred) / pred
-        bad_idx = np.nonzero(dev > drift_tol)[0]
-        if len(bad_idx) == 0:
-            continue
-        i = int(bad_idx[0])
-        m = min(n - 1 - i, 6)
-        shifted = np.mean(np.abs(eb[i:i + m] - pred[i + 1:i + 1 + m])
-                          / pred[i + 1:i + 1 + m]) if m > 0 else np.inf
-        transposed = (i + 1 < n
-                      and abs(eb[i] - pred[i + 1]) < drift_tol * pred[i + 1]
-                      and abs(eb[i + 1] - pred[i]) < drift_tol * pred[i])
-        if shifted < drift_tol / 2 and not transposed:
-            defects.append((t_bad, i, float(pred[i])))
-        else:
-            blip_max = max(blip_max, float(dev[i]))
-    if defects:
-        raise MissedEigenvalue("moved-polygon spectra failed to align for the finite "
-                               "difference: " + _describe_defects(defects))
-    if blip_max > 0.12:
-        raise MissedEigenvalue(
-            f"eigenvalue branches deviate by {blip_max:.3f} between moved "
-            "polygons; not explainable as an avoided crossing")
+    out = {}
+    for t in ts:
+        pt = move_polygon(p, f, t)
+        out[t] = pt, dirichlet_eigenvalues(pt, lam_max)
+    for tx, ty in itertools.permutations(ts, 2):
+        (px, sx), (py, sy) = out[tx], out[ty]
+        ey = sy.eigenvalue_array()
+        bound = (eigenvalue_ratio_bound(px, py) * (1 + 1e-12)
+                 * (sx.eigenvalue_array() + np.asarray(sx.errors)))
+        for k, b in enumerate(bound):
+            if b < lam_max and (k >= len(ey) or ey[k] > b):
+                raise MissedEigenvalue(
+                    f"sweep at t = {ty:+.3e} holds no eigenvalue index {k} (0-based) "
+                    f"up to {b:.6f}, the min-max bound from the sweep at t = {tx:+.3e}; "
+                    "one sweep lacks an eigenvalue or the other holds a spurious one")
     return out
-
-
-def _describe_defects(defects):
-    return "; ".join(f"sweep at t = {t:+.3e} lacks eigenvalue index {i} "
-                     f"(0-based), predicted lambda {lam:.6f}" for t, i, lam in defects)
 
 
 def fd_logdet_derivative(p, f, lam_max, zcfg):
     """Richardson central difference of the determinant pipeline along f,
-    with step _FD_STEP and defect-checked spectra.  ``zcfg`` sets the zeta
-    completion of every moved polygon."""
+    with step _FD_STEP, over the moved polygons and min-max-checked spectra
+    of _aligned_spectra.  ``zcfg`` sets the zeta completion of every moved
+    polygon."""
     t = _FD_STEP
-    specs = _aligned_spectra(p, f, (t, -t, t / 2, -t / 2), lam_max)
+    moved = _aligned_spectra(p, f, (t, -t, t / 2, -t / 2), lam_max)
 
     def ld(tt):
-        pt = move_polygon(p, f, tt)
-        return zeta_logdet(specs[tt], heat_coefficients(pt), zcfg).value
+        pt, spec = moved[tt]
+        return zeta_logdet(spec, heat_coefficients(pt), zcfg).value
 
     return richardson_derivative(ld, t)
 
@@ -264,7 +238,7 @@ def check_corner_term_activation():
 
     The apex of the triangle (0, 1, 0.3+0.8i) moves horizontally; the angles
     change, so the corner sum is active.  The reference is a Richardson
-    central difference of the MPS + zeta determinant with defect-checked
+    central difference of the MPS + zeta determinant with min-max-checked
     spectra.
     """
     verts = [0.0, 1.0, 0.3 + 0.8j]

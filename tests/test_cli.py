@@ -1,5 +1,7 @@
 import ast
+import csv
 import dataclasses
+import io
 import json
 import re
 from pathlib import Path
@@ -619,10 +621,36 @@ class TestValidateCommand:
         assert [r["runtime_s"] for r in records] == [2.0, 2.0, 0.5]
 
     def test_geometry_suite(self, capsys):
-        code, out = run_cli(["validate", "geometry"], capsys)
+        # the PASS/FAIL table goes to stderr; stdout holds the JSON report alone
+        code = main(["validate", "geometry"])
+        captured = capsys.readouterr()
         assert code == 0
-        assert "PASS" in out
-        assert "FAIL" not in out
+        assert "PASS" in captured.err
+        assert "FAIL" not in captured.err
+        report = json.loads(captured.out)
+        assert report["payload"]["failures"] == 0
+        assert [r["passed"] for r in report["payload"]["records"]] == [True, True]
+
+    def test_csv_report_has_two_fields_a_row(self, monkeypatch, capsys):
+        # a list of records is flattened by index, and a field holding a
+        # comma or a quote is quoted
+        from polydet import validation
+
+        def records():
+            return [validation._record("4 rectangle oracle (1,1)", 0.0, 1.0, 'a "b", c'),
+                    validation._record("geometry", 2.0, 1.0)]
+
+        monkeypatch.setitem(validation.SUITES, "stub", [records])
+        code, out = run_cli(["--format", "csv", "validate", "stub"], capsys)
+        assert code == 3
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows), rows
+        table = dict(rows[1:])
+        assert table["records.0.criterion"] == "4 rectangle oracle (1,1)"
+        assert table["records.0.detail"] == 'a "b", c'
+        assert table["records.1.passed"] == "False"
+        assert table["failures"] == "1"
 
 
 _SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]

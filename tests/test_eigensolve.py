@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -845,27 +846,64 @@ class TestNamedWindow:
         assert len(spec.eigenvalues) == 15
 
 
-def _sweep_missing_index_2(p, lam_max):
-    """Exact spectra of stretched 1.3 x 1 rectangles, which are simple at
-    the bottom; the t = -2e-3 one loses index 2."""
+def _rectangle_sweep(p, lam_max, defect=None):
+    """The exact spectrum of the a x 1 rectangle p, which is simple at the
+    bottom; defect (a, k, kind) drops (kind "drop") or doubles eigenvalue
+    index k of the one with side a."""
     from polydet.eigensolve import Spectrum
 
-    a = p.side_lengths[0]
-    spec = rectangle_spectrum(a, 1.0, lam_max)
-    if abs(a - (1.3 - 2e-3)) < 1e-9:
-        eigs = np.delete(spec.eigenvalue_array(), 2)
+    spec = rectangle_spectrum(p.side_lengths[0], 1.0, lam_max)
+    if defect is not None and abs(p.side_lengths[0] - defect[0]) < 1e-9:
+        _, k, kind = defect
+        eigs = spec.eigenvalue_array()
+        eigs = np.delete(eigs, k) if kind == "drop" else np.insert(eigs, k, eigs[k])
         spec = Spectrum(tuple(eigs), tuple(0.0 for _ in eigs), lam_max, spec.count_check)
     return spec
+
+
+_STRETCH_TS = (4e-3, -4e-3, 2e-3, -2e-3)
 
 
 def test_alignment_failure_names_the_defect(monkeypatch):
     # the error must say where the miss is
     from polydet import validation
 
-    monkeypatch.setattr(validation, "dirichlet_eigenvalues", _sweep_missing_index_2)
+    # the t = -2e-3 sweep loses index 2
+    monkeypatch.setattr(validation, "dirichlet_eigenvalues",
+                        functools.partial(_rectangle_sweep, defect=(1.3 - 2e-3, 2, "drop")))
     rect = build_polygon([0, 1.3, 1.3 + 1j, 1j])
     f = field_from_vertex_velocities(rect, [0, 1, 1, 0])
-    with pytest.raises(MissedEigenvalue, match=r"t = -2\.000e-03 lacks eigenvalue index 2 "
-                                               r"\(0-based\), predicted lambda 45\.3"):
-        validation._aligned_spectra(rect, f, (4e-3, -4e-3, 2e-3, -2e-3), 150.0)
+    with pytest.raises(MissedEigenvalue, match=r"t = -2\.000e-03 holds no eigenvalue index 2 "
+                                               r"\(0-based\) up to 45\.[0-9]+, the min-max "
+                                               r"bound from the sweep at t = \+4\.000e-03"):
+        validation._aligned_spectra(rect, f, _STRETCH_TS, 150.0)
 
+
+def test_alignment_refuses_every_single_drop_and_double(monkeypatch):
+    # the 1.3 x 1 rectangle has 11 simple eigenvalues below 150 and every
+    # stretch keeps them so; min-max between the four stretched copies must
+    # pass the exact spectra and refuse each eigenvalue dropped from or
+    # doubled in any one of them
+    from polydet import validation
+
+    rect = build_polygon([0, 1.3, 1.3 + 1j, 1j])
+    f = field_from_vertex_velocities(rect, [0, 1, 1, 0])
+    monkeypatch.setattr(validation, "dirichlet_eigenvalues", _rectangle_sweep)
+    moved = validation._aligned_spectra(rect, f, _STRETCH_TS, 150.0)
+    n = len(moved[_STRETCH_TS[0]][1].eigenvalues)
+    assert n == 11
+    for _, spec in moved.values():
+        assert len(spec.eigenvalues) == n
+        assert np.all(np.diff(spec.eigenvalue_array()) > 0)
+    accepted = []
+    for t in _STRETCH_TS:
+        for k in range(n):
+            for kind in ("drop", "double"):
+                monkeypatch.setattr(validation, "dirichlet_eigenvalues", functools.partial(
+                    _rectangle_sweep, defect=(1.3 + t, k, kind)))
+                try:
+                    validation._aligned_spectra(rect, f, _STRETCH_TS, 150.0)
+                except MissedEigenvalue:
+                    continue
+                accepted.append((t, k, kind))
+    assert accepted == []

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from polydet.eigensolve import rectangle_spectrum
 from polydet.errors import ClockwiseInput, DegenerateVertex, NonConvex, ValidationFailure
 from polydet.geometry import (
     build_polygon,
     complexified_normal,
+    eigenvalue_ratio_bound,
     field_from_vertex_velocities,
     move_polygon,
 )
@@ -186,6 +188,33 @@ class TestVariations:
         f = field_from_vertex_velocities(p, vel)
         fd = (move_polygon(p, f, t).perimeter - move_polygon(p, f, -t).perimeter) / (2 * t)
         assert f.delta_perimeter == pytest.approx(fd, abs=1e-6)
+
+
+class TestEigenvalueRatioBound:
+    @pytest.mark.parametrize("a, a2", [(1.3, 1.298), (1.298, 1.3), (1.0, 1.001), (2.0, 1.0)])
+    def test_stretch_is_the_affine_bound(self, a, a2):
+        # one affine map diag(a2 / a, 1) on every fan triangle: U = 1 / s2^2
+        u = eigenvalue_ratio_bound(build_polygon([0, a, a + 1j, 1j]),
+                                   build_polygon([0, a2, a2 + 1j, 1j]))
+        assert u == pytest.approx(max(1.0, (a / a2) ** 2), rel=1e-14)
+
+    @pytest.mark.parametrize("t", [4e-3, -2e-3, 0.25])
+    def test_dilation_is_exact(self, unit_square, t):
+        q = move_polygon(unit_square, dilation_field(unit_square), t)
+        u = eigenvalue_ratio_bound(unit_square, q)
+        lam_max = 600.0
+        got = u * rectangle_spectrum(1, 1, lam_max).eigenvalue_array()
+        exact = rectangle_spectrum(1 + t, 1 + t, lam_max / (1 + t) ** 2).eigenvalue_array()
+        assert len(got) == len(exact)
+        assert np.allclose(got, exact, rtol=1e-14, atol=0)
+
+    def test_there_and_back_is_at_least_one(self, rng):
+        # lambda_1(q) <= U(p, q) lambda_1(p) <= U(p, q) U(q, p) lambda_1(q)
+        for _ in range(20):
+            p = random_convex_polygon(rng)
+            vel = rng.normal(size=p.n) + 1j * rng.normal(size=p.n)
+            q = move_polygon(p, field_from_vertex_velocities(p, vel), 0.02)
+            assert eigenvalue_ratio_bound(p, q) * eigenvalue_ratio_bound(q, p) >= 1.0
 
 
 class TestComplexifiedNormal:
