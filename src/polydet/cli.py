@@ -1,8 +1,10 @@
 """polydet command line: scmap / det / var / wz / validate.
 
-Exit codes: 0 success, 2 input validation, 3 numerical non-convergence,
-4 internal error.  Reports carry the config hash; identical inputs and
-config reproduce the payload bit-identically.
+Exit codes: 0 success, 2 input validation, 3 numerical non-convergence
+(or a validate suite with a failed check), 4 internal error.  Each cmd_*
+handler returns its command, payload and diagnostics, and main alone builds
+the Report around them, with the config hash and the handler's timings.
+Identical inputs and config reproduce the payload bit-identically.
 """
 
 import argparse
@@ -16,16 +18,11 @@ from . import validation
 from .config import RunConfig, Report, Timer, config_from_file
 from .eigensolve import checked_spectrum, dirichlet_eigenvalues, polygon_hash
 from .errors import NumericalFailure, ValidationFailure
-from .geometry import field_from_json_dict, points_from_json, polygon_from_json_dict
+from .geometry import build_polygon, field_from_vertex_velocities, json_float, points_from_json
 from .scmap import checked_map, solve_parameter_problem
-from .smoothwz import alvarez_logdet, domain_from_json_dict, wz_variation
+from .smoothwz import SmoothDomain, alvarez_logdet, wz_variation
 from .varform import contour_route_applies, contour_shift_integral, main_formula
 from .zetadet import heat_coefficients, zeta_logdet
-
-
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _cache_dir(args):
@@ -41,10 +38,6 @@ def _emit(report, args):
         Path(args.out).write_text(text)
     else:
         print(text.rstrip("\n"))      # a CSV report's last row ends in its own \n
-
-
-def _load_polygon(path):
-    return polygon_from_json_dict(_load_json(path))
 
 
 def _cached(path, load, compute, dump):
@@ -87,19 +80,10 @@ def _solve_map_cached(p, cache):
     path = Path(cache) / f"scmap_{polygon_hash(p)}.json" if cache else None
 
     def load(d):
-        return checked_map(p, [_json_float(x, "prevertices") for x in d["prevertices"]])
+        return checked_map(p, [json_float(x, "prevertices") for x in d["prevertices"]])
 
     return _cached(path, load, lambda: solve_parameter_problem(p),
                    lambda m: {"prevertices": list(m.prevertices)})
-
-
-def _json_float(x, key):
-    """x as a float, if it is a finite JSON number: an int or a float, not a
-    bool.  Anything else in a cache entry raises ValidationFailure, so the
-    entry is a miss; float() would read "1.5" as 1.5 and true as 1.0."""
-    if not (type(x) in (int, float) and abs(x) <= sys.float_info.max):
-        raise ValidationFailure(f"cache entry {key} holds {x!r}, not a finite number")
-    return float(x)
 
 
 def _spectrum_cached(p, lam_max, cache):
@@ -112,8 +96,8 @@ def _spectrum_cached(p, lam_max, cache):
     path = Path(cache) / f"spectrum_{polygon_hash(p)}_{lam_max!r}.json" if cache else None
 
     def load(d):
-        eigs, errs = ([_json_float(x, key) for x in d[key]] for key in ("eigenvalues", "errors"))
-        spec = checked_spectrum(p, eigs, errs, _json_float(d["lambda_max"], "lambda_max"), {})
+        eigs, errs = ([json_float(x, key) for x in d[key]] for key in ("eigenvalues", "errors"))
+        spec = checked_spectrum(p, eigs, errs, json_float(d["lambda_max"], "lambda_max"), {})
         if (d["polygon_hash"] != spec.polygon_hash or spec.lambda_max != lam_max
                 or not spec.count_check["ok"]):
             raise ValueError("cached spectrum is another polygon's or cutoff's, "
@@ -127,46 +111,31 @@ def _spectrum_cached(p, lam_max, cache):
     return _cached(path, load, lambda: dirichlet_eigenvalues(p, lam_max), dump)
 
 
-def cmd_scmap(args, cfg):
-    timer = Timer()
-    p = _load_polygon(args.polygon)
+def cmd_scmap(args, cfg, timer):
+    p = build_polygon(points_from_json(args.polygon, "vertices"))
     m, hit = _solve_map_cached(p, _cache_dir(args))
     timer.mark("solve")
-    return Report(
-        command=["scmap", args.polygon],
-        config_hash=cfg.hash(),
-        payload=m.to_json_dict(),
-        diagnostics={"cache_hit": hit},
-        timings=timer.marks,
-    )
+    return ["scmap", args.polygon], m.to_json_dict(), {"cache_hit": hit}
 
 
-def cmd_det(args, cfg):
-    timer = Timer()
-    p = _load_polygon(args.polygon)
+def cmd_det(args, cfg, timer):
+    p = build_polygon(points_from_json(args.polygon, "vertices"))
     lam_max, zcfg = cfg.pipeline_zeta(p)
     spec, hit = _spectrum_cached(p, lam_max, _cache_dir(args))
     timer.mark("eigensolve")
     ld = zeta_logdet(spec, heat_coefficients(p), zcfg)
     timer.mark("zeta")
-    return Report(
-        command=["det", args.polygon],
-        config_hash=cfg.hash(),
-        payload=ld.to_json_dict(),
-        diagnostics={"cache_hit": hit, "weyl": spec.count_check,
-                     "lambda_max": lam_max,
-                     "sigma_evals": spec.meta.get("sigma_evals", {}),
-                     "heat_certificate": spec.meta.get("heat_certificate", {}),
-                     "admitted": spec.meta.get("admitted", {}),
-                     "stage_s": spec.meta.get("stage_s", {})},
-        timings=timer.marks,
-    )
+    return ["det", args.polygon], ld.to_json_dict(), {
+        "cache_hit": hit, "weyl": spec.count_check, "lambda_max": lam_max,
+        "sigma_evals": spec.meta.get("sigma_evals", {}),
+        "heat_certificate": spec.meta.get("heat_certificate", {}),
+        "admitted": spec.meta.get("admitted", {}),
+        "stage_s": spec.meta.get("stage_s", {})}
 
 
-def cmd_var(args, cfg):
-    timer = Timer()
-    p = _load_polygon(args.polygon)
-    f = field_from_json_dict(p, _load_json(args.field))
+def cmd_var(args, cfg, timer):
+    p = build_polygon(points_from_json(args.polygon, "vertices"))
+    f = field_from_vertex_velocities(p, points_from_json(args.field, "vertex_velocities"))
     payload = {}
     diagnostics = {}
     if args.route in ("formula", "both"):
@@ -188,36 +157,21 @@ def cmd_var(args, cfg):
         timer.mark("fd")
     if args.route == "both":
         payload["discrepancy"] = abs(payload["formula"]["total"] - payload["fd"])
-    return Report(
-        command=["var", args.polygon, args.field, "--route", args.route],
-        config_hash=cfg.hash(),
-        payload=payload,
-        diagnostics=diagnostics,
-        timings=timer.marks,
-    )
+    return ["var", args.polygon, args.field, "--route", args.route], payload, diagnostics
 
 
-def cmd_wz(args, cfg):
-    timer = Timer()
-    d = domain_from_json_dict(_load_json(args.domain))
+def cmd_wz(args, cfg, timer):
+    d = SmoothDomain(tuple(points_from_json(args.domain, "taylor")))
     payload = {"alvarez_logdet_upto_constant": alvarez_logdet(d)}
     if args.field:
-        V = points_from_json(_load_json(args.field), "taylor")
-        payload["wz_variation"] = wz_variation(d, V)
+        payload["wz_variation"] = wz_variation(d, points_from_json(args.field, "taylor"))
     timer.mark("wz")
-    return Report(
-        command=["wz", args.domain] + (["--field", args.field] if args.field else []),
-        config_hash=cfg.hash(),
-        payload=payload,
-        timings=timer.marks,
-    )
+    return ["wz", args.domain] + (["--field", args.field] if args.field else []), payload, {}
 
 
-def cmd_validate(args, cfg):
-    timer = Timer()
+def cmd_validate(args, cfg, timer):
     records = validation.run_suite(args.suite)
     timer.mark("suite")
-    n_fail = sum(not r["passed"] for r in records)
     width = max(len(r["criterion"]) for r in records)
     lines = []
     for r in records:
@@ -225,13 +179,8 @@ def cmd_validate(args, cfg):
         lines.append(f"{status}  {r['criterion']:<{width}}  "
                      f"measured {r['measured']:9.3e}  tol {r['tolerance']:7.1e}")
     print("\n".join(lines), file=sys.stderr)    # stdout holds the report alone
-    report = Report(
-        command=["validate", args.suite],
-        config_hash=cfg.hash(),
-        payload={"records": records, "failures": n_fail},
-        timings=timer.marks,
-    )
-    return report, (0 if n_fail == 0 else 3)
+    payload = {"records": records, "failures": sum(not r["passed"] for r in records)}
+    return ["validate", args.suite], payload, {}
 
 
 def build_parser():
@@ -264,15 +213,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_file(args.cfg) if args.cfg else RunConfig()
-        if args.command == "validate":
-            report, code = cmd_validate(args, cfg)
-            _emit(report, args)
-            return code
-        handler = {"scmap": cmd_scmap, "det": cmd_det,
-                   "var": cmd_var, "wz": cmd_wz}[args.command]
-        report = handler(args, cfg)
-        _emit(report, args)
-        return 0
+        handler = {"scmap": cmd_scmap, "det": cmd_det, "var": cmd_var,
+                   "wz": cmd_wz, "validate": cmd_validate}[args.command]
+        timer = Timer()
+        command, payload, diagnostics = handler(args, cfg, timer)
+        _emit(Report(command=command, config_hash=cfg.hash(), payload=payload,
+                     diagnostics=diagnostics, timings=timer.marks), args)
+        # a payload that counts failed checks (validate's) exits 3 once written
+        return 3 if payload.get("failures") else 0
     except ValidationFailure as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
         return 2

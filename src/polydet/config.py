@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationFailure
 from .eigensolve import faber_krahn_bound
+from .geometry import json_float, load_json
 from .zetadet import ZetaConfig
 
 _LAMBDA_MAX_FACTOR = 28.0   # default lambda_max = factor / tau0
@@ -51,8 +52,7 @@ class RunConfig:
 def config_from_file(path):
     """RunConfig from a JSON file of (nested) overrides; each settable key is
     checked once, in the order lambda_max, zeta.tau0, zeta.tail_tol."""
-    with open(path) as fh:
-        raw = _json_object(json.load(fh), "", ("lambda_max", "zeta"))
+    raw = _json_object(load_json(path), "", ("lambda_max", "zeta"))
     zeta = _json_object(raw.get("zeta", {}), "zeta.", ("tau0", "tail_tol"))
     return RunConfig(lambda_max=_number(raw, "", "lambda_max", None),
                      zeta=ZetaConfig(_number(zeta, "zeta.", "tau0", None),
@@ -73,19 +73,14 @@ def _json_object(raw, prefix, keys):
 def _number(raw, prefix, name, default):
     """raw[name] made a float, so 28 and 28.0 give one config hash; default
     if name is absent, or null where the default is None.  ValidationFailure
-    unless the value is a finite positive number (bool is not one)."""
+    unless the value is a finite (json_float) positive number."""
     v = raw.get(name)
     if name not in raw or (v is None and default is None):
         return default
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationFailure(f"config key {prefix}{name} must be a number, not {json.dumps(v)}")
-    try:
-        v = float(v)
-    except OverflowError:           # an integer beyond the largest float
-        v = math.inf if v > 0 else -math.inf
-    if not (math.isfinite(v) and v > 0):
-        raise ValidationFailure(
-            f"config key {prefix}{name} must be finite and positive, not {json.dumps(v)}")
+    what = f"config key {prefix}{name}"
+    v = json_float(v, what, "finite and positive")
+    if not v > 0:
+        raise ValidationFailure(f"{what} must be finite and positive, not {v!r}")
     return v
 
 

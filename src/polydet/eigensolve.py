@@ -75,6 +75,7 @@ _BASIS_EXTRA = 4                # added on top of the wavenumber estimate
 _INTERIOR_FACTOR = 0.8
 _INTERIOR_SEED = 1234           # of the interior collocation points
 _INTERIOR_MIN = 60
+_MAX_BASIS_ENTRIES = 1 << 20    # columns x collocation points; refused above
 # sweep, refinement and counting
 _GRID_PER_GAP = 3.0             # sweep points per mean eigenvalue gap
 _REFINE_XTOL = 1e-11            # relative bracket tolerance
@@ -521,13 +522,19 @@ class MPSSolver:
             n_i = int(np.ceil(_BASIS_SAFETY * p.angles[i] * rt * reach / np.pi))
             orders.append(max(_BASIS_MIN, n_i + _BASIS_EXTRA))
         self.orders = orders
-        self.basis = _CornerBasis(p, orders, u_max=rt * diam)
         wavelength = 2 * np.pi / rt
         n_side = [max(12, int(np.ceil(_POINTS_PER_WAVELENGTH * L / wavelength)),
                       int(np.ceil(1.2 * max(orders))))
                   for L in p.side_lengths]
-        self.bpts = _boundary_points(p, n_side)
         n_int = max(_INTERIOR_MIN, int(_INTERIOR_FACTOR * sum(orders)))
+        n_pts = sum(n_side) + n_int
+        if sum(orders) * n_pts > _MAX_BASIS_ENTRIES:
+            raise ValidationFailure(
+                f"lambda_max {self.lambda_max:.6g} needs a basis of {sum(orders):.4g} columns "
+                f"at {n_pts:.4g} collocation points, more than the {_MAX_BASIS_ENTRIES} entries "
+                "a sweep builds; lower lambda_max or raise zeta.tau0")
+        self.basis = _CornerBasis(p, orders, u_max=rt * diam)
+        self.bpts = _boundary_points(p, n_side)
         self.ipts = _interior_points(p, n_int)
         self.pts = np.concatenate([self.bpts, self.ipts])
         self.m_b = len(self.bpts)

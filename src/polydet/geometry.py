@@ -3,7 +3,8 @@
 Every polygon passes build_polygon: finite vertices listed counterclockwise,
 every interior angle in (0, pi) and a boundary that winds once, which makes
 a simple convex polygon with no straight angle.  Input files give points as
-[x, y] pairs of finite numbers (points_from_json).
+[x, y] pairs of finite numbers (points_from_json, which reads the file
+through load_json).
 
 Conventions used throughout the package:
 
@@ -17,7 +18,7 @@ Conventions used throughout the package:
 """
 
 import json
-import sys
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,27 +124,49 @@ def build_polygon(vertices):
     )
 
 
-def points_from_json(d, key):
-    """The [x, y] pairs listed under key in the JSON object d, as complex
-    numbers; ValidationFailure naming key unless each is a pair of finite
-    numbers (NaN, infinities and integers beyond the float range are not)."""
+def load_json(path):
+    """The JSON value in the file at path; ValidationFailure naming the path
+    if the file cannot be read or does not parse."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ValidationFailure(f"{path} must be a readable file: {e.strerror}") from None
+    except (ValueError, RecursionError) as e:       # bad JSON, UTF-8 or nesting
+        raise ValidationFailure(f"{path} must be a JSON file: {e}") from None
+
+
+def json_float(x, what, rule="finite"):
+    """x as a float, if it is a finite JSON number: an int or a float, not a
+    bool (float() would read "1.5" as 1.5 and true as 1.0), and neither NaN,
+    an infinity nor an integer beyond the float range.  Anything else raises
+    ValidationFailure saying that what must be a number, or must be rule."""
+    if type(x) not in (int, float):
+        raise ValidationFailure(f"{what} must be a number, not {json.dumps(x)}")
+    try:
+        v = float(x)
+    except OverflowError:           # an integer beyond the largest float
+        v = math.inf if x > 0 else -math.inf
+    if not math.isfinite(v):
+        raise ValidationFailure(f"{what} must be {rule}, not {json.dumps(v)}")
+    return v
+
+
+def points_from_json(path, key):
+    """The [x, y] pairs listed under key in the JSON object in the file at
+    path, as complex numbers; ValidationFailure naming key, or key[k], unless
+    each is a pair of finite numbers (json_float)."""
+    d = load_json(path)
     pairs = d.get(key) if isinstance(d, dict) else None
     if not isinstance(pairs, list):
-        raise ValidationFailure(f"{key} must be a list of [x, y] pairs")
+        raise ValidationFailure(f"{path}: {key} must be a list of [x, y] pairs")
+    points = []
     for k, xy in enumerate(pairs):
-        if not (isinstance(xy, list) and len(xy) == 2
-                and all(type(c) in (int, float) and abs(c) <= sys.float_info.max for c in xy)):
-            raise ValidationFailure(f"{key}[{k}] must be a pair of finite numbers, "
+        if not (isinstance(xy, list) and len(xy) == 2):
+            raise ValidationFailure(f"{path}: {key}[{k}] must be a pair of finite numbers, "
                                     f"not {json.dumps(xy)}")
-    return [complex(x, y) for x, y in pairs]
-
-
-def polygon_from_json_dict(d):
-    return build_polygon(points_from_json(d, "vertices"))
-
-
-def field_from_json_dict(p, d):
-    return field_from_vertex_velocities(p, points_from_json(d, "vertex_velocities"))
+        points.append(complex(*(json_float(c, f"{path}: {key}[{k}]") for c in xy)))
+    return points
 
 
 def field_from_vertex_velocities(p, v):

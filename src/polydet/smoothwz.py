@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse, MapDegenerate, ValidationFailure
-from .geometry import points_from_json
 
 _FD_EPS = 1e-4          # step of the central difference in wz_vs_alvarez_fd
 _GRID_MIN = 512         # points of the first trapezoid grid on the circle
@@ -66,10 +65,6 @@ def _finite(coefficients, what):
     if not np.all(np.isfinite(c)):
         raise ValidationFailure(f"{what} {int(np.argmin(np.isfinite(c)))} is not finite")
     return c
-
-
-def domain_from_json_dict(d):
-    return SmoothDomain(tuple(points_from_json(d, "taylor")))
 
 
 def disk(radius=1.0):

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import re
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,10 +18,15 @@ from polydet.errors import ValidationFailure
 from polydet.zetadet import ZetaConfig, rectangle_logdet_exact
 
 
+_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+_DET_CFG = {"zeta": {"tau0": 0.06}, "lambda_max": 420.0}
+_CFG_350 = {"lambda_max": 350.0, "zeta": {"tau0": 0.05}}
+
+
 @pytest.fixture
 def square_file(tmp_path):
     f = tmp_path / "square.json"
-    f.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    f.write_text(json.dumps({"vertices": _SQUARE}))
     return str(f)
 
 
@@ -34,8 +40,52 @@ def dilation_file(tmp_path):
 @pytest.fixture
 def det_cfg_file(tmp_path):
     f = tmp_path / "cfg.json"
-    f.write_text(json.dumps({"zeta": {"tau0": 0.06}, "lambda_max": 420.0}))
+    f.write_text(json.dumps(_DET_CFG))
     return str(f)
+
+
+@pytest.fixture(scope="module")
+def square_det_miss(tmp_path_factory):
+    """miss(raw): the report of `det` on the unit square under the config
+    raw, run on a cold cache once per config in the module, and the spectrum
+    cache entry that run wrote.  A test copies the entry into a cache of its
+    own, so that it sweeps only where it recomputes a spoiled entry."""
+    root = tmp_path_factory.mktemp("square_det_miss")
+    square = root / "square.json"
+    square.write_text(json.dumps({"vertices": _SQUARE}))
+    runs = {}
+
+    def miss(raw):
+        key = json.dumps(raw, sort_keys=True)
+        if key not in runs:
+            d = root / f"run{len(runs)}"
+            d.mkdir()
+            (d / "cfg.json").write_text(key)
+            assert main(["--cfg", str(d / "cfg.json"), "--cache-dir", str(d / "cache"),
+                         "--out", str(d / "report.json"), "det", str(square)]) == 0
+            report = json.loads((d / "report.json").read_text())
+            assert report["diagnostics"]["cache_hit"] is False
+            (entry,) = (d / "cache").glob("spectrum_*.json")
+            runs[key] = report, entry
+        return runs[key]
+
+    return miss
+
+
+def _det_from_entry(raw, entry_text, entry_name, square_file, tmp_path, capsys):
+    """Report and cache entry of `det` on the unit square under the config
+    raw, which must exit 0, with entry_text stored under entry_name in a new
+    cache; the report must be strict JSON."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    cache = tmp_path / "cache"
+    cache.mkdir(exist_ok=True)
+    f = cache / entry_name
+    f.write_text(entry_text)
+    code, out = run_cli(["--cfg", str(cfg), "--cache-dir", str(cache), "det", square_file],
+                        capsys)
+    assert code == 0
+    return json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in the report")), f
 
 
 def run_cli(args, capsys):
@@ -91,6 +141,18 @@ class TestRunConfig:
         f.write_text(json.dumps(raw))
         assert main(["--cfg", str(f), "det", square_file]) == 2
         assert f"config key {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, '{"lambda_max": 350, "zeta": {"ta', "",
+                                      '{"lambda_max": 350}}'],
+                             ids=["missing", "cut-short", "empty", "trailing-brace"])
+    def test_unreadable_file_exits_2_naming_the_path(self, text, square_file, tmp_path,
+                                                     capsys):
+        f = tmp_path / "cfg.json"
+        if text is not None:
+            f.write_text(text)
+        assert main(["--cfg", str(f), "scmap", square_file]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationFailure" in err and f"{f} must be" in err
 
     def test_null_defaults_and_integers_in_float_fields(self, tmp_path):
         f = tmp_path / "cfg.json"
@@ -310,30 +372,49 @@ class TestScmapCommand:
             assert len(list(cache.glob("scmap_*.json"))) == 1
 
 
-class TestDetCommand:
-    def test_det_square(self, square_file, det_cfg_file, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        code, out = run_cli(["--cfg", det_cfg_file, "--cache-dir", cache,
-                             "det", square_file], capsys)
-        assert code == 0
-        rep = json.loads(out)
-        assert abs(rep["payload"]["logdet"] - rectangle_logdet_exact(1, 1)) < 1e-5
+def _json_edit(edit):
+    return lambda text: json.dumps(edit(json.loads(text)))
 
-        code2, out2 = run_cli(["--cfg", det_cfg_file, "--cache-dir", cache,
+
+def _another_polygons(entry):
+    from polydet.eigensolve import rectangle_spectrum
+
+    other = rectangle_spectrum(1.0, 1.1, entry["lambda_max"])
+    assert other.count_check["ok"]
+    return dict(entry, polygon_hash=other.polygon_hash, eigenvalues=other.eigenvalues,
+                errors=other.errors)
+
+
+class TestDetCommand:
+    def test_det_square(self, square_det_miss, square_file, det_cfg_file, tmp_path, capsys):
+        rep, entry = square_det_miss(_DET_CFG)
+        assert abs(rep["payload"]["logdet"] - rectangle_logdet_exact(1, 1)) < 1e-5
+        assert set(json.loads(entry.read_text())) == {"polygon_hash", "lambda_max",
+                                                      "eigenvalues", "errors"}
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / entry.name).write_text(entry.read_text())
+        code2, out2 = run_cli(["--cfg", det_cfg_file, "--cache-dir", str(cache),
                                "det", square_file], capsys)
+        assert code2 == 0
         rep2 = json.loads(out2)
         assert rep2["diagnostics"]["cache_hit"]
         assert json.dumps(rep["payload"], sort_keys=True) == \
             json.dumps(rep2["payload"], sort_keys=True)
         assert rep2["timings"]["eigensolve"] < 0.5
-        # the sweep's heat-trace certificate is reported
+        # the sweep's stage counters and times are reported
+        counts = rep["diagnostics"]["sigma_evals"]
+        assert counts["grid"] > 0 and counts["refine"] > 0
+        stage_s = rep["diagnostics"]["stage_s"]
+        assert set(stage_s) == set(counts) and min(stage_s.values()) >= 0
+        # so is its heat-trace certificate
         cert = rep["diagnostics"]["heat_certificate"]
         assert set(cert) == {"floor", "t_lambda_max", "certified_lambda", "audit_gaps_skipped",
                              "named", "cover_certified_lambda", "cover_intervals_skipped"}
         assert 0 < cert["certified_lambda"] < 420.0 and cert["audit_gaps_skipped"] > 0
         assert 0 < cert["cover_certified_lambda"] and cert["cover_intervals_skipped"] > 0
         assert all(set(w) == {"lambda", "lo", "hi", "admitted"} for w in cert["named"])
-        # so are the copies each stage admitted
+        # and the copies each stage admitted
         admitted = rep["diagnostics"]["admitted"]
         assert set(admitted) == set(rep["diagnostics"]["sigma_evals"])
         assert sum(admitted.values()) == rep["payload"]["n_eigs"] and admitted["grid"] > 0
@@ -341,139 +422,66 @@ class TestDetCommand:
         for key in ("sigma_evals", "stage_s", "admitted", "heat_certificate"):
             assert rep2["diagnostics"][key] == {}, key
 
-    def test_truncated_cache_is_recomputed(self, square_file, det_cfg_file, tmp_path,
-                                           capsys):
-        # a truncated entry, another polygon's entry and an entry lacking a
-        # key are misses, recomputed and rewritten whole
-        from polydet.eigensolve import rectangle_spectrum
-
-        cache = tmp_path / "cache"
-        args = ["--cfg", det_cfg_file, "--cache-dir", str(cache), "det", square_file]
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        payload = json.loads(out)["payload"]
-        (f,) = cache.glob("spectrum_*.json")
-        text = f.read_text()
-        entry = json.loads(text)
-        assert set(entry) == {"polygon_hash", "lambda_max", "eigenvalues", "errors"}
-        other = rectangle_spectrum(1.0, 1.1, entry["lambda_max"])
-        assert other.count_check["ok"]
-        other_entry = dict(entry, polygon_hash=other.polygon_hash, eigenvalues=other.eigenvalues,
-                           errors=other.errors)
-        missing = {k: v for k, v in entry.items() if k != "lambda_max"}
-        for bad in (text[:-40], json.dumps(other_entry), json.dumps(missing)):
-            f.write_text(bad)
-            code, out = run_cli(args, capsys)
-            assert code == 0
-            rep = json.loads(out)
-            assert not rep["diagnostics"]["cache_hit"]
-            assert rep["payload"] == payload
-            assert f.read_text() == text
-            assert not list(cache.glob("*.tmp"))
-
-    def test_cache_failing_the_weyl_check_is_recomputed(self, square_file, det_cfg_file,
-                                                         tmp_path, capsys):
+    @pytest.mark.parametrize("raw, spoil", [
+        pytest.param(_DET_CFG, lambda text: text[:-40], id="truncated"),
+        pytest.param(_DET_CFG, _json_edit(_another_polygons), id="another-polygons"),
+        pytest.param(_DET_CFG, _json_edit(lambda e: {k: v for k, v in e.items()
+                                                     if k != "lambda_max"}),
+                     id="lacking-lambda_max"),
         # doubled eigenvalues keep the entry's polygon hash, but their
         # counting function is far off the Weyl law
-        cache = tmp_path / "cache"
-        args = ["--cfg", det_cfg_file, "--cache-dir", str(cache), "det", square_file]
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        rep = json.loads(out)
-        counts = rep["diagnostics"]["sigma_evals"]
-        assert counts["grid"] > 0 and counts["refine"] > 0
-        stage_s = rep["diagnostics"]["stage_s"]
-        assert set(stage_s) == set(counts) and min(stage_s.values()) >= 0
-        (f,) = cache.glob("spectrum_*.json")
-        entry = json.loads(f.read_text())
-        f.write_text(json.dumps(dict(entry, eigenvalues=[2 * lam for lam in entry["eigenvalues"]])))
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        rep2 = json.loads(out)
-        assert not rep2["diagnostics"]["cache_hit"]
-        assert rep2["payload"] == rep["payload"]
-        assert json.loads(f.read_text()) == entry
-        assert not list(cache.glob("*.tmp"))
-
-    def test_cache_with_a_non_positive_eigenvalue_is_recomputed(self, square_file, tmp_path,
-                                                                capsys):
+        pytest.param(_DET_CFG, _json_edit(lambda e: dict(
+            e, eigenvalues=[2 * lam for lam in e["eigenvalues"]])), id="failing-the-weyl-check"),
         # the Weyl term takes sqrt(max(lam, 0)), so -1.0 passes the count
         # check; the entry used to reach the zeta completion and exit 3
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lambda_max": 350.0, "zeta": {"tau0": 0.05}}))
-        cache = tmp_path / "cache"
-        args = ["--cfg", str(cfg), "--cache-dir", str(cache), "det", square_file]
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        payload = json.loads(out)["payload"]
-        (f,) = cache.glob("spectrum_*.json")
-        entry = json.loads(f.read_text())
-        f.write_text(json.dumps(dict(entry, eigenvalues=[-1.0] + entry["eigenvalues"],
-                                     errors=[0.0] + entry["errors"])))
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        rep = json.loads(out)
-        assert not rep["diagnostics"]["cache_hit"]
-        assert rep["payload"]["n_eigs"] == payload["n_eigs"]
-        assert rep["payload"]["logdet"] == payload["logdet"]
+        pytest.param(_CFG_350, _json_edit(lambda e: dict(
+            e, eigenvalues=[-1.0] + e["eigenvalues"], errors=[0.0] + e["errors"])),
+            id="non-positive-eigenvalue"),
+        # eigenvalues that float() reads as numbers but JSON does not hold as such
+        pytest.param(_CFG_350, _json_edit(lambda e: dict(
+            e, eigenvalues=[repr(lam) for lam in e["eigenvalues"]])), id="strings"),
+        pytest.param(_CFG_350, _json_edit(lambda e: dict(
+            e, eigenvalues=[True] + e["eigenvalues"][1:])), id="true-for-lambda1")])
+    def test_spoiled_cache_entry_is_recomputed(self, raw, spoil, square_det_miss, square_file,
+                                               tmp_path, capsys):
+        # the entry is a miss: recomputed, reported as the first miss was, and
+        # rewritten whole, leaving no temporary file
+        rep, entry = square_det_miss(raw)
+        text = entry.read_text()
+        rep2, f = _det_from_entry(raw, spoil(text), entry.name, square_file, tmp_path, capsys)
+        assert not rep2["diagnostics"]["cache_hit"]
+        assert rep2["payload"] == rep["payload"]
+        assert f.read_text() == text
+        assert not list(f.parent.glob("*.tmp"))
 
     @pytest.mark.parametrize("meta", [
         {"source": "mps", "stage_s": {"grid": float("nan")}, "heat_certificate": "x"},
         [1, 2], None], ids=["nan-stage-time", "list", "null"])
     def test_cache_entry_with_an_old_meta_reports_no_sweep_telemetry(
-            self, meta, square_file, tmp_path, capsys):
+            self, meta, square_det_miss, square_file, tmp_path, capsys):
         # entries once stored the sweep's meta, and a hit reported it as it
         # was: a NaN stage time printed as NaN, which is not JSON.  A load
         # now ignores meta, whatever it holds, so the hit reports no sweep
         # telemetry at all
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lambda_max": 350.0, "zeta": {"tau0": 0.05}}))
-        cache = tmp_path / "cache"
-        args = ["--cfg", str(cfg), "--cache-dir", str(cache), "det", square_file]
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        payload = json.loads(out)["payload"]
-        (f,) = cache.glob("spectrum_*.json")
-        entry = json.loads(f.read_text())
-        f.write_text(json.dumps(dict(entry, meta=meta)))
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        rep = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
-        assert rep["diagnostics"]["cache_hit"]
-        assert rep["payload"]["logdet"] == payload["logdet"]
+        rep, entry = square_det_miss(_CFG_350)
+        old = json.dumps(dict(json.loads(entry.read_text()), meta=meta))
+        rep2, _ = _det_from_entry(_CFG_350, old, entry.name, square_file, tmp_path, capsys)
+        assert rep2["diagnostics"]["cache_hit"]
+        assert rep2["payload"]["logdet"] == rep["payload"]["logdet"]
         for key in ("sigma_evals", "stage_s", "admitted", "heat_certificate"):
-            assert rep["diagnostics"][key] == {}, key
+            assert rep2["diagnostics"][key] == {}, key
 
-    @pytest.mark.parametrize("spoil", [
-        lambda eigs: [repr(lam) for lam in eigs],      # read as numbers by float()
-        lambda eigs: [True] + eigs[1:],                 # read as 1.0 by float()
-    ], ids=["strings", "true-for-lambda1"])
-    def test_cache_with_eigenvalues_that_are_not_numbers_is_recomputed(
-            self, spoil, square_file, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lambda_max": 350.0, "zeta": {"tau0": 0.05}}))
-        cache = tmp_path / "cache"
-        args = ["--cfg", str(cfg), "--cache-dir", str(cache), "det", square_file]
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        payload = json.loads(out)["payload"]
-        (f,) = cache.glob("spectrum_*.json")
-        entry = json.loads(f.read_text())
-        f.write_text(json.dumps(dict(entry, eigenvalues=spoil(entry["eigenvalues"]))))
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        rep = json.loads(out)
-        assert not rep["diagnostics"]["cache_hit"]
-        assert rep["payload"]["logdet"] == payload["logdet"]
-        assert json.loads(f.read_text())["eigenvalues"] == entry["eigenvalues"]
-
-    def test_spectrum_cache_is_keyed_by_the_polygon_and_lambda_max(self, square_file,
-                                                                  tmp_path, capsys):
+    def test_spectrum_cache_is_keyed_by_the_polygon_and_lambda_max(
+            self, square_det_miss, square_file, tmp_path, capsys):
         # the sweep reads only the polygon and lambda_max, so the zeta
-        # settings share one entry; another cutoff is another entry, and an
-        # entry storing another cutoff than its key is a miss
+        # settings share one entry (the module's first run of base was a
+        # miss); another cutoff is another entry, and an entry storing
+        # another cutoff than its key is a miss
+        base = _CFG_350
+        _, entry = square_det_miss(base)
         cache = tmp_path / "cache"
-        base = {"lambda_max": 350, "zeta": {"tau0": 0.05}}
+        cache.mkdir()
+        (cache / entry.name).write_text(entry.read_text())
         hits = []
         for i, raw in enumerate((base, dict(base, zeta={"tau0": 0.05, "tail_tol": 1e-3}),
                                  dict(base, zeta={"tau0": 0.06}),
@@ -484,7 +492,7 @@ class TestDetCommand:
                                  "det", square_file], capsys)
             assert code == 0
             hits.append(json.loads(out)["diagnostics"]["cache_hit"])
-        assert hits == [False, True, True, False]
+        assert hits == [True, True, True, False]
         entries = sorted(cache.glob("spectrum_*.json"))
         assert len(entries) == 2
         stored = [json.loads(e.read_text()) for e in entries]
@@ -505,6 +513,24 @@ class TestDetCommand:
         f.write_text(json.dumps({"zeta": {"tau0": 0.004, "tail_tol": 1e-9},
                                  "lambda_max": 250.0}))
         assert main(["--cfg", str(f), "det", square_file]) == 3
+
+    @pytest.mark.parametrize("vertices, raw", [
+        (_SQUARE, {"zeta": {"tau0": 1e-300}}),
+        (_SQUARE, {"lambda_max": 1e300}),
+        (_SQUARE, {"zeta": {"tau0": 1e-5}}),
+        # the default cutoff of an isosceles triangle with base angles 0.05
+        ([[0, 0], [1, 0], [0.5, 0.5 * np.tan(0.05)]], {})],
+        ids=["tau0-1e-300", "lambda_max-1e300", "tau0-1e-5", "thin-triangle-default"])
+    def test_a_cutoff_too_large_for_the_basis_exits_2_before_building_it(
+            self, vertices, raw, tmp_path, capsys):
+        poly, cfg = tmp_path / "polygon.json", tmp_path / "cfg.json"
+        poly.write_text(json.dumps({"vertices": vertices}))
+        cfg.write_text(json.dumps(raw))
+        t0 = time.perf_counter()
+        assert main(["--cfg", str(cfg), "det", str(poly)]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        err = capsys.readouterr().err
+        assert "ValidationFailure" in err and "lambda_max" in err and "columns" in err
 
 
 class TestVarCommand:
@@ -533,8 +559,7 @@ class TestVarCommand:
     ])
     def test_contour_route_reported_exactly_when_it_applies(self, vx, applies, square_file,
                                                            tmp_path, capsys):
-        from polydet.cli import _load_polygon
-        from polydet.geometry import field_from_json_dict
+        from polydet.geometry import build_polygon, field_from_vertex_velocities, points_from_json
         from polydet.scmap import solve_parameter_problem
         from polydet.varform import contour_shift_integral
 
@@ -544,8 +569,8 @@ class TestVarCommand:
         code, out = run_cli(["var", square_file, str(field_file)], capsys)
         assert code == 0
         formula = json.loads(out)["payload"]["formula"]
-        p = _load_polygon(square_file)
-        f = field_from_json_dict(p, d)
+        p = build_polygon(points_from_json(square_file, "vertices"))
+        f = field_from_vertex_velocities(p, points_from_json(field_file, "vertex_velocities"))
         if applies:
             assert formula["contour_route"] == contour_shift_integral(
                 solve_parameter_problem(p), f)
@@ -653,9 +678,6 @@ class TestValidateCommand:
         assert table["failures"] == "1"
 
 
-_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
-
-
 @pytest.mark.parametrize("argv, files, key", [
     (["scmap", "{0}"], [{}], "vertices"),
     (["scmap", "{0}"], [{"vertices": "square"}], "vertices"),
@@ -675,12 +697,23 @@ _SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
     (["wz", "{0}"], [{"taylor": [[0, 0], [1, 0], [float("nan"), 0]]}], "taylor[2]"),
     (["wz", "{0}"], [{"coefficients": [[0, 0], [1, 0]]}], "taylor"),
     (["wz", "{0}", "--field", "{1}"],
-     [{"taylor": [[0, 0], [1, 0]]}, {"taylor": [[0, 0], [1, None]]}], "taylor[1]")])
+     [{"taylor": [[0, 0], [1, 0]]}, {"taylor": [[0, 0], [1, None]]}], "taylor[1]"),
+    # a file that is missing (None) or cut short is named by its path
+    (["scmap", "{0}"], [None], "{0}"),
+    (["det", "{0}"], ['{"vertices": [[0, 0], [1, 0], [1,'], "{0}"),
+    (["var", "{0}", "{1}"], [None, {"vertex_velocities": _SQUARE}], "{0}"),
+    (["var", "{0}", "{1}"], [{"vertices": _SQUARE}, None], "{1}"),
+    (["var", "{0}", "{1}"], [{"vertices": _SQUARE}, '{"vertex_velocities": [[0, 0]'], "{1}"),
+    (["wz", "{0}"], [None], "{0}"),
+    (["wz", "{0}"], ['{"taylor": [[0, 0], [1, 0]]'], "{0}"),
+    (["wz", "{0}", "--field", "{1}"], [{"taylor": [[0, 0], [1, 0]]}, None], "{1}"),
+    (["wz", "{0}", "--field", "{1}"], [{"taylor": [[0, 0], [1, 0]]}, '{"taylor": '], "{1}")])
 def test_malformed_input_file_exits_2_naming_the_key(argv, files, key, tmp_path, capsys):
     # NaN and Infinity are not JSON, but Python's json module reads and writes them
     paths = [tmp_path / f"input{k}.json" for k in range(len(files))]
     for f, d in zip(paths, files):
-        f.write_text(json.dumps(d))
+        if d is not None:
+            f.write_text(d if isinstance(d, str) else json.dumps(d))
     assert main([a.format(*paths) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert "ValidationFailure" in err and f"{key} must be" in err
+    assert "ValidationFailure" in err and f"{key.format(*paths)} must be" in err

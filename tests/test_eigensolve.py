@@ -732,6 +732,26 @@ class TestHeatCertificate:
         assert 0 < cert["floor"] < 1e-15
         assert cert["certified_lambda"] > 0.75 * 1568.0
 
+    @pytest.mark.parametrize("a, lam_max, keep, dropped, certified", [
+        (1, 1568.0, 0.8, 23, 1091.0), (2, 882.0, 0.95, 8, 697.0)], ids=["1x1", "2x1"])
+    def test_the_weyl_band_refuses_a_top_cut_off_that_the_heat_reading_passes(
+            self, a, lam_max, keep, dropped, certified):
+        # an exact spectrum without its eigenvalues above keep * lambda_max:
+        # the reading names no miss and vouches only below the misses, so it
+        # cannot see them; the two-term band counts to lambda_max and refuses
+        # the spectrum at its first missing eigenvalue
+        p = build_polygon([0, a, a + 1j, 1j])
+        eigs = rectangle_spectrum(a, 1, lam_max).eigenvalue_array()
+        kept = eigs[eigs <= keep * lam_max]
+        assert len(eigs) - len(kept) == dropped
+        cert, named = heat_reading(p, kept, lam_max)
+        assert named is None and 0 < cert["certified_lambda"] < certified
+        check = weyl_count_check(p, kept, lam_max)
+        assert not check["ok"] and check["k"] == len(kept) + 1
+        # the whole spectrum passes both
+        assert heat_reading(p, eigs, lam_max)[1] is None
+        assert weyl_count_check(p, eigs, lam_max)["ok"]
+
     def test_audit_searches_no_window_below_the_certificate(self, unit_square, monkeypatch):
         find_in, windows = MPSSolver.find_in, []
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from polydet.errors import GridTooCoarse, MapDegenerate, ValidationFailure
+from polydet.geometry import points_from_json
 from polydet.smoothwz import (
     SmoothDomain,
     _alvarez_sum,
     _wz_sum,
     alvarez_logdet,
     disk,
-    domain_from_json_dict,
     wz_variation,
     wz_vs_alvarez_fd,
 )
@@ -32,8 +32,10 @@ class TestSmoothDomain:
         with pytest.raises(ValidationFailure, match="coefficient 2 is not finite"):
             SmoothDomain((0.0, 1.0, complex(np.nan, 0.0)))
 
-    def test_json_round_trip(self):
-        d = domain_from_json_dict({"taylor": [[0.1, 0.2], [1.0, 0.0], [0.0, 0.05]]})
+    def test_json_round_trip(self, tmp_path):
+        f = tmp_path / "domain.json"
+        f.write_text('{"taylor": [[0.1, 0.2], [1.0, 0.0], [0.0, 0.05]]}')
+        d = SmoothDomain(tuple(points_from_json(f, "taylor")))
         assert d.coefficients == (0.1 + 0.2j, 1.0, 0.05j)
 
 
