@@ -170,8 +170,8 @@ def cmd_wz(args, cfg, timer):
 
 
 def cmd_validate(args, cfg, timer):
-    records = validation.run_suite(args.suite)
-    timer.mark("suite")
+    records, seconds = validation.run_suite(args.suite)
+    timer.marks.update(seconds)
     width = max(len(r["criterion"]) for r in records)
     lines = []
     for r in records:

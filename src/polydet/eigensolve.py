@@ -990,44 +990,26 @@ class MPSSolver:
         full[good] = C / norms[good][:, None]
         return full
 
-    def normal_derivative_sq_integrals(self, lam, C, weight_fns):
-        """Per-side graded-quadrature integrals of (d_nu u)^2 * weight, for
-        each weight of ``weight_fns`` from one gradient evaluation per side.
-
-        weight_fn(j, s) gives the weight on side j at arclength s from the
-        side's start vertex.  Returns (len(weight_fns), columns of C): the
-        sums over sides for each eigenfunction column in C.
-        """
+    def normal_derivative_moments(self, lam, c):
+        """(m0_j, m1_j) for every side j, shape (sides, 2): the integrals of
+        (d_nu u)^2 and of s (d_nu u)^2 over side j, s the arclength from its
+        start vertex, for u = basis.matrix(lam, pts) @ c.  One gradient
+        evaluation per side, on the graded panel rule.  Both weights of the
+        Hadamard formula are affine in s on a side, so they integrate
+        through these two moments."""
         p = self.p
-        total = np.zeros((len(weight_fns), C.shape[1]))
+        out = np.empty((p.n, 2))
         wg = leggauss(_SIDE_ORDER)[1]
         for j in range(p.n):
             L = p.side_lengths[j]
             h = L * _SIDE_FIRST_PANEL
             s_nodes, half = panel_nodes(graded_breaks(0.0, L, h, h), _SIDE_ORDER)
             s_nodes, w_nodes = s_nodes.ravel(), (half[:, None] * wg).ravel()
-            a = p.vertices[j]
-            tau = p.side_tangent(j)
-            pts = a + tau * s_nodes
-            gx, gy = self.basis.gradient(lam, pts)
+            gx, gy = self.basis.gradient(lam, p.vertices[j] + p.side_tangent(j) * s_nodes)
             nu = p.side_normal(j)
-            dn = (gx @ C) * nu.real + (gy @ C) * nu.imag
-            for row, weight_fn in zip(total, weight_fns):
-                row += (dn**2 * (w_nodes * weight_fn(j, s_nodes))[:, None]).sum(axis=0)
-        return total
-
-    def rellich_weight(self):
-        """The weight x . nu of the Rellich identity
-        2 lam int u^2 = oint (x . nu) (d_nu u)^2 dl, x taken from the vertex
-        centroid."""
-        p = self.p
-        origin = p.vertex_array().mean()
-
-        def weight(j, s):
-            pts = p.vertices[j] + p.side_tangent(j) * s
-            return ((pts - origin) * np.conj(p.side_normal(j))).real
-
-        return weight
+            dn2 = w_nodes * ((gx @ c) * nu.real + (gy @ c) * nu.imag) ** 2
+            out[j] = dn2.sum(), dn2 @ s_nodes
+        return out
 
 
 def _parabola(x, f):
@@ -1053,6 +1035,13 @@ def hadamard_eigenvalue_variation(p, f, j):
     """First variation of the j-th (1-based) Dirichlet eigenvalue:
     -(boundary integral of (d_nu u_j)^2 (A.nu)) for an L2-normalized u_j.
 
+    With (A.nu)(s) = c0_i + c1_i s on side i (f.side_normal_velocity) and
+    the moments m0_i, m1_i of normal_derivative_moments, that is
+    -2 lam_j sum_i (c0_i m0_i + c1_i m1_i) / sum_i h_i m0_i.  The
+    denominator is 2 lam_j int u_j^2 by the Rellich identity
+    2 lam int u^2 = oint ((x - o).nu) (d_nu u)^2, o the vertex mean, whose
+    weight (x - o).nu is constant on side i: its support number h_i about o.
+
     Requires lambda_j simple within _GAP_TOL; for clusters the caller
     should sum the variation over the cluster (DegenerateEigenvalue is
     raised here).  A sweep that holds fewer than j + 1 eigenvalues, so that
@@ -1061,17 +1050,14 @@ def hadamard_eigenvalue_variation(p, f, j):
     """
     if not isinstance(j, (int, np.integer)) or j < 1:
         raise ValidationFailure(f"eigenvalue index j = {j!r} is not an integer >= 1")
-    # sweep a bit beyond the Weyl estimate for lambda_{j+1}
-    lam_max = _weyl_kth(p, j + 2) * 1.25
-    solver = MPSSolver(p, lam_max)
-    spec = solver.solve()
-    eigs = spec.eigenvalue_array()
-    if len(eigs) < j + 1:
-        lam_max *= 1.6
+    # sweep a bit beyond the Weyl estimate for lambda_{j+1}, then 1.6x that
+    weyl = _weyl_kth(p, j + 2) * 1.25
+    for lam_max in (weyl, weyl * 1.6):
         solver = MPSSolver(p, lam_max)
-        spec = solver.solve()
-        eigs = spec.eigenvalue_array()
-    if len(eigs) < j + 1:
+        eigs = solver.solve().eigenvalue_array()
+        if len(eigs) >= j + 1:
+            break
+    else:
         # the simplicity check needs lambda_{j+1}
         raise MissedEigenvalue(
             f"polygon {[complex(v) for v in p.vertices]}: {len(eigs)} eigenvalue(s) below "
@@ -1085,14 +1071,10 @@ def hadamard_eigenvalue_variation(p, f, j):
     C = solver.eigenfunction(lam)
     if C.shape[1] != 1:
         raise DegenerateEigenvalue(f"lambda_{j} carries multiplicity {C.shape[1]}")
-
-    def field_weight(jj, s):
-        c0, c1 = f.side_normal_velocity[jj]
-        return c0 + c1 * s
-
-    rellich, integral = solver.normal_derivative_sq_integrals(
-        lam, C, [solver.rellich_weight(), field_weight])[:, 0]
-    return -float(integral / (rellich / (2 * lam)))
+    m = solver.normal_derivative_moments(lam, C[:, 0])
+    v = p.vertex_array()
+    h = ((v - v.mean()) * np.conj([p.side_normal(i) for i in range(p.n)])).real
+    return float(-2 * lam * np.sum(np.asarray(f.side_normal_velocity) * m) / (h @ m[:, 0]))
 
 
 def _weyl_kth(p, k):

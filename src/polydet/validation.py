@@ -53,16 +53,6 @@ def _record(name, value, tol, detail=""):
     }
 
 
-def _timed(fn):
-    """fn's records, each with fn's wall time as its runtime_s."""
-    t0 = time.perf_counter()
-    recs = fn()
-    dt = time.perf_counter() - t0
-    for r in recs:
-        r.setdefault("runtime_s", round(dt, 3))
-    return recs
-
-
 # ---------------------------------------------------------------------------
 # geometry helpers shared by suites
 # ---------------------------------------------------------------------------
@@ -375,9 +365,14 @@ SUITES["all"] = (SUITES["geometry"] + SUITES["scmap"] + SUITES["eigs"]
 
 
 def run_suite(name):
+    """The records of every check of suite ``name``, and each check's wall
+    time in seconds keyed by its name.  The records hold no time, so the
+    same tree gives the same records on every run."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    records = []
+    records, seconds = [], {}
     for fn in SUITES[name]:
-        records.extend(_timed(fn))
-    return records
+        t0 = time.perf_counter()
+        records.extend(fn())
+        seconds[fn.__name__] = round(time.perf_counter() - t0, 6)
+    return records, seconds

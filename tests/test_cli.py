@@ -630,7 +630,10 @@ class TestWzCommand:
 
 
 class TestValidateCommand:
-    def test_each_record_carries_its_checks_runtime(self, monkeypatch):
+    @staticmethod
+    def _stub_suite(monkeypatch, ticks, capsys):
+        """The report of `validate` on a two-check suite, with the checks'
+        clock reading ``ticks``."""
         from polydet import validation
 
         def two_records():
@@ -639,22 +642,42 @@ class TestValidateCommand:
         def one_record():
             return [validation._record("c", 0.0, 1.0)]
 
-        clock = iter([0.0, 2.0, 10.0, 10.5])
+        clock = iter(ticks)
         monkeypatch.setattr(validation, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
         monkeypatch.setitem(validation.SUITES, "stub", [two_records, one_record])
-        records = validation.run_suite("stub")
-        assert [r["runtime_s"] for r in records] == [2.0, 2.0, 0.5]
+        code, out = run_cli(["validate", "stub"], capsys)
+        assert code == 0
+        return json.loads(out)
+
+    def test_timings_carry_each_checks_runtime(self, monkeypatch, capsys):
+        report = self._stub_suite(monkeypatch, [0.0, 2.0, 10.0, 10.5], capsys)
+        assert report["timings"] == {"two_records": 2.0, "one_record": 0.5}
+        assert all("runtime_s" not in r for r in report["payload"]["records"])
+
+    def test_payload_does_not_depend_on_the_clock(self, monkeypatch, capsys):
+        # the records used to carry their check's wall time, so two runs on
+        # the same tree gave different payloads
+        first = self._stub_suite(monkeypatch, [0.0, 2.0, 10.0, 10.5], capsys)
+        second = self._stub_suite(monkeypatch, [0.0, 0.25, 1.0, 4.0], capsys)
+        assert first["timings"] != second["timings"]
+        assert first["payload"] == second["payload"]
 
     def test_geometry_suite(self, capsys):
-        # the PASS/FAIL table goes to stderr; stdout holds the JSON report alone
-        code = main(["validate", "geometry"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "PASS" in captured.err
-        assert "FAIL" not in captured.err
-        report = json.loads(captured.out)
+        # the PASS/FAIL table goes to stderr; stdout holds the JSON report
+        # alone, and a second run on the same tree gives the same payload
+        reports = []
+        for _ in range(2):
+            code = main(["validate", "geometry"])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert "PASS" in captured.err
+            assert "FAIL" not in captured.err
+            reports.append(json.loads(captured.out))
+        report = reports[0]
         assert report["payload"]["failures"] == 0
         assert [r["passed"] for r in report["payload"]["records"]] == [True, True]
+        assert list(report["timings"]) == ["check_geometry_invariants"]
+        assert reports[1]["payload"] == report["payload"]
 
     def test_csv_report_has_two_fields_a_row(self, monkeypatch, capsys):
         # a list of records is flattened by index, and a field holding a

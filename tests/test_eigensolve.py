@@ -485,8 +485,10 @@ class TestNormalization:
         spec = solver.solve()
         lam = spec.eigenvalues[0]
         C = solver.eigenfunction(lam)
-        norm_rellich = solver.normal_derivative_sq_integrals(
-            lam, C, [solver.rellich_weight()])[0][0] / (2 * lam)
+        # the Rellich norm sum_j h_j m0_j / (2 lam): every side of the unit
+        # square has support number h_j = 1/2 about its centre
+        m = solver.normal_derivative_moments(lam, C[:, 0])
+        norm_rellich = 0.5 * m[:, 0].sum() / (2 * lam)
 
         from polydet.quadrature import leggauss
         x, w = leggauss(40)
@@ -528,6 +530,20 @@ class TestHadamardVariation:
         lm = dirichlet_eigenvalues(move_polygon(p, f, -t), 30.0).eigenvalues[0]
         fd = (lp - lm) / (2 * t)
         assert dl == pytest.approx(fd, rel=1e-4, abs=1e-4)
+
+    @pytest.mark.parametrize("motion, factor", [
+        ("translation", 0.0), ("rotation", 0.0), ("dilation", -2.0)])
+    def test_rigid_motions_and_dilation(self, motion, factor):
+        # lambda_1 is invariant under translation and rotation and scales as
+        # (1 + t)^-2 under x -> (1 + t) x.  The rotation moves every side
+        # with c1 = -1, so it checks the moment m1 as well as m0
+        p = build_polygon([0, 1.1, 0.9 + 0.8j, 0.1 + 0.9j])
+        v = np.asarray(p.vertices)
+        f = field_from_vertex_velocities(
+            p, {"translation": [0.6 - 0.3j] * p.n, "rotation": 1j * v, "dilation": v}[motion])
+        lam1 = dirichlet_eigenvalues(p, 60.0).eigenvalues[0]
+        dl = hadamard_eigenvalue_variation(p, f, 1)
+        assert abs(dl - factor * lam1) <= 1e-7 * lam1
 
     def test_one_gradient_pass_per_side(self, unit_square, monkeypatch):
         # the Rellich norm and the field integral share the side gradients
