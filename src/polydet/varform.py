@@ -24,9 +24,13 @@ vertex is |C_i| w^{a/pi} times an analytic function.  For convex corners the
 only growing terms of int_{w(eps)}^delta g dw are therefore eps^{-1} and
 log(eps) (eps measured as a length in the polygon plane), and the finite
 part is computable from two one-dimensional integrals with analytic
-integrands per (side, vertex) pair.  The epsilon-removal route with
-extrapolation is kept as the contract value and cross-checked against the
-closed-form finite part; a mismatch raises CountertermMismatch.
+integrands per (side, vertex) pair.  That closed-form finite part is the
+value of every near-vertex piece.  It stays accurate up to straight angles:
+the slope of A off its value at the vertex is written without cancellation,
+and the slope's own value at w = 0 is integrated in closed form.
+The integrals cut at three arclengths eps, eps/2, eps/4 with the growing
+terms removed only check it: values that diverge as eps halves, or whose
+finest misses the finite part, raise CountertermMismatch.
 
 The corner coefficient.  Hadamard's formula d lambda_k = -oint (A.nu)
 (d_nu u_k)^2 ds for L2-normalized eigenfunctions gives
@@ -265,33 +269,41 @@ class _NearVertex:
         self._factor = _local_regular_factor if from_right else _local_regular_factor_left
         self.alpha = m.polygon.angles[i]
         self.apio = self.alpha / np.pi
+        self.gamma = 1.0 - self.apio
         self.zi = m.prevertices[i]
         self.D = complex(self._factor(m, i, np.array(0.0 + 0.0j)))
         self.C_abs = abs(self.D) * np.pi / self.alpha
-        self.m0 = (np.pi**2 - self.alpha**2) / (2 * np.pi**2)
+        self.m0 = self.gamma * (1.0 - 0.5 * self.gamma)
+        # the other prevertices' gp_k = (pi - alpha_k)/pi and signed distances
+        # e_k, with z - z_k = +/-(e_k + w) at z = z_i +/- w
+        others = np.arange(m.n) != i
+        self._gp = -np.asarray(m.exponents)[others]
+        self._e = self.sign * (self.zi - m.prevertex_array()[others])
+        self.t0 = np.sum(self._gp / self._e)
         self._rho_rule = jacgauss(24, 0.0, self.apio - 1.0)
 
     def regular_factor(self, w):
         return (self._factor(self.m, self.i, w + 0j) / self.D).real
 
-    def schwarz_w2(self, w):
-        """w^2 {x,z}(z_i +/- w) for real w > 0, cancellation-free.
+    def slope(self, w):
+        """g(w) = (h0(w) - m0) / w for real w > 0, cancellation-free.
 
-        With gp_i = (pi - alpha_i)/pi and T, U the sums over the other
-        prevertices of gp_k/(d_k +/- w) and gp_k/(d_k +/- w)^2,
+        h0(w) = w^2 {x,z}(z_i +/- w) / R(w) with R = regular_factor(w).
+        With t, u the sums of gp_k/(e_k + w) and gp_k/(e_k + w)^2, and
+        L = -sum gp_k log1p(w/e_k) the logarithm of R,
 
-            w^2 {x,z} = gp_i (1 - gp_i/2) -/+ gp_i T w + w^2 (U - T^2/2),
+            w^2 {x,z} = m0 - gamma t w + w^2 (u - t^2/2),
+            g(w) = (-gamma t + w (u - t^2/2) - m0 expm1(L)/w) / R,
 
-        which stays accurate down to w at the double-precision floor (needed
-        because sharp corners compress eps-neighborhoods like eps^{pi/alpha}).
+        which keeps its digits down to w at the double-precision floor, where
+        the Gauss-Jacobi rules of a near-straight angle put their nodes.
+        At w = 0 it tends to -gamma^2 t(0)/2, since m0 = gamma (1 - gamma/2).
         """
         w = np.asarray(w, dtype=float)
-        others = np.arange(self.m.n) != self.i
-        gp = -np.asarray(self.m.exponents)
-        gpi = gp[self.i]
-        T, U = _prevertex_sums(gp[others], self.zi - self.m.prevertex_array()[others]
-                               + self.sign * w[..., None])
-        return gpi * (1 - gpi / 2) - self.sign * gpi * T * w + w**2 * (U - T**2 / 2)
+        t, u = _prevertex_sums(self._gp, self._e + w[..., None])
+        L = -np.sum(self._gp * np.log1p(w[..., None] / self._e), axis=-1)
+        return ((-self.gamma * t + w * (u - 0.5 * t**2) - self.m0 * np.expm1(L) / w)
+                / self.regular_factor(w))
 
     def rho(self, w):
         """s(w) / (|C| w^{a/pi}): analytic, real, rho(0) = 1.
@@ -305,7 +317,7 @@ class _NearVertex:
         return self.apio * 2.0 ** (-self.apio) * np.sum(wt * self.regular_factor(u), axis=-1)
 
     def h0(self, w):
-        return (self.schwarz_w2(w).real) / self.regular_factor(w)
+        return self.m0 + w * self.slope(w)
 
     def h1(self, w):
         return self.h0(w) * self.rho(w)
@@ -334,14 +346,21 @@ def _near_contributions(near, nu_hat, delta, eps_seq):
     coefficients.  Returns (fp, vals) with fp of shape (2,) and vals
     of shape (len(eps_seq), 2); the finite-eps values have the growing terms
     already subtracted.
+
+    The c0 integrand is h0 w^{-1-a/pi} = m0 w^{gamma-2} + g(w) w^{gamma-1}
+    (g = near.slope, gamma = 1 - a/pi).  Its value g0 = -gamma^2 t(0)/2 at
+    w = 0 integrates to g0 delta^gamma / gamma = -gamma t(0) delta^gamma / 2
+    with no division by gamma, and only (g - g0)/w goes to a Gauss-Jacobi
+    rule of weight w^gamma, so the value stays smooth as the angle tends to pi.
     """
-    apio = near.apio
-    m0 = near.m0
+    apio, gamma, m0 = near.apio, near.gamma, near.m0
     pref = -nu_hat / near.D
     # closed-form finite part
-    xj, wj = jacgauss(_FP_ORDER, 0.0, -apio)
+    xj, wj = jacgauss(_FP_ORDER, 0.0, gamma)
     wq = 0.5 * delta * (1.0 + xj)
-    I0 = (0.5 * delta) ** (1.0 - apio) * np.sum(wj * (near.h0(wq) - m0) / wq)
+    g0 = -0.5 * gamma**2 * near.t0
+    I0 = (-0.5 * gamma * near.t0 * delta**gamma
+          + (0.5 * delta) ** (1.0 + gamma) * np.sum(wj * (near.slope(wq) - g0) / wq))
     xg, wg = leggauss(_FP_ORDER)
     wq1 = 0.5 * delta * (1.0 + xg)
     I1 = 0.5 * delta * np.sum(wg * (near.h1(wq1) - m0) / wq1)
@@ -372,21 +391,12 @@ def _near_contributions(near, nu_hat, delta, eps_seq):
     return fp, vals
 
 
-def _aitken_limit(v1, v2, v3):
-    """Aitken Delta^2 limit of a halving sequence v(eps), v(eps/2), v(eps/4).
-
-    Returns (limit, diverging, d2) where ``diverging`` flags a sequence whose
-    corrections grow while still being significant against roundoff, the
-    signature of a missed growing term.
-    """
+def _halving_diverges(v1, v2, v3):
+    """Whether the corrections of a halving sequence v(eps), v(eps/2),
+    v(eps/4) grow while still significant against roundoff, the signature
+    of a missed growing term."""
     d1, d2 = v2 - v1, v3 - v2
-    noise = 1e-10 * (1.0 + abs(v3))
-    if abs(d2) > 1.1 * abs(d1) + noise and abs(d2) > noise:
-        return v3, True, abs(d2)
-    denom = d2 - d1
-    if abs(denom) <= max(1e-15 * (abs(d1) + abs(d2)), 0.2 * noise):
-        return v3, False, abs(d2)
-    return v3 - d2 * d2 / denom, False, abs(d2)
+    return abs(d2) > 1.1 * abs(d1) + 1e-10 * (1.0 + abs(v3))
 
 
 # ---------------------------------------------------------------------------
@@ -503,61 +513,48 @@ def _side_integrals(m, j):
 def hadamard_boundary_integral(m, f):
     """Hadamard-regularized boundary integral H-int {z,x} (A.nu) nuhat dx.
 
-    Returns the eps -> 0 extrapolated value (complex); the closed-form finite
-    part and the per-vertex extrapolation residuals are exposed through the
-    ``diagnostics`` attribute of the result (a _HadamardResult).
+    Returns a _HadamardResult whose value (complex) is the sum of the far
+    parts and the closed-form finite parts of the near-vertex pieces.  Each
+    side's integrals are computed once per map (_side_integrals); a field
+    then costs one combination of their (c0, c1) pairs per side.
 
-    Each side's integrals are computed once per map (_side_integrals); a
-    field then costs one combination of their (c0, c1) pairs per side, and
-    the eps extrapolation and its checks.
+    The finite-eps values of each moved vertex check its finite part fp:
+    they must not diverge as eps halves, and the finest must lie within
+    max(_COUNTERTERM_TOL max(1, |fp|), 4 |last halving step|) of fp, or
+    CountertermMismatch is raised.  The ``diagnostics`` hold the eps
+    triplet, each vertex's miss and the largest last halving step.
     """
-    p = m.polygon
-    eps_triplet = _eps_triplet(p)
-
-    total_extrap = 0.0 + 0.0j
-    total_fp = 0.0 + 0.0j
-    per_vertex_resid = []
-    worst_d2 = 0.0
-
-    for j, c0, c1, L in _moved_sides(p, f):
+    total = 0.0 + 0.0j
+    misses = []
+    worst_step = 0.0
+    for j, c0, c1, L in _moved_sides(m.polygon, f):
         side = _side_integrals(m, j)
         start, end = np.array([c0, c1]), np.array([c0 + c1 * L, -c1])
-        far = side.far @ start
-        fp_s, fp_e = side.fp_start @ start, side.fp_end @ end
-
-        total_extrap += far
-        total_fp += far + fp_s + fp_e
-        for fp_v, seq in ((fp_s, side.eps_start @ start), (fp_e, side.eps_end @ end)):
-            limit, diverging, d2 = _aitken_limit(*seq)
-            if diverging:
+        total += side.far @ start
+        for fp, vals in ((side.fp_start @ start, side.eps_start @ start),
+                         (side.fp_end @ end, side.eps_end @ end)):
+            step, miss = abs(vals[2] - vals[1]), abs(vals[2] - fp)
+            if _halving_diverges(*vals):
                 raise CountertermMismatch(
-                    f"eps-halving values diverge near a vertex (last step {d2:.2e}); "
+                    f"eps-halving values diverge near a vertex (last step {step:.2e}); "
                     "a growing term appears to be missing")
-            total_extrap += limit
-            per_vertex_resid.append(abs(limit - fp_v))
-            worst_d2 = max(worst_d2, d2)
-
-    mismatch = abs(total_extrap - total_fp)
-    scale = max(1.0, abs(total_fp))
-    if mismatch > max(_COUNTERTERM_TOL * scale, 4.0 * worst_d2):
-        raise CountertermMismatch(
-            f"eps-extrapolation disagrees with the closed-form finite part by {mismatch:.2e}")
-    return _HadamardResult(
-        value=complex(total_extrap),
-        finite_part=complex(total_fp),
-        diagnostics={
-            "eps": eps_triplet,
-            "per_vertex_extrapolation_residual": per_vertex_resid,
-            "mismatch": mismatch,
-            "last_halving_step": worst_d2,
-        },
-    )
+            if miss > max(_COUNTERTERM_TOL * max(1.0, abs(fp)), 4.0 * step):
+                raise CountertermMismatch(
+                    f"the finest eps value near a vertex misses the closed-form finite part "
+                    f"by {miss:.2e} (last halving step {step:.2e})")
+            total += fp
+            misses.append(miss)
+            worst_step = max(worst_step, step)
+    return _HadamardResult(value=complex(total), diagnostics={
+        "eps": _eps_triplet(m.polygon),
+        "per_vertex_eps_miss": misses,
+        "last_halving_step": worst_step,
+    })
 
 
 @dataclass(frozen=True)
 class _HadamardResult:
     value: complex
-    finite_part: complex
     diagnostics: dict
 
 
@@ -570,14 +567,12 @@ def main_formula(p, m, f):
     res = hadamard_boundary_integral(m, f)
     boundary = float(res.value.imag) / (6 * np.pi)
     corner = corner_term(p, f.delta_angles)
-    diag = dict(res.diagnostics)
-    diag["finite_part_boundary_term"] = res.finite_part.imag / (6 * np.pi)
     return DeterminantVariation(
         boundary_term=boundary,
         corner_term=corner,
         total=boundary + corner,
         route="hadamard",
-        residual_diagnostics=diag,
+        residual_diagnostics=res.diagnostics,
     )
 
 

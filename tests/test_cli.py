@@ -94,6 +94,23 @@ def run_cli(args, capsys):
     return code, out
 
 
+def test_write_replacing_removes_its_temporary_file_when_the_rename_fails(tmp_path,
+                                                                           monkeypatch):
+    from polydet import cli
+
+    target = tmp_path / "entry.json"
+    target.write_text("old")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._write_replacing(target, "new")
+    assert [f.name for f in tmp_path.iterdir()] == ["entry.json"]
+    assert target.read_text() == "old"
+
+
 class TestRunConfig:
     def test_hash_stable(self):
         assert RunConfig().hash() == RunConfig().hash()
@@ -268,6 +285,14 @@ class TestScmapCommand:
         code, out = run_cli(["scmap", str(f)], capsys)
         assert code == 0
         assert json.loads(out)["payload"]["prevertices"] == [-1.0, 0.0, 1.0]
+
+    def test_csv_joins_the_prevertices_with_semicolons(self, square_file, capsys):
+        code, out = run_cli(["--format", "csv", "scmap", square_file], capsys)
+        assert code == 0
+        rows = dict(list(csv.reader(io.StringIO(out)))[1:])
+        prevertices = [float(x) for x in rows["prevertices"].split(";")]
+        assert len(prevertices) == 4 and prevertices[:2] == [-1.0, 0.0]
+        assert prevertices[2] == pytest.approx(1 / 3, abs=1e-10)
 
     def test_nonconvex_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.json"

@@ -478,6 +478,11 @@ def test_right_isosceles_closed_form():
 
 
 class TestNormalization:
+    def test_eigenfunction_away_from_an_eigenvalue_raises(self, unit_square):
+        # 30 lies between the square's 2 pi^2 and 5 pi^2
+        with pytest.raises(DegenerateEigenvalue, match="is not an eigenvalue"):
+            MPSSolver(unit_square, 60.0).eigenfunction(30.0)
+
     def test_l2_norm_against_interior_quadrature(self, unit_square):
         # Rellich-based norm vs direct interior quadrature of u^2 for the
         # square's ground state

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from polydet.eigensolve import checked_spectrum
 from polydet.errors import (
     AngleSumViolation,
+    CountertermMismatch,
     NonConvex,
     PrevertexCrowding,
     RegularizationResidual,
@@ -24,7 +25,7 @@ from polydet.scmap import (
     schwarzian_xz,
 )
 from polydet.varform import (
-    _aitken_limit,
+    _halving_diverges,
     _local_regular_factor_left,
     _NearVertex,
     _near_contributions,
@@ -216,11 +217,9 @@ def test_apex_path_integral_matches_the_lattice_log_dets():
 def test_vertex_insertion_path_matches_square_minus_triangle():
     # a vertex inserted at the midpoint of the hypotenuse of (0, 1, i), at
     # a straight angle, moves straight to 1 + i; the formula integrated
-    # along the path is log det(square) - log det(triangle).  Measured: off
-    # by 9.579e-9 at 10 to 32 Gauss-Legendre nodes, which differ by at most
-    # 1.2e-13 (8 nodes are 2.1e-11 away).  The 9.6e-9 is the bias of the
-    # eps-halving route of the near-vertex finite part (ROADMAP item 5), not
-    # of the quadrature in s
+    # along the path is log det(square) - log det(triangle).  Measured: 12
+    # and 24 Gauss-Legendre nodes differ by 5.3e-14 and are 4.9e-14 and
+    # 3.8e-15 off the reference
     mid, vel = 0.5 + 0.5j, 0.5 + 0.5j
     ref = rectangle_logdet_exact(1, 1) - _lattice_logdet(
         [0, 1, 1j], lambda m, n: np.pi**2 * (m * m + n * n), lambda m, n: m > n)
@@ -236,8 +235,8 @@ def test_vertex_insertion_path_matches_square_minus_triangle():
 
     v12, v24 = path_integral(12), path_integral(24)
     assert abs(v24 - v12) < 1e-11
-    assert abs(v12 - ref) < 2e-8
-    assert abs(v24 - ref) < 2e-8
+    assert abs(v12 - ref) < 1e-12
+    assert abs(v24 - ref) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -294,22 +293,22 @@ def test_rho_on_panel_arrays_equals_pointwise(rng):
         assert np.array_equal(near.rho(w), [[near.rho(x)[0] for x in row] for row in w])
 
 
-def test_schwarz_w2_matches_the_loop_over_prevertices(rng):
-    # the sums of scmap._prevertex_sums against the loop over the other
-    # prevertices that they replaced, which adds the terms in another order
+def test_slope_matches_the_schwarzian_and_regular_factor(rng):
+    # h0 = w^2 {x,z} / R from scmap.schwarzian_xz and the regular factor
+    # where no cancellation hides the slope (h0 - m0)/w, and the slope's
+    # limit -gamma^2 t(0)/2 at w = 0 down to the double-precision floor
     p = random_convex_polygon(rng, n_min=8, n_max=8)
     m = solve_parameter_problem(p)
-    zk, gp = m.prevertex_array(), -np.asarray(m.exponents)
     for i, from_right in ((1, True), (3, False), (4, True), (0, False)):
         near = _NearVertex(m, i, from_right)
-        w = 0.25 * m.gap(i) * np.array([1e-300, 1e-8, 0.01, 0.3, 1.0])
-        T = U = 0.0
-        for k in range(m.n):
-            if k != i:
-                d = near.zi - zk[k] + near.sign * w
-                T, U = T + gp[k] / d, U + gp[k] / d**2
-        ref = gp[i] * (1 - gp[i] / 2) - near.sign * gp[i] * T * w + w**2 * (U - T**2 / 2)
-        assert np.allclose(near.schwarz_w2(w), ref, rtol=1e-13, atol=1e-14)
+        w = 0.25 * m.gap(i) * np.array([0.01, 0.3, 1.0])
+        z = near.zi + near.sign * w
+        h0 = (w**2 * schwarzian_xz(m, z)).real / near.regular_factor(w)
+        assert np.allclose(near.h0(w), h0, rtol=1e-12, atol=0)
+        assert np.allclose(near.slope(w[1:]), (h0[1:] - near.m0) / w[1:], rtol=1e-9, atol=0)
+        g0 = -0.5 * near.gamma**2 * near.t0
+        tiny = 0.25 * m.gap(i) * np.array([1e-300, 1e-12])
+        assert np.allclose(near.slope(tiny), g0, rtol=1e-10, atol=0)
 
 
 def test_local_structure_matches_map_forward(rng):
@@ -391,20 +390,14 @@ class TestSideIntegralsPerMap:
         main_formula(p, m, side_shift_field(p, 4))
         assert integrated == [2, 4]
 
-    def test_finite_part_is_linear(self, square, rng):
-        p, m = square
-        v1 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v2 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        fp1, fp2, fp12 = (hadamard_boundary_integral(
-            m, field_from_vertex_velocities(p, v)).finite_part for v in (v1, v2, v1 + v2))
-        assert abs(fp12 - fp1 - fp2) < 1e-12 * max(1.0, abs(fp12))
-
 
 class TestHadamardBoundaryIntegral:
-    def test_eps_extrapolation_matches_finite_part(self, square):
+    def test_finest_eps_value_is_near_the_finite_part(self, square):
+        # the square's eps residual falls like eps^3 (test_eps_residual_slope)
         p, m = square
         res = hadamard_boundary_integral(m, side_shift_field(p, 1))
-        assert res.diagnostics["mismatch"] < 1e-8
+        assert len(res.diagnostics["per_vertex_eps_miss"]) == 2
+        assert max(res.diagnostics["per_vertex_eps_miss"]) < 1e-8
 
     def test_linear_in_field(self, square, rng):
         p, m = square
@@ -413,7 +406,7 @@ class TestHadamardBoundaryIntegral:
         r1 = hadamard_boundary_integral(m, field_from_vertex_velocities(p, v1)).value
         r2 = hadamard_boundary_integral(m, field_from_vertex_velocities(p, v2)).value
         r12 = hadamard_boundary_integral(m, field_from_vertex_velocities(p, v1 + v2)).value
-        assert abs(r12 - r1 - r2) < 1e-9 * max(1.0, abs(r12))
+        assert abs(r12 - r1 - r2) < 1e-13 * max(1.0, abs(r12))
 
     def test_far_part_matches_adaptive_quadrature(self, rect21):
         # untruncated interior piece of a side integral vs scipy adaptive
@@ -458,11 +451,32 @@ class TestHadamardBoundaryIntegral:
         slope_sq = np.polyfit(np.log(eps_list), np.log(resid_sq), 1)[0]
         assert abs(slope_sq - 3.0) < 0.1
 
-    def test_aitken_divergence_flag(self):
-        _, diverging, _ = _aitken_limit(1.0, 2.0, 4.0)
-        assert diverging
-        _, ok, _ = _aitken_limit(1.0, 1.5, 1.75)
-        assert not ok
+    def test_halving_divergence_flag(self):
+        assert _halving_diverges(1.0, 2.0, 4.0)
+        assert not _halving_diverges(1.0, 1.5, 1.75)
+
+    @staticmethod
+    def _patched_near(monkeypatch, change):
+        real = varform._near_contributions
+
+        def near_contributions(near, nu_hat, delta, eps_seq):
+            return change(*real(near, nu_hat, delta, eps_seq), eps_seq)
+
+        monkeypatch.setattr(varform, "_near_contributions", near_contributions)
+
+    def test_finite_part_off_by_1e_3_raises(self, monkeypatch):
+        # the square's finest eps values are within 1e-8 of the finite part
+        p = build_polygon([0, 1, 1 + 1j, 1j])
+        self._patched_near(monkeypatch, lambda fp, vals, eps: (fp + [1e-3, 0.0], vals))
+        with pytest.raises(CountertermMismatch, match="misses the closed-form finite part"):
+            main_formula(p, solve_parameter_problem(p), side_shift_field(p, 1))
+
+    def test_eps_values_growing_like_one_over_eps_raise(self, monkeypatch):
+        p = build_polygon([0, 1, 1 + 1j, 1j])
+        self._patched_near(monkeypatch, lambda fp, vals, eps: (
+            fp, vals + np.outer(1e-3 / np.asarray(eps), [1.0, 0.0])))
+        with pytest.raises(CountertermMismatch, match="diverge"):
+            main_formula(p, solve_parameter_problem(p), side_shift_field(p, 1))
 
 
 class TestMainFormula:
@@ -531,6 +545,67 @@ class TestMainFormula:
         v0 = main_formula(p, m0, f).total
         v1 = main_formula(p, m1, f).total
         assert abs(v0 - v1) < 1e-8
+
+
+def _rect_shift_derivative(a):
+    """d/da [log eta(i/a) - log(2a)/2], the a x 1 rectangle's log det moved
+    by its side x = a, from d log eta(iy)/dy = -pi/12 + sum_n 2 pi n q^n /
+    (1 - q^n) with q = e^{-2 pi y}."""
+    n = np.arange(1, 100)
+    q = np.exp(-2 * np.pi / a)
+    return (np.pi / 12 - np.sum(2 * np.pi * n * q**n / (1 - q**n))) / a**2 - 0.5 / a
+
+
+class TestClosedFormFinitePart:
+    """The near-vertex value is the closed-form finite part alone, so the
+    formula is linear in the field to rounding and holds up to straight
+    angles."""
+
+    @pytest.mark.parametrize("a", [1, 2, 4])
+    def test_rectangle_side_shift_is_exact(self, a):
+        # measured: within 7.2e-16 of the analytic derivative
+        p = build_polygon([0, a, a + 1j, 1j])
+        dv = main_formula(p, solve_parameter_problem(p), side_shift_field(p, 1))
+        assert abs(dv.total - _rect_shift_derivative(a)) < 1e-14
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_linear_in_the_field(self, seed):
+        # measured: at most 4.4e-16 on these draws
+        rng = np.random.default_rng(seed)
+        p = random_convex_polygon(rng, n_min=3, n_max=7)
+        m = solve_parameter_problem(p)
+        v1, v2 = (rng.normal(size=p.n) + 1j * rng.normal(size=p.n) for _ in range(2))
+        t1, t2, t12 = (main_formula(p, m, field_from_vertex_velocities(p, v)).total
+                       for v in (v1, v2, v1 + v2))
+        assert abs(t12 - t1 - t2) < 1e-13
+
+    @pytest.mark.parametrize("h", [0.3, 1e-2, 1e-4, 1e-6, 1e-8])
+    def test_house_up_to_a_straight_apex(self, h, monkeypatch):
+        # the apex angle pi - 2 atan(2h) of the house tends to pi, where
+        # Gauss-Jacobi nodes of weight w^{-a/pi} crowd at w = 0.  Dilation
+        # gives -2 b1 with b1 = sum (pi^2 - a^2)/(24 pi a); measured within
+        # 7.8e-16, and every finite part moves by at most 1.8e-15 from 48
+        # to 96 nodes
+        p = build_polygon([0, 1, 1 + 1j, 0.5 + (1 + h) * 1j, 1j])
+        m = solve_parameter_problem(p)
+        a = np.asarray(p.angles)
+        b1 = np.sum((np.pi**2 - a**2) / (24 * np.pi * a))
+        assert abs(main_formula(p, m, dilation_field(p)).total + 2 * b1) < 1e-12
+
+        eps = varform._eps_triplet(p)
+
+        def finite_parts():
+            out = []
+            for j in range(p.n):
+                ds, de = varform._near_radii(m, j, varform._MATCH_FRAC, varform._MATCH_CAP)
+                for i, right, delta in ((j, True, ds), ((j + 1) % p.n, False, de)):
+                    near = _NearVertex(m, i, right)
+                    out.append(_near_contributions(near, p.side_normal(j), delta, eps)[0])
+            return np.array(out)
+
+        fp48 = finite_parts()
+        monkeypatch.setattr(varform, "_FP_ORDER", 96)
+        assert np.max(np.abs(finite_parts() - fp48)) < 1e-12
 
 
 class TestContourShift:
